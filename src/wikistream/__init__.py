@@ -10,7 +10,6 @@ prequential evaluation.
 from .model import (
     DailyAggregate,
     EditEvent,
-    FeatureVector,
     TargetLabels,
     ValidationError,
     derive_contribution_type,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import FEATURE_IDS, ValidationError
+from .model import FEATURE_IDS, N_FEATURES, ValidationError, feature_columns
 
 DEFAULT_CORRELATION_THRESHOLD = 0.15
 DEFAULT_L1_STRENGTH = 0.01
@@ -105,11 +105,9 @@ class CorrelationReport:
 
 def feature_matrix(aggregates, feature_set=SET2):
     """Stack aggregates into an (n, d) matrix in feature-set order."""
-    return np.array(
-        [[agg.value(fid) for fid in feature_set.feature_ids]
-         for agg in aggregates],
-        dtype=float,
-    )
+    columns = feature_columns(tuple(feature_set.feature_ids))
+    X = np.array([agg.values for agg in aggregates], dtype=float)
+    return X.reshape(-1, N_FEATURES)[:, columns]
 
 
 def target_vector(aggregates, target):

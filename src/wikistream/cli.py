@@ -40,16 +40,24 @@ def _guarded(fn):
 
 
 def _load_config_defaults(ctx, param, value):
-    """Key-value config file; explicit flags win over file values."""
+    """Key-value config file; explicit flags win over file values.
+
+    A key that names no option of the command is a usage error (exit 2).
+    """
     if value is None:
         return None
+    options = {p.name for p in ctx.command.params} - {param.name}
     defaults = {}
     for raw in Path(value).read_text(encoding="utf-8").splitlines():
         raw = raw.strip()
         if not raw or raw.startswith("#"):
             continue
         key, _, val = raw.partition("=")
-        defaults[key.strip().replace("-", "_")] = val.strip()
+        key = key.strip().replace("-", "_")
+        if key not in options:
+            raise click.BadParameter(
+                f"{value}: unknown key {key!r}", ctx=ctx, param=param)
+        defaults[key] = val.strip()
     ctx.default_map = {**defaults, **(ctx.default_map or {})}
     return value
 
@@ -154,25 +162,13 @@ def synthesize(input, count, seed, out):
     """Generate synthetic bot samples plus a statistical comparison report."""
     _require_input(input)
     aggregates = ingest.load_stream(input)
-    contributors = {}
-    for agg in aggregates:
-        contributors.setdefault(agg.contributor_id, agg.is_bot)
-    n_bots = sum(1 for b in contributors.values() if b)
-    n_humans = len(contributors) - n_bots
     if count <= 0:
-        count = n_humans - n_bots
+        count = fabricate.contributor_gap(aggregates)
     if count <= 0:
         click.echo("warning: classes already balanced, 0 samples generated")
         return
-    batches, model = fabricate.synthesize_bot_samples(
+    synthetic, batches = fabricate.synthesize_bot_aggregates(
         aggregates, count, seed=seed)
-    start_day = min(a.day for a in aggregates)
-    end_day = max(a.day for a in aggregates)
-    synthetic = []
-    for b, batch in enumerate(batches):
-        synthetic.extend(fabricate.synthetic_to_aggregates(
-            batch, start_day, end_day, seed=seed + 101 + b,
-            id_offset=len(synthetic)))
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ingest.write_aggregates(synthetic, out_dir / "synthetic.csv")
@@ -246,6 +242,9 @@ def evaluate_cmd(input, classifier, features, target, seed, do_balance,
     """Prequential evaluation of one classifier / feature-set grid cell."""
     _require_input(input)
     aggregates = ingest.load_stream(input)
+    if not aggregates:
+        raise ValidationError(f"no contributor-days to evaluate in {input}",
+                              field="input")
     if do_balance:
         aggregates = fabricate.balance_dataset(aggregates, seed=seed)
     out_dir = Path(out)
@@ -270,7 +269,7 @@ def evaluate_cmd(input, classifier, features, target, seed, do_balance,
         writer.writerow(["end_index", "window_accuracy"])
         writer.writerows(report.window_series)
     click.echo(evaluate.TABLE_HEADER)
-    click.echo(evaluate.render_table_row(report, label=classifier))
+    click.echo(evaluate.render_table_row(report.to_dict(), label=classifier))
     click.echo(f"mean latency: {report.ms_per_event:.3f} ms/event")
 
 
@@ -283,16 +282,14 @@ main.add_command(evaluate_cmd, name="evaluate")
 def report(metrics):
     """Render a metrics JSON file as a table row."""
     _require_input(metrics)
-    payload = json.loads(Path(metrics).read_text(encoding="utf-8"))
-    per_class = payload.get("per_class", {})
-    f0 = per_class.get("0", {}).get("f", 0.0)
-    f1 = per_class.get("1", {}).get("f", 0.0)
+    try:
+        payload = json.loads(Path(metrics).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{metrics}: invalid JSON: {exc}",
+                              field="metrics")
+    row = evaluate.render_table_row(payload)
     click.echo(evaluate.TABLE_HEADER)
-    click.echo(f"{payload.get('classifier', '?'):<12} "
-               f"{payload.get('accuracy', 0.0) * 100:8.2f} "
-               f"{payload.get('macro_f', 0.0) * 100:8.2f} "
-               f"{f0 * 100:8.2f} {f1 * 100:8.2f} "
-               f"{payload.get('elapsed_seconds', 0.0):8.2f}")
+    click.echo(row)
 
 
 if __name__ == "__main__":

@@ -168,49 +168,62 @@ def metrics_from_log(log, classes, classifier="", target="",
     )
 
 
-def _target_label(agg, target):
-    if target == "user_type":
-        return agg.user_type
-    if target == "contribution_type":
-        return agg.contribution_type
-    raise ValidationError(f"unknown target {target!r}", field="target")
+def _prequential(stream, store, features, step, classes, classifier,
+                 targets, window):
+    """The test-then-train loop shared by every model.
+
+    Per aggregate: update the profile, extract ``features``, then
+    ``step(x, agg)`` predicts and learns and returns one (true label,
+    probabilities) pair per target. Returns one report and one log per
+    target; a step's latency covers the profile update to the learning.
+    """
+    store = store if store is not None else ProfileStore()
+    logs = tuple([] for _ in targets)
+    started = time.perf_counter()
+    for index, agg in enumerate(stream):
+        t0 = time.perf_counter()
+        snapshot = store.update(agg)
+        x = to_feature_vector(snapshot, features)
+        try:
+            outcomes = step(x, agg)
+        except ValidationError as exc:
+            raise ValidationError(f"sample {index}: {exc}") from exc
+        latency = (time.perf_counter() - t0) * 1e6
+        for log, (true, probs) in zip(logs, outcomes):
+            log.append(PredictionRecord(
+                index=index,
+                contributor_id=agg.contributor_id,
+                true=true,
+                predicted=classes[int(np.argmax(probs))],
+                probabilities=tuple(float(p) for p in probs),
+                latency_us=latency,
+            ))
+    elapsed = time.perf_counter() - started
+    reports = tuple(
+        metrics_from_log(log, classes, classifier=classifier, target=target,
+                         window=window, elapsed=elapsed)
+        for log, target in zip(logs, targets))
+    return reports, logs
 
 
 def prequential_run(stream, classifier, feature_set, target,
                     store=None, window=DEFAULT_WINDOW, classifier_name=""):
     """Test-then-train over a time-ordered aggregate stream.
 
-    Per aggregate: update profile, snapshot, predict, record, learn.
     Returns (MetricsReport, prediction log).
     """
-    store = store if store is not None else ProfileStore()
-    log = []
-    started = time.perf_counter()
-    for index, agg in enumerate(stream):
-        t0 = time.perf_counter()
-        snapshot = store.update(agg)
-        x = np.array(to_feature_vector(snapshot, feature_set).values)
-        try:
-            probs = classifier.predict_proba(x)
-            predicted = classifier.classes[int(np.argmax(probs))]
-            true = _target_label(agg, target)
-            classifier.learn_one(x, true)
-        except ValidationError as exc:
-            raise ValidationError(f"sample {index}: {exc}") from exc
-        latency = (time.perf_counter() - t0) * 1e6
-        log.append(PredictionRecord(
-            index=index,
-            contributor_id=agg.contributor_id,
-            true=true,
-            predicted=predicted,
-            probabilities=tuple(float(p) for p in probs),
-            latency_us=latency,
-        ))
-    elapsed = time.perf_counter() - started
-    report = metrics_from_log(
-        log, classifier.classes,
-        classifier=classifier_name or type(classifier).__name__,
-        target=target, window=window, elapsed=elapsed)
+    if target not in ("user_type", "contribution_type"):
+        raise ValidationError(f"unknown target {target!r}", field="target")
+
+    def step(x, agg):
+        probs = classifier.predict_proba(x)
+        true = getattr(agg, target)
+        classifier.learn_one(x, true)
+        return ((true, probs),)
+
+    (report,), (log,) = _prequential(
+        stream, store, feature_set, step, classifier.classes,
+        classifier_name or type(classifier).__name__, (target,), window)
     return report, log
 
 
@@ -222,43 +235,16 @@ def prequential_run_stacking(stream, model, store=None,
     user log); the headline metrics are the level-2 contribution ones,
     mirroring how the stacked system is scored.
     """
-    from .analysis import FeatureSet
+    def step(x, agg):
+        user_probs, final_probs, _joint = model.predict(x)
+        y_user, y_contribution = agg.user_type, agg.contribution_type
+        model.learn(x, y_user, y_contribution)
+        return (y_contribution, final_probs), (y_user, user_probs)
 
-    store = store if store is not None else ProfileStore()
-    union_ids = tuple(dict.fromkeys(
-        model.user_features.feature_ids
-        + model.contribution_features.feature_ids))
-    union = FeatureSet("stacking-union", union_ids)
-    contrib_log = []
-    user_log = []
-    started = time.perf_counter()
-    for index, agg in enumerate(stream):
-        t0 = time.perf_counter()
-        snapshot = store.update(agg)
-        fv = to_feature_vector(snapshot, union)
-        user_probs, final_probs, _joint = model.predict(fv)
-        y_user = agg.user_type
-        y_contrib = agg.contribution_type
-        model.learn(fv, y_user, y_contrib)
-        latency = (time.perf_counter() - t0) * 1e6
-        contrib_log.append(PredictionRecord(
-            index=index, contributor_id=agg.contributor_id,
-            true=y_contrib, predicted=int(np.argmax(final_probs)),
-            probabilities=tuple(float(p) for p in final_probs),
-            latency_us=latency))
-        user_log.append(PredictionRecord(
-            index=index, contributor_id=agg.contributor_id,
-            true=y_user, predicted=int(np.argmax(user_probs)),
-            probabilities=tuple(float(p) for p in user_probs),
-            latency_us=latency))
-    elapsed = time.perf_counter() - started
-    contrib_report = metrics_from_log(
-        contrib_log, [0, 1], classifier="stacking",
-        target="contribution_type", window=window, elapsed=elapsed)
-    user_report = metrics_from_log(
-        user_log, [0, 1], classifier="stacking",
-        target="user_type", window=window, elapsed=elapsed)
-    return contrib_report, user_report, contrib_log, user_log
+    reports, logs = _prequential(
+        stream, store, model.features, step, [0, 1], "stacking",
+        ("contribution_type", "user_type"), window)
+    return (*reports, *logs)
 
 
 def write_prediction_log(log, path):
@@ -275,16 +261,29 @@ def write_prediction_log(log, path):
             ])
 
 
-def render_table_row(report, label=""):
-    """One summary row: accuracy, macro-F, per-class F, elapsed time."""
-    f0 = report.per_class.get(0, {}).get("f", 0.0)
-    f1 = report.per_class.get(1, {}).get("f", 0.0)
-    return (f"{label or report.classifier:<12} "
-            f"{report.accuracy * 100:8.2f} "
-            f"{report.macro_f * 100:8.2f} "
-            f"{f0 * 100:8.2f} "
-            f"{f1 * 100:8.2f} "
-            f"{report.elapsed_seconds:8.2f}")
+def _metric(metrics, *path, kind=(int, float)):
+    """The value at ``path`` of a metrics mapping, checked for its type."""
+    name = ".".join(path)
+    value = metrics
+    for key in path:
+        if not isinstance(value, dict) or key not in value:
+            raise ValidationError("missing from the metrics", field=name)
+        value = value[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValidationError(f"unexpected value {value!r}", field=name)
+    return value
+
+
+def render_table_row(metrics, label=""):
+    """One summary row of a metrics mapping, as ``MetricsReport.to_dict``
+    returns it and ``metrics.json`` holds it: accuracy, macro-F, per-class
+    F, elapsed time."""
+    return (f"{label or _metric(metrics, 'classifier', kind=str):<12} "
+            f"{_metric(metrics, 'accuracy') * 100:8.2f} "
+            f"{_metric(metrics, 'macro_f') * 100:8.2f} "
+            f"{_metric(metrics, 'per_class', '0', 'f') * 100:8.2f} "
+            f"{_metric(metrics, 'per_class', '1', 'f') * 100:8.2f} "
+            f"{_metric(metrics, 'elapsed_seconds'):8.2f}")
 
 
 TABLE_HEADER = (f"{'Model':<12} {'Accuracy':>8} {'Macro-F':>8} "

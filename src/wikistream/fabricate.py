@@ -238,8 +238,7 @@ def _renormalize_probability_groups(values):
     return values
 
 
-def synthetic_to_aggregates(batch, start_day, end_day, seed=0,
-                            id_prefix="syn-bot", id_offset=0):
+def synthetic_to_aggregates(batch, start_day, end_day, seed=0, id_offset=0):
     """Shape raw synthetic rows into bot DailyAggregate records.
 
     Probability groups are renormalized to restore the sum-to-one
@@ -256,7 +255,7 @@ def synthetic_to_aggregates(batch, start_day, end_day, seed=0,
         values = _renormalize_probability_groups(row)
         values[FEATURE_INDEX["3"]] = max(1.0, values[FEATURE_INDEX["3"]])
         aggregates.append(DailyAggregate(
-            contributor_id=f"{id_prefix}-{id_offset + i:06d}",
+            contributor_id=f"syn-bot-{id_offset + i:06d}",
             day=start_day + timedelta(days=int(offsets[i])),
             is_bot=True,
             values=tuple(values),
@@ -295,25 +294,20 @@ def synthesize_bot_samples(aggregates, count, seed=0, k=2):
     return batches, model
 
 
-def balance_dataset(aggregates, seed=0, count=None):
-    """Fill the bot/human contributor gap with synthetic bot samples.
-
-    ``count`` defaults to (human contributors - bot contributors); a
-    non-positive gap returns the input unchanged. Returns the merged,
-    re-sorted stream.
-    """
+def contributor_gap(aggregates):
+    """Human contributors minus bot contributors."""
     contributors = {}
     for agg in aggregates:
         contributors.setdefault(agg.contributor_id, agg.is_bot)
     n_bots = sum(1 for is_bot in contributors.values() if is_bot)
-    n_humans = len(contributors) - n_bots
-    if count is None:
-        count = n_humans - n_bots
-    if count <= 0:
-        return list(aggregates)
-    if n_bots == 0:
-        raise ValidationError("cannot model bot class: no bot contributors")
+    return len(contributors) - 2 * n_bots
 
+
+def synthesize_bot_aggregates(aggregates, count, seed):
+    """``count`` synthetic bot aggregates spread over the stream's days.
+
+    Returns (synthetic aggregates, the SyntheticBatch list they came from).
+    """
     batches, _ = synthesize_bot_samples(aggregates, count, seed=seed)
     start_day = min(a.day for a in aggregates)
     end_day = max(a.day for a in aggregates)
@@ -322,6 +316,21 @@ def balance_dataset(aggregates, seed=0, count=None):
         synthetic.extend(synthetic_to_aggregates(
             batch, start_day, end_day, seed=seed + 101 + b,
             id_offset=len(synthetic)))
+    return synthetic, batches
+
+
+def balance_dataset(aggregates, seed=0, count=None):
+    """Fill the bot/human contributor gap with synthetic bot samples.
+
+    ``count`` defaults to (human contributors - bot contributors); a
+    non-positive count returns the input unchanged. Returns the merged,
+    re-sorted stream.
+    """
+    if count is None:
+        count = contributor_gap(aggregates)
+    if count <= 0:
+        return list(aggregates)
+    synthetic, _ = synthesize_bot_aggregates(aggregates, count, seed=seed)
     combined = list(aggregates) + synthetic
     combined.sort(key=lambda a: (a.day, a.contributor_id))
     return combined

@@ -21,85 +21,38 @@ from datetime import date, datetime
 from pathlib import Path
 
 from .model import (
+    EVENT_COUNT_FIELDS,
+    FEATURE_COLUMNS,
     FEATURE_IDS,
     FEATURE_INDEX,
+    PROB_COLUMNS,
+    PROB_FEATURE_IDS,
     DailyAggregate,
     EditEvent,
     ValidationError,
     joint_class,
 )
 
-EVENT_COLUMNS = (
-    "contributor_id", "is_bot", "page_id", "timestamp",
-    "review_length", "links", "repeated_links",
-    "chars_inserted", "chars_deleted", "was_reverted",
-    "dmg_t", "dmg_f", "gf_t", "gf_f",
-    "item_a", "item_b", "item_c", "item_d", "item_e",
-    "art_ok", "art_attack", "art_spam", "art_vandalism",
-    "wp10_b", "wp10_c", "wp10_fa", "wp10_ga", "wp10_start", "wp10_stub",
-)
-
-# Probability columns share names between the event and aggregate schemas.
-PROB_COLUMNS = EVENT_COLUMNS[10:]
-
-PROB_COLUMN_TO_FEATURE = {
-    "dmg_t": "15.damaging_true",
-    "dmg_f": "15.damaging_false",
-    "gf_t": "15.goodfaith_true",
-    "gf_f": "15.goodfaith_false",
-    "item_a": "16.A",
-    "item_b": "16.B",
-    "item_c": "16.C",
-    "item_d": "16.D",
-    "item_e": "16.E",
-    "art_ok": "17.ok",
-    "art_attack": "17.attack",
-    "art_spam": "17.spam",
-    "art_vandalism": "17.vandalism",
-    "wp10_b": "18.B",
-    "wp10_c": "18.C",
-    "wp10_fa": "18.FA",
-    "wp10_ga": "18.GA",
-    "wp10_start": "18.start",
-    "wp10_stub": "18.stub",
-}
-
-FEATURE_TO_PROB_COLUMN = {v: k for k, v in PROB_COLUMN_TO_FEATURE.items()}
+EVENT_COLUMNS = (("contributor_id", "is_bot", "page_id", "timestamp")
+                 + EVENT_COUNT_FIELDS + ("was_reverted",) + PROB_COLUMNS)
 
 AGGREGATE_COLUMNS = (
-    ("contributor_id", "day", "is_bot", "synthetic")
-    + tuple(f"f{fid}" for fid in FEATURE_IDS[:12])
-    + PROB_COLUMNS
-)
+    ("contributor_id", "day", "is_bot", "synthetic") + FEATURE_COLUMNS)
 
 
-def _aggregate_column(feature_id):
-    if feature_id in FEATURE_TO_PROB_COLUMN:
-        return FEATURE_TO_PROB_COLUMN[feature_id]
-    return f"f{feature_id}"
+def _is_jsonl(path):
+    return Path(path).suffix == ".jsonl"
 
 
 @dataclass
 class StreamSource:
-    """A file to read events or aggregates from.
-
-    ``format`` is inferred from the file suffix when not given:
-    ``.jsonl`` reads JSON lines, anything else is treated as CSV.
-    """
+    """A file to read events or aggregates from: JSON lines when its
+    suffix is ``.jsonl``, CSV otherwise."""
 
     path: Path
-    format: str = ""
-    ordering: str = "sort-by-day"
 
     def __post_init__(self):
         self.path = Path(self.path)
-        if not self.format:
-            self.format = "jsonl" if self.path.suffix == ".jsonl" else "csv"
-        if self.format not in ("csv", "jsonl"):
-            raise ValidationError(f"unknown format {self.format!r}", field="format")
-        if self.ordering not in ("as-is", "sort-by-day"):
-            raise ValidationError(
-                f"unknown ordering {self.ordering!r}", field="ordering")
 
 
 def _parse_bool(raw, name, line):
@@ -128,18 +81,6 @@ def _parse_day(raw, name, line):
             f"not an ISO-8601 date or datetime: {raw!r}", field=name, line=line)
 
 
-_EVENT_PROB_FIELDS = {
-    "dmg_t": "damaging_true", "dmg_f": "damaging_false",
-    "gf_t": "goodfaith_true", "gf_f": "goodfaith_false",
-    "item_a": "item_a", "item_b": "item_b", "item_c": "item_c",
-    "item_d": "item_d", "item_e": "item_e",
-    "art_ok": "art_ok", "art_attack": "art_attack",
-    "art_spam": "art_spam", "art_vandalism": "art_vandalism",
-    "wp10_b": "wp10_b", "wp10_c": "wp10_c", "wp10_fa": "wp10_fa",
-    "wp10_ga": "wp10_ga", "wp10_start": "wp10_start", "wp10_stub": "wp10_stub",
-}
-
-
 def _event_from_record(record, line):
     missing = [c for c in EVENT_COLUMNS if record.get(c) in (None, "")]
     if missing:
@@ -149,14 +90,10 @@ def _event_from_record(record, line):
         is_bot=_parse_bool(str(record["is_bot"]), "is_bot", line),
         page_id=str(record["page_id"]),
         timestamp=_parse_day(record["timestamp"], "timestamp", line),
-        review_length=_parse_float(record["review_length"], "review_length", line),
-        links=_parse_float(record["links"], "links", line),
-        repeated_links=_parse_float(record["repeated_links"], "repeated_links", line),
-        chars_inserted=_parse_float(record["chars_inserted"], "chars_inserted", line),
-        chars_deleted=_parse_float(record["chars_deleted"], "chars_deleted", line),
+        **{name: _parse_float(record[name], name, line)
+           for name in EVENT_COUNT_FIELDS},
         was_reverted=_parse_bool(str(record["was_reverted"]), "was_reverted", line),
-        **{_EVENT_PROB_FIELDS[c]: _parse_float(record[c], c, line)
-           for c in PROB_COLUMNS},
+        probs=tuple(_parse_float(record[c], c, line) for c in PROB_COLUMNS),
     )
     return event.validate(line=line)
 
@@ -165,7 +102,7 @@ def _iter_records(source):
     """Yield (record dict, line number) pairs from a source file."""
     if not source.path.exists():
         raise ValidationError(f"file not found: {source.path}", field="path")
-    if source.format == "csv":
+    if not _is_jsonl(source.path):
         with open(source.path, newline="", encoding="utf-8") as handle:
             reader = csv.DictReader(handle)
             if reader.fieldnames is None:
@@ -193,9 +130,18 @@ def parse_events(source):
     events = []
     for record, line in _iter_records(source):
         events.append(_event_from_record(record, line))
-    if source.ordering == "sort-by-day":
-        events.sort(key=lambda e: (e.day, e.contributor_id))
+    events.sort(key=lambda e: (e.day, e.contributor_id))
     return events
+
+
+def _check_bot_flags(rows):
+    """Reject a contributor whose ``is_bot`` flag changes between rows."""
+    first = {}
+    for row in rows:
+        if first.setdefault(row.contributor_id, row.is_bot) != row.is_bot:
+            raise ValidationError(
+                f"contributor {row.contributor_id!r} changes its is_bot "
+                "flag between rows", field="is_bot")
 
 
 def aggregate_daily(events):
@@ -203,8 +149,10 @@ def aggregate_daily(events):
 
     Counts are summed, probabilities averaged; the link ratios divide the
     day's total links by the day's total review characters. Output sorted
-    by day then contributor id.
+    by day then contributor id. A contributor whose ``is_bot`` flag
+    changes between events is rejected.
     """
+    _check_bot_flags(events)
     groups = defaultdict(list)
     for event in events:
         groups[(event.contributor_id, event.day)].append(event)
@@ -232,10 +180,9 @@ def aggregate_daily(events):
         values[FEATURE_INDEX["12"]] = repeated / total_chars if total_chars else 0.0
         values[FEATURE_INDEX["13"]] = sum(e.chars_inserted for e in members)
         values[FEATURE_INDEX["14"]] = sum(e.chars_deleted for e in members)
-        for column, feature_id in PROB_COLUMN_TO_FEATURE.items():
-            attr = _EVENT_PROB_FIELDS[column]
-            values[FEATURE_INDEX[feature_id]] = (
-                sum(getattr(e, attr) for e in members) / n)
+        columns = zip(*(e.probs for e in members))
+        for feature_id, column in zip(PROB_FEATURE_IDS, columns):
+            values[FEATURE_INDEX[feature_id]] = sum(column) / n
         aggregates.append(DailyAggregate(
             contributor_id=contributor_id,
             day=day,
@@ -306,26 +253,24 @@ def _aggregate_from_record(record, line):
     missing = [c for c in AGGREGATE_COLUMNS if record.get(c) in (None, "")]
     if missing:
         raise ValidationError(f"missing column(s) {missing}", line=line)
-    values = [0.0] * len(FEATURE_IDS)
-    for fid in FEATURE_IDS:
-        values[FEATURE_INDEX[fid]] = _parse_float(
-            record[_aggregate_column(fid)], _aggregate_column(fid), line)
+    values = tuple(_parse_float(record[c], c, line) for c in FEATURE_COLUMNS)
     return DailyAggregate(
         contributor_id=str(record["contributor_id"]),
         day=_parse_day(record["day"], "day", line),
         is_bot=_parse_bool(str(record["is_bot"]), "is_bot", line),
-        values=tuple(values),
+        values=values,
         synthetic=_parse_bool(str(record["synthetic"]), "synthetic", line),
     )
 
 
 def read_aggregates(source):
-    """Read a stream persisted in the aggregate schema."""
+    """Read a stream persisted in the aggregate schema. A contributor
+    whose ``is_bot`` flag changes between rows is rejected."""
     aggregates = []
     for record, line in _iter_records(source):
         aggregates.append(_aggregate_from_record(record, line))
-    if source.ordering == "sort-by-day":
-        aggregates.sort(key=lambda a: (a.day, a.contributor_id))
+    _check_bot_flags(aggregates)
+    aggregates.sort(key=lambda a: (a.day, a.contributor_id))
     return aggregates
 
 
@@ -336,35 +281,31 @@ def aggregate_to_record(agg):
         "is_bot": int(agg.is_bot),
         "synthetic": int(agg.synthetic),
     }
-    for fid in FEATURE_IDS:
-        record[_aggregate_column(fid)] = repr(float(agg.value(fid)))
+    for column, value in zip(FEATURE_COLUMNS, agg.values):
+        record[column] = repr(float(value))
     return record
 
 
-def write_aggregates(aggregates, path, format=""):
-    """Persist aggregates in the aggregate schema (CSV or JSONL)."""
-    path = Path(path)
-    if not format:
-        format = "jsonl" if path.suffix == ".jsonl" else "csv"
-    if format == "csv":
+def write_aggregates(aggregates, path):
+    """Persist aggregates in the aggregate schema: JSON lines when the
+    suffix is ``.jsonl``, CSV otherwise."""
+    if _is_jsonl(path):
+        with open(path, "w", encoding="utf-8") as handle:
+            for agg in aggregates:
+                record = aggregate_to_record(agg)
+                record.update(zip(FEATURE_COLUMNS, agg.values))
+                handle.write(json.dumps(record) + "\n")
+    else:
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.DictWriter(handle, fieldnames=AGGREGATE_COLUMNS)
             writer.writeheader()
             for agg in aggregates:
                 writer.writerow(aggregate_to_record(agg))
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            for agg in aggregates:
-                record = aggregate_to_record(agg)
-                for fid in FEATURE_IDS:
-                    record[_aggregate_column(fid)] = agg.value(fid)
-                handle.write(json.dumps(record) + "\n")
 
 
 def is_aggregate_file(path):
     """Sniff whether a file uses the aggregate schema (vs raw events)."""
-    path = Path(path)
-    if path.suffix == ".jsonl":
+    if _is_jsonl(path):
         with open(path, encoding="utf-8") as handle:
             for raw in handle:
                 raw = raw.strip()
@@ -376,9 +317,9 @@ def is_aggregate_file(path):
     return "f3" in header.split(",")
 
 
-def load_stream(path, format="", ordering="sort-by-day"):
+def load_stream(path):
     """Load a time-ordered aggregate stream from either schema."""
-    source = StreamSource(path, format=format, ordering=ordering)
+    source = StreamSource(path)
     if is_aggregate_file(source.path):
         return read_aggregates(source)
     return aggregate_daily(parse_events(source))

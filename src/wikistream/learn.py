@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .analysis import SET3_TARGET1, SET3_TARGET2
-from .model import ValidationError, joint_class
+from .analysis import SET2, SET3_TARGET1, SET3_TARGET2, FeatureSet
+from .model import ValidationError, feature_columns, joint_class
 
 VARIANCE_FLOOR = 1e-9
 
@@ -504,6 +504,10 @@ class StackingModel:
     contribution prediction from [P(bot), P(malign)] plus (optionally)
     the level-1b feature columns. Level 2 trains on level-1 outputs
     computed before the level-1 update, keeping them out-of-sample.
+
+    ``predict`` and ``learn`` take a profile's feature array in the order
+    of ``features``, the full catalogue; each level-1 forest reads its
+    own columns of it.
     """
 
     def __init__(self, user_features=SET3_TARGET1,
@@ -514,6 +518,10 @@ class StackingModel:
         self.contribution_features = contribution_features
         self.seed = seed
         self.include_base_features = include_base_features
+        self.features = SET2
+        self._user_columns = feature_columns(tuple(user_features.feature_ids))
+        self._contribution_columns = feature_columns(
+            tuple(contribution_features.feature_ids))
         self.forest_user = BaggingForest(
             n_members, seed=_substream(seed, 1), max_features=None)
         self.forest_contribution = BaggingForest(
@@ -521,18 +529,20 @@ class StackingModel:
         self.forest_final = BaggingForest(
             n_members, seed=_substream(seed, 3), max_features=None)
 
-    def _slice(self, fv):
-        xu = np.array(fv.subset(self.user_features.feature_ids).values)
-        xc = np.array(fv.subset(self.contribution_features.feature_ids).values)
-        return xu, xc
+    def _slice(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.shape != (len(self.features),):
+            raise ValidationError(
+                f"expected {len(self.features)} features, got shape {x.shape}")
+        return x[self._user_columns], x[self._contribution_columns]
 
     def _level2_input(self, p_bot, p_malign, xc):
         head = np.array([p_bot, p_malign])
         return np.concatenate([head, xc]) if self.include_base_features else head
 
-    def predict(self, fv):
+    def predict(self, x):
         """Returns (user probs, final contribution probs, joint class name)."""
-        xu, xc = self._slice(fv)
+        xu, xc = self._slice(x)
         user_probs = self.forest_user.predict_proba(xu)
         contrib_probs = self.forest_contribution.predict_proba(xc)
         x2 = self._level2_input(user_probs[1], contrib_probs[1], xc)
@@ -541,8 +551,8 @@ class StackingModel:
                             int(np.argmax(final_probs)))
         return user_probs, final_probs, joint
 
-    def learn(self, fv, y_user, y_contribution):
-        xu, xc = self._slice(fv)
+    def learn(self, x, y_user, y_contribution):
+        xu, xc = self._slice(x)
         user_probs = self.forest_user.predict_proba(xu)
         contrib_probs = self.forest_contribution.predict_proba(xc)
         x2 = self._level2_input(user_probs[1], contrib_probs[1], xc)
@@ -564,7 +574,6 @@ class StackingModel:
 
     @classmethod
     def from_state(cls, state):
-        from .analysis import FeatureSet
         model = cls(
             user_features=FeatureSet("user", tuple(state["user_features"])),
             contribution_features=FeatureSet(

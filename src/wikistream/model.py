@@ -11,58 +11,82 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
+from functools import lru_cache
+from itertools import groupby
+
+import numpy as np
 
 PROB_TOL = 1e-6
 
-# Canonical feature columns. Multi-probability features are flattened
-# into named sub-components; the order below is the canonical order used
-# by every feature matrix in the library.
-FEATURE_IDS = (
-    "3",    # number of reviews
-    "4",    # average review length
-    "5",    # number of pages
-    "6",    # average revisions per page
-    "7",    # revisions per week
-    "8",    # pages revised per week
-    "9",    # number of reverts
-    "10",   # revert frequency
-    "11",   # links ratio
-    "12",   # repeated links ratio
-    "13",   # characters inserted
-    "14",   # characters deleted
-    "15.damaging_true",
-    "15.damaging_false",
-    "15.goodfaith_true",
-    "15.goodfaith_false",
-    "16.A",
-    "16.B",
-    "16.C",
-    "16.D",
-    "16.E",
-    "17.ok",
-    "17.attack",
-    "17.spam",
-    "17.vandalism",
-    "18.B",
-    "18.C",
-    "18.FA",
-    "18.GA",
-    "18.start",
-    "18.stub",
+# The feature catalogue, in the canonical order of every feature matrix:
+# feature id, aggregate-file column and probability group. Multi-probability
+# features are flattened into sub-components that sum to one per group; their
+# columns carry the same name in the event schema.
+CATALOGUE = (
+    ("3", "f3", None),            # number of reviews
+    ("4", "f4", None),            # average review length
+    ("5", "f5", None),            # number of pages
+    ("6", "f6", None),            # average revisions per page
+    ("7", "f7", None),            # revisions per week
+    ("8", "f8", None),            # pages revised per week
+    ("9", "f9", None),            # number of reverts
+    ("10", "f10", None),          # revert frequency
+    ("11", "f11", None),          # links ratio
+    ("12", "f12", None),          # repeated links ratio
+    ("13", "f13", None),          # characters inserted
+    ("14", "f14", None),          # characters deleted
+    ("15.damaging_true", "dmg_t", "damaging"),
+    ("15.damaging_false", "dmg_f", "damaging"),
+    ("15.goodfaith_true", "gf_t", "goodfaith"),
+    ("15.goodfaith_false", "gf_f", "goodfaith"),
+    ("16.A", "item_a", "item_quality"),
+    ("16.B", "item_b", "item_quality"),
+    ("16.C", "item_c", "item_quality"),
+    ("16.D", "item_d", "item_quality"),
+    ("16.E", "item_e", "item_quality"),
+    ("17.ok", "art_ok", "article_quality"),
+    ("17.attack", "art_attack", "article_quality"),
+    ("17.spam", "art_spam", "article_quality"),
+    ("17.vandalism", "art_vandalism", "article_quality"),
+    ("18.B", "wp10_b", "wp10"),
+    ("18.C", "wp10_c", "wp10"),
+    ("18.FA", "wp10_fa", "wp10"),
+    ("18.GA", "wp10_ga", "wp10"),
+    ("18.start", "wp10_start", "wp10"),
+    ("18.stub", "wp10_stub", "wp10"),
 )
+
+FEATURE_IDS = tuple(fid for fid, _, _ in CATALOGUE)
 
 FEATURE_INDEX = {fid: i for i, fid in enumerate(FEATURE_IDS)}
 
 N_FEATURES = len(FEATURE_IDS)
 
+FEATURE_COLUMNS = tuple(column for _, column, _ in CATALOGUE)
+
+# The count fields of an edit event, in event-schema order.
+EVENT_COUNT_FIELDS = ("review_length", "links", "repeated_links",
+                      "chars_inserted", "chars_deleted")
+
+# The probability features and their columns: the order of EditEvent.probs.
+PROB_FEATURE_IDS = tuple(fid for fid, _, group in CATALOGUE if group)
+PROB_COLUMNS = tuple(column for _, column, group in CATALOGUE if group)
+
+
+def _probability_group_slices():
+    """(group name, slice of EditEvent.probs) per group, in catalogue order."""
+    slices, start = [], 0
+    for name, members in groupby(group for _, _, group in CATALOGUE if group):
+        stop = start + len(list(members))
+        slices.append((name, slice(start, stop)))
+        start = stop
+    return tuple(slices)
+
+
+_PROB_GROUP_SLICES = _probability_group_slices()
+
 # Probability sub-components that must each sum to one.
-PROBABILITY_GROUPS = (
-    ("15.damaging_true", "15.damaging_false"),
-    ("15.goodfaith_true", "15.goodfaith_false"),
-    ("16.A", "16.B", "16.C", "16.D", "16.E"),
-    ("17.ok", "17.attack", "17.spam", "17.vandalism"),
-    ("18.B", "18.C", "18.FA", "18.GA", "18.start", "18.stub"),
-)
+PROBABILITY_GROUPS = tuple(PROB_FEATURE_IDS[s] for _, s in _PROB_GROUP_SLICES)
 
 JOINT_CLASS_NAMES = {
     (0, 0): "human-benign",
@@ -120,44 +144,18 @@ class EditEvent:
     chars_inserted: float
     chars_deleted: float
     was_reverted: bool
-    damaging_true: float
-    damaging_false: float
-    goodfaith_true: float
-    goodfaith_false: float
-    item_a: float
-    item_b: float
-    item_c: float
-    item_d: float
-    item_e: float
-    art_ok: float
-    art_attack: float
-    art_spam: float
-    art_vandalism: float
-    wp10_b: float
-    wp10_c: float
-    wp10_fa: float
-    wp10_ga: float
-    wp10_start: float
-    wp10_stub: float
+    probs: tuple      # the probability columns, in PROB_COLUMNS order
 
     def validate(self, line=None):
         """Check all invariants; raises ValidationError on the first breach."""
-        for name in ("review_length", "links", "repeated_links",
-                     "chars_inserted", "chars_deleted"):
+        for name in EVENT_COUNT_FIELDS:
             _check_count(getattr(self, name), name, line=line)
-        _check_probability_group(
-            (self.damaging_true, self.damaging_false), "damaging", line=line)
-        _check_probability_group(
-            (self.goodfaith_true, self.goodfaith_false), "goodfaith", line=line)
-        _check_probability_group(
-            (self.item_a, self.item_b, self.item_c, self.item_d, self.item_e),
-            "item_quality", line=line)
-        _check_probability_group(
-            (self.art_ok, self.art_attack, self.art_spam, self.art_vandalism),
-            "article_quality", line=line)
-        _check_probability_group(
-            (self.wp10_b, self.wp10_c, self.wp10_fa, self.wp10_ga,
-             self.wp10_start, self.wp10_stub), "wp10", line=line)
+        if len(self.probs) != len(PROB_COLUMNS):
+            raise ValidationError(
+                f"expected {len(PROB_COLUMNS)} probabilities, "
+                f"got {len(self.probs)}", field="probs", line=line)
+        for name, span in _PROB_GROUP_SLICES:
+            _check_probability_group(self.probs[span], name, line=line)
         return self
 
     @property
@@ -236,33 +234,17 @@ class DailyAggregate:
         return TargetLabels(self.user_type, self.contribution_type)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Ordered feature values with their parallel feature identifiers."""
-
-    feature_ids: tuple
-    values: tuple
-
-    def __post_init__(self):
-        if len(self.feature_ids) != len(self.values):
-            raise ValidationError("feature id / value length mismatch")
-        if len(set(self.feature_ids)) != len(self.feature_ids):
-            raise ValidationError("duplicate feature identifiers")
-        for fid, v in zip(self.feature_ids, self.values):
-            if fid not in FEATURE_INDEX:
-                raise ValidationError(f"unknown feature id {fid!r}")
-            if not math.isfinite(v):
-                raise ValidationError(f"non-finite value for {fid}")
-
-    def __len__(self):
-        return len(self.values)
-
-    def value(self, feature_id):
-        return self.values[self.feature_ids.index(feature_id)]
-
-    def subset(self, feature_ids):
-        """Project onto the given ids, keeping their given order."""
-        return FeatureVector(
-            tuple(feature_ids),
-            tuple(self.value(fid) for fid in feature_ids),
-        )
+@lru_cache(maxsize=64)
+def feature_columns(feature_ids):
+    """Positions of ``feature_ids`` in FEATURE_IDS order, as a read-only
+    index array. Validated once per tuple of ids: every id must be known
+    and appear once."""
+    if len(set(feature_ids)) != len(feature_ids):
+        raise ValidationError("duplicate feature identifiers")
+    for fid in feature_ids:
+        if fid not in FEATURE_INDEX:
+            raise ValidationError(f"unknown feature id {fid!r}")
+    columns = np.array([FEATURE_INDEX[fid] for fid in feature_ids],
+                       dtype=np.intp)
+    columns.setflags(write=False)
+    return columns

@@ -15,22 +15,18 @@ from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
+import numpy as np
+
 from .model import (
     FEATURE_IDS,
     FEATURE_INDEX,
-    FeatureVector,
+    PROB_FEATURE_IDS,
     ValidationError,
+    feature_columns,
 )
 
 SUM_FEATURES = ("3", "5", "9", "11", "12", "13", "14")
-MEAN_FEATURES = (
-    "4", "6",
-    "15.damaging_true", "15.damaging_false",
-    "15.goodfaith_true", "15.goodfaith_false",
-    "16.A", "16.B", "16.C", "16.D", "16.E",
-    "17.ok", "17.attack", "17.spam", "17.vandalism",
-    "18.B", "18.C", "18.FA", "18.GA", "18.start", "18.stub",
-)
+MEAN_FEATURES = ("4", "6") + PROB_FEATURE_IDS
 
 
 def elapsed_weeks(first_seen, last_seen):
@@ -144,11 +140,19 @@ class ProfileStore:
         return self._profiles.values()
 
     def update(self, agg):
-        """Fold one aggregate in; returns the refreshed snapshot."""
+        """Fold one aggregate in; returns the refreshed snapshot.
+
+        An aggregate whose ``is_bot`` flag differs from its contributor's
+        profile is rejected.
+        """
         profile = self._profiles.get(agg.contributor_id)
         if profile is None:
             profile = ContributorProfile(agg.contributor_id, agg.is_bot, agg.day)
             self._profiles[agg.contributor_id] = profile
+        elif profile.is_bot != agg.is_bot:
+            raise ValidationError(
+                f"contributor {agg.contributor_id!r} changes its is_bot flag "
+                "between rows", field="is_bot")
         return profile.update(agg)
 
     def export_jsonl(self, path):
@@ -171,9 +175,12 @@ class ProfileStore:
 
 
 def to_feature_vector(snapshot, feature_set):
-    """Extract a FeatureVector for the given feature set from a snapshot."""
+    """The snapshot's values for ``feature_set``, as a float array in the
+    set's order. Rejects unknown or duplicate ids and non-finite values."""
     ids = tuple(feature_set.feature_ids)
-    for fid in ids:
-        if fid not in FEATURE_INDEX:
-            raise ValidationError(f"unknown feature id {fid!r}")
-    return FeatureVector(ids, tuple(snapshot.value(fid) for fid in ids))
+    x = np.array(snapshot.values)[feature_columns(ids)]
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise ValidationError(
+            f"non-finite value for {ids[int(np.argmin(finite))]}")
+    return x

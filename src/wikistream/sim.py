@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import EVENT_COLUMNS
-from .model import EditEvent, ValidationError
+from .model import (
+    EVENT_COUNT_FIELDS, PROB_COLUMNS, EditEvent, ValidationError)
 
 ARCHETYPE_NAMES = ("human-benign", "human-malign", "bot-benign", "bot-malign")
 
@@ -37,8 +38,8 @@ class BehaviorArchetype:
     chars_inserted_log_mean: float
     chars_deleted_log_mean: float
     revert_probability: float
-    damaging_true_mean: float
-    goodfaith_true_mean: float
+    damaging_mean: float          # mean probability of damaging
+    goodfaith_mean: float         # mean probability of good faith
     item_means: tuple             # A..E
     art_means: tuple              # ok, attack, spam, vandalism
     wp10_means: tuple             # B, C, FA, GA, start, stub
@@ -58,7 +59,7 @@ DEFAULT_ARCHETYPES = {
         links_rate=3.0, repeated_link_fraction=0.2,
         chars_inserted_log_mean=4.0, chars_deleted_log_mean=2.0,
         revert_probability=0.02,
-        damaging_true_mean=0.10, goodfaith_true_mean=0.90,
+        damaging_mean=0.10, goodfaith_mean=0.90,
         item_means=(0.10, 0.15, 0.25, 0.30, 0.20),
         art_means=(0.80, 0.07, 0.07, 0.06),
         wp10_means=(0.25, 0.30, 0.10, 0.10, 0.15, 0.10),
@@ -69,7 +70,7 @@ DEFAULT_ARCHETYPES = {
         links_rate=6.0, repeated_link_fraction=0.6,
         chars_inserted_log_mean=3.0, chars_deleted_log_mean=4.0,
         revert_probability=0.30,
-        damaging_true_mean=0.80, goodfaith_true_mean=0.20,
+        damaging_mean=0.80, goodfaith_mean=0.20,
         item_means=(0.10, 0.15, 0.25, 0.30, 0.20),
         art_means=(0.20, 0.25, 0.30, 0.25),
         wp10_means=_SHARED_MIXED_WP10,
@@ -80,7 +81,7 @@ DEFAULT_ARCHETYPES = {
         links_rate=1.0, repeated_link_fraction=0.1,
         chars_inserted_log_mean=2.5, chars_deleted_log_mean=2.5,
         revert_probability=0.02,
-        damaging_true_mean=0.10, goodfaith_true_mean=0.90,
+        damaging_mean=0.10, goodfaith_mean=0.90,
         item_means=(0.01, 0.01, 0.01, 0.03, 0.94),
         art_means=(0.80, 0.07, 0.07, 0.06),
         wp10_means=_SHARED_MIXED_WP10,
@@ -91,7 +92,7 @@ DEFAULT_ARCHETYPES = {
         links_rate=8.0, repeated_link_fraction=0.8,
         chars_inserted_log_mean=2.0, chars_deleted_log_mean=3.5,
         revert_probability=0.40,
-        damaging_true_mean=0.80, goodfaith_true_mean=0.20,
+        damaging_mean=0.80, goodfaith_mean=0.20,
         item_means=(0.01, 0.01, 0.01, 0.03, 0.94),
         art_means=(0.20, 0.25, 0.30, 0.25),
         wp10_means=(0.05, 0.05, 0.03, 0.02, 0.10, 0.75),
@@ -124,6 +125,11 @@ class SimConfig:
             raise ValidationError("span must be at least one day")
         if not 0.0 <= self.noise <= 1.0:
             raise ValidationError("noise must be in [0, 1]")
+        population = sum(self.counts.values())
+        if self.target_events < 0 or 0 < self.target_events < population:
+            raise ValidationError(
+                f"event count {self.target_events} must be 0 or at least "
+                f"the population of {population}", field="events")
 
 
 def _blend(mean, toward, noise):
@@ -147,8 +153,8 @@ def _noisy_archetype(archetype, noise, pooled_log_rate):
         archetype,
         edit_rate=rate,
         revert_probability=_blend(archetype.revert_probability, 0.15, noise),
-        damaging_true_mean=_blend(archetype.damaging_true_mean, 0.5, noise),
-        goodfaith_true_mean=_blend(archetype.goodfaith_true_mean, 0.5, noise),
+        damaging_mean=_blend(archetype.damaging_mean, 0.5, noise),
+        goodfaith_mean=_blend(archetype.goodfaith_mean, 0.5, noise),
         item_means=_blend_simplex(archetype.item_means, noise),
         art_means=_blend_simplex(archetype.art_means, noise),
         wp10_means=_blend_simplex(archetype.wp10_means, noise),
@@ -176,13 +182,15 @@ def _contributor_events(contributor_id, archetype, n_events, config, rng):
         links = float(rng.poisson(archetype.links_rate))
         repeated = float(rng.binomial(int(links),
                                       archetype.repeated_link_fraction))
-        dmg_t, dmg_f = _beta_pair(rng, archetype.damaging_true_mean,
-                                  archetype.concentration)
-        gf_t, gf_f = _beta_pair(rng, archetype.goodfaith_true_mean,
-                                archetype.concentration)
-        item = _dirichlet(rng, archetype.item_means, archetype.concentration)
-        art = _dirichlet(rng, archetype.art_means, archetype.concentration)
-        wp10 = _dirichlet(rng, archetype.wp10_means, archetype.concentration)
+        # in PROB_COLUMNS order, drawn before the page id: the order of
+        # the draws fixes the generated stream
+        probs = (
+            *_beta_pair(rng, archetype.damaging_mean, archetype.concentration),
+            *_beta_pair(rng, archetype.goodfaith_mean, archetype.concentration),
+            *_dirichlet(rng, archetype.item_means, archetype.concentration),
+            *_dirichlet(rng, archetype.art_means, archetype.concentration),
+            *_dirichlet(rng, archetype.wp10_means, archetype.concentration),
+        )
         events.append(EditEvent(
             contributor_id=contributor_id,
             is_bot=archetype.is_bot,
@@ -196,29 +204,27 @@ def _contributor_events(contributor_id, archetype, n_events, config, rng):
             chars_deleted=float(np.round(rng.lognormal(
                 archetype.chars_deleted_log_mean, 0.7))),
             was_reverted=bool(rng.random() < archetype.revert_probability),
-            damaging_true=dmg_t, damaging_false=dmg_f,
-            goodfaith_true=gf_t, goodfaith_false=gf_f,
-            item_a=item[0], item_b=item[1], item_c=item[2],
-            item_d=item[3], item_e=item[4],
-            art_ok=art[0], art_attack=art[1], art_spam=art[2],
-            art_vandalism=art[3],
-            wp10_b=wp10[0], wp10_c=wp10[1], wp10_fa=wp10[2],
-            wp10_ga=wp10[3], wp10_start=wp10[4], wp10_stub=wp10[5],
+            probs=probs,
         ).validate())
     return events
 
 
-def _allocate_events(plan, target, seed):
+def _allocate_events(plan, target):
     """Split ``target`` events across contributors, proportional to their
-    archetype rates (largest remainder), at least one event each."""
+    archetype rates (largest remainder), at least one event each.
+
+    ``target`` must be at least the number of contributors.
+    """
     weights = np.array([a.edit_rate for _, a in plan], dtype=float)
     raw = weights / weights.sum() * target
     alloc = np.maximum(np.floor(raw).astype(int), 1)
-    # trim or top up deterministically to hit the target exactly
+    # trim or top up deterministically to hit the target exactly; trimming
+    # ends because, while the total exceeds a target of at least one event
+    # per contributor, some contributor holds more than one
     diff = target - int(alloc.sum())
     order = np.argsort(-(raw - np.floor(raw)), kind="stable")
     i = 0
-    while diff != 0 and i < 10 * len(alloc):
+    while diff != 0:
         idx = order[i % len(order)]
         if diff > 0:
             alloc[idx] += 1
@@ -252,7 +258,7 @@ def simulate(config):
             index += 1
 
     if config.target_events:
-        allocation = _allocate_events(plan, config.target_events, config.seed)
+        allocation = _allocate_events(plan, config.target_events)
     else:
         allocation = [
             max(1, int(np.random.default_rng(
@@ -275,27 +281,11 @@ def event_to_record(event):
         "is_bot": int(event.is_bot),
         "page_id": event.page_id,
         "timestamp": event.timestamp.isoformat(),
-        "review_length": repr(event.review_length),
-        "links": repr(event.links),
-        "repeated_links": repr(event.repeated_links),
-        "chars_inserted": repr(event.chars_inserted),
-        "chars_deleted": repr(event.chars_deleted),
         "was_reverted": int(event.was_reverted),
-        "dmg_t": repr(event.damaging_true),
-        "dmg_f": repr(event.damaging_false),
-        "gf_t": repr(event.goodfaith_true),
-        "gf_f": repr(event.goodfaith_false),
-        "item_a": repr(event.item_a), "item_b": repr(event.item_b),
-        "item_c": repr(event.item_c), "item_d": repr(event.item_d),
-        "item_e": repr(event.item_e),
-        "art_ok": repr(event.art_ok), "art_attack": repr(event.art_attack),
-        "art_spam": repr(event.art_spam),
-        "art_vandalism": repr(event.art_vandalism),
-        "wp10_b": repr(event.wp10_b), "wp10_c": repr(event.wp10_c),
-        "wp10_fa": repr(event.wp10_fa), "wp10_ga": repr(event.wp10_ga),
-        "wp10_start": repr(event.wp10_start),
-        "wp10_stub": repr(event.wp10_stub),
     }
+    for name in EVENT_COUNT_FIELDS:
+        record[name] = repr(getattr(event, name))
+    record.update(zip(PROB_COLUMNS, map(repr, event.probs)))
     return record
 
 

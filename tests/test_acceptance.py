@@ -206,11 +206,11 @@ def test_throughput(stacking_outcome):
     report, _, log, _ = stacking_outcome
     mean_ms = report.ms_per_event
     # the worst single event is wall-clock (scheduler jitter included),
-    # reported for context; both bounds gate the mean processing cost
+    # reported for context; the bound gates the mean processing cost
     worst_ms = max(r.latency_us for r in log) / 1000.0
-    ok = mean_ms <= 20.0 and mean_ms <= 50.0
+    ok = mean_ms <= 20.0
     announce("throughput", ok,
-             f"mean {mean_ms:.3f} ms/event (target 20, ceiling 50), "
+             f"mean {mean_ms:.3f} ms/event (bound 20), "
              f"worst single event {worst_ms:.1f} ms")
 
 
@@ -316,11 +316,48 @@ def _pipeline_digests(base, tmp_path):
             for rel, blob in blobs.items()}
 
 
+# The artifacts' digests as recorded with numpy 2.4.6 on Python 3.11.7.
+# Another numpy release may change the random streams, and with them
+# every digest.
+PINNED_DIGESTS = {
+    "sim/events.csv":
+        "15d94607e543e600a3b94e35e51c25ec06751b28e94e90798ec7f54b847dda4e",
+    "sim/labels.csv":
+        "8a70a2cdad13befd48d0508731e40aa9bc324df38ed7416ed8281b560e4a6383",
+    "analysis/report.csv":
+        "e86786b89b1a8e09eead1ce879b8238217f35902431a21e8505c4535a1173189",
+    "analysis/report.json":
+        "9961de9b2027dac2e155f008df0ff25d2c637f7d5a4c08d514f6ab19957fe57e",
+    "selected.json":
+        "209163c018b3458fb22ad5a4372214d2a227900b889ad34e73b8c61a64b7df98",
+    "syn/synthetic.csv":
+        "d0c8c4df6498337b2183f2353b53712b1148550beb5704f950d91e141faa2c3b",
+    "syn/comparison.csv":
+        "de40dd3d8d5d6cf5424e565bb095cb132183f6237e952e6b6586e4714754376d",
+    "balanced.csv":
+        "4529653c4860f995cf4d762b718965edba4017dac309448ab55a125e635a6fb6",
+    "profiles.jsonl":
+        "83f94f421233dab8cb7757ff0d9544679eddfe7334c5845cdbab00b9342e4f4d",
+    "eval/window_series.csv":
+        "8f21518b731ba8f27110ac806193b52abe3abfbd03e614db1f9f092eef36604d",
+    "eval/predictions.csv":
+        "d0eb3d8322f6679d17b12b31dbc7b81cad8b225aefa71b2fb433997d664b4355",
+    "eval/metrics.json":
+        "6906a6887502ad0a236d5230403ecde48ceb7c2d5fa5298107fd7f3c9132b06a",
+    "eval/metrics_user.json":
+        "bae2db25d9e9c062ddd07bcb3de64b11b06122b1eec7c00a245798c98d8d97d8",
+}
+
+
 def test_determinism(tmp_path):
     first = _pipeline_digests("a", tmp_path)
     second = _pipeline_digests("b", tmp_path)
     mismatched = [rel for rel in first if first[rel] != second[rel]]
-    ok = not mismatched and len(first) == 13
+    drifted = [rel for rel in PINNED_DIGESTS
+               if first.get(rel) != PINNED_DIGESTS[rel]]
+    ok = not mismatched and not drifted and len(first) == 13
     announce("determinism", ok,
              f"{len(first)} artifacts byte-identical"
-             + (f"; mismatched: {mismatched}" if mismatched else ""))
+             + (f"; mismatched: {mismatched}" if mismatched else "")
+             + (f"; differ from the pinned digests: {drifted}"
+                if drifted else ""))

@@ -44,6 +44,21 @@ class TestSimulateCommand:
         result = run("simulate", "--noise", 2.0, "--out", tmp_path / "x")
         assert result.exit_code == 2
 
+    def test_events_below_population_exit_validation(self, tmp_path):
+        # 4 archetypes x 10 contributors cannot share 5 events
+        result = run("simulate", "--events", 5, "--out", tmp_path / "x")
+        assert result.exit_code == 2
+        assert "events" in result.output
+        assert not (tmp_path / "x" / "events.csv").exists()
+
+    def test_unknown_config_key_exits_validation(self, tmp_path):
+        config = tmp_path / "sim.conf"
+        config.write_text("days = 3\nbogus_key = 3\n", encoding="utf-8")
+        result = run("simulate", "--config", config, "--out", tmp_path / "x")
+        assert result.exit_code == 2
+        assert "bogus_key" in result.output
+        assert not (tmp_path / "x").exists()
+
 
 class TestAnalyzeCommand:
     def test_reports_written(self, tmp_path):
@@ -146,6 +161,26 @@ class TestEvaluateCommand:
         assert (out / "metrics.json").exists()
         assert (out / "metrics_user.json").exists()
 
+    def test_unknown_config_key_exits_validation(self, tmp_path):
+        events = simulate_stream(tmp_path / "sim")
+        config = tmp_path / "eval.conf"
+        config.write_text("classifier = nb\nbogus_key = 3\n",
+                          encoding="utf-8")
+        result = run("evaluate", events, "--config", config,
+                     "--out", tmp_path / "eval")
+        assert result.exit_code == 2
+        assert "bogus_key" in result.output
+
+    def test_header_only_events_exit_validation(self, tmp_path):
+        from wikistream.ingest import EVENT_COLUMNS
+        events = tmp_path / "events.csv"
+        events.write_text(",".join(EVENT_COLUMNS) + "\n", encoding="utf-8")
+        result = run("evaluate", events, "--classifier", "nb",
+                     "--out", tmp_path / "eval")
+        assert result.exit_code == 2
+        assert "no contributor-days" in result.output
+        assert not (tmp_path / "eval" / "metrics.json").exists()
+
     def test_report_renders_metrics(self, tmp_path):
         events = simulate_stream(tmp_path / "sim")
         out = tmp_path / "eval"
@@ -154,3 +189,29 @@ class TestEvaluateCommand:
         assert result.exit_code == 0, result.output
         assert "Accuracy" in result.output
         assert "nb" in result.output
+
+    def test_report_row_matches_evaluate_row(self, tmp_path):
+        events = simulate_stream(tmp_path / "sim")
+        out = tmp_path / "eval"
+        evaluated = run("evaluate", events, "--classifier", "nb",
+                        "--out", out)
+        reported = run("report", out / "metrics.json")
+        assert reported.exit_code == 0, reported.output
+        assert reported.output.splitlines()[:2] == \
+            evaluated.output.splitlines()[:2]
+
+    def test_report_malformed_json_exits_validation(self, tmp_path):
+        metrics = tmp_path / "metrics.json"
+        metrics.write_text("{not json", encoding="utf-8")
+        result = run("report", metrics)
+        assert result.exit_code == 2
+        assert str(metrics) in result.output
+        assert "Traceback" not in result.output
+
+    def test_report_without_metrics_exits_validation(self, tmp_path):
+        metrics = tmp_path / "metrics.json"
+        metrics.write_text('{"schema_version": 1}', encoding="utf-8")
+        result = run("report", metrics)
+        assert result.exit_code == 2
+        assert "classifier" in result.output
+        assert "Accuracy" not in result.output

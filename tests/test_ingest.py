@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -134,6 +135,15 @@ class TestAggregateDaily:
         keys = [(a.day, a.contributor_id) for a in aggs]
         assert keys == sorted(keys)
 
+    def test_bot_flag_change_rejected(self):
+        events = [make_event(contributor_id="c7", timestamp=date(2020, 1, 1)),
+                  make_event(contributor_id="c7", timestamp=date(2020, 1, 2),
+                             is_bot=True)]
+        with pytest.raises(ValidationError) as exc:
+            aggregate_daily(events)
+        assert exc.value.field == "is_bot"
+        assert "c7" in str(exc.value)
+
     def test_probability_groups_stay_normalized(self):
         events = [make_event(art_ok=0.7, art_attack=0.1, art_spam=0.1,
                              art_vandalism=0.1),
@@ -198,5 +208,38 @@ class TestAggregateSchema:
         write_aggregates(aggs, agg_path)
         assert load_stream(agg_path) == aggs
 
+    def test_bot_flag_change_rejected(self, tmp_path):
+        aggs = aggregate_daily([make_event(timestamp=date(2020, 1, 1)),
+                                make_event(timestamp=date(2020, 1, 2))])
+        path = tmp_path / "aggs.csv"
+        write_aggregates([aggs[0], replace(aggs[1], is_bot=True)], path)
+        with pytest.raises(ValidationError) as exc:
+            load_stream(path)
+        assert exc.value.field == "is_bot"
+
     def test_synthetic_column_present(self):
         assert "synthetic" in AGGREGATE_COLUMNS
+
+
+PROBABILITY_COLUMNS = (
+    "dmg_t", "dmg_f", "gf_t", "gf_f",
+    "item_a", "item_b", "item_c", "item_d", "item_e",
+    "art_ok", "art_attack", "art_spam", "art_vandalism",
+    "wp10_b", "wp10_c", "wp10_fa", "wp10_ga", "wp10_start", "wp10_stub",
+)
+
+
+class TestSchemas:
+    def test_event_columns(self):
+        assert EVENT_COLUMNS == (
+            "contributor_id", "is_bot", "page_id", "timestamp",
+            "review_length", "links", "repeated_links",
+            "chars_inserted", "chars_deleted", "was_reverted",
+        ) + PROBABILITY_COLUMNS
+
+    def test_aggregate_columns(self):
+        assert AGGREGATE_COLUMNS == (
+            "contributor_id", "day", "is_bot", "synthetic",
+            "f3", "f4", "f5", "f6", "f7", "f8", "f9", "f10",
+            "f11", "f12", "f13", "f14",
+        ) + PROBABILITY_COLUMNS

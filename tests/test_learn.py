@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wikistream.analysis import SET3_TARGET1, SET3_TARGET2
+from wikistream.analysis import SET3_TARGET1, SET3_TARGET2, FeatureSet
 from wikistream.learn import (
     BaggingForest,
     GaussianNaiveBayes,
@@ -13,7 +13,7 @@ from wikistream.learn import (
     hoeffding_bound,
     make_classifier,
 )
-from wikistream.model import FeatureVector, ValidationError
+from wikistream.model import FEATURE_IDS, ValidationError, feature_columns
 
 
 class TestGaussianNaiveBayes:
@@ -233,7 +233,8 @@ class TestOnlineBoosting:
 
 
 def profile_vector(rng=None, bot=False, malign=False):
-    """A plausible feature vector over the union of stacking columns."""
+    """A plausible feature array in the order of StackingModel.features;
+    only the columns the stacking forests read are drawn."""
     ids = tuple(dict.fromkeys(SET3_TARGET1.feature_ids
                               + SET3_TARGET2.feature_ids))
     rng = rng or np.random.default_rng(0)
@@ -250,7 +251,9 @@ def profile_vector(rng=None, bot=False, malign=False):
                 rng.normal(0.7 if malign else 0.1, 0.1), 0.0, 1.0)))
         else:
             values.append(float(np.clip(rng.random(), 0.0, 1.0)))
-    return FeatureVector(ids, tuple(values))
+    x = np.zeros(len(FEATURE_IDS))
+    x[feature_columns(ids)] = values
+    return x
 
 
 class TestStackingModel:
@@ -267,6 +270,18 @@ class TestStackingModel:
         model.learn(profile_vector(), 0, 0)
         expected = 2 + len(SET3_TARGET2)
         assert model.forest_final.n_features == expected
+
+    def test_input_is_the_full_catalogue(self):
+        assert StackingModel(seed=0).features.feature_ids == FEATURE_IDS
+
+    def test_unknown_feature_rejected(self):
+        with pytest.raises(ValidationError):
+            StackingModel(user_features=FeatureSet("bad", ("99",)))
+
+    def test_wrong_input_length_rejected(self):
+        model = StackingModel(seed=0)
+        with pytest.raises(ValidationError):
+            model.predict(profile_vector()[:-1])
 
     def test_level_one_arities(self):
         model = StackingModel(seed=0)

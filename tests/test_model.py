@@ -6,33 +6,37 @@ import pytest
 from wikistream.model import (
     FEATURE_IDS,
     FEATURE_INDEX,
+    PROB_COLUMNS,
     PROBABILITY_GROUPS,
     DailyAggregate,
     EditEvent,
-    FeatureVector,
     TargetLabels,
     ValidationError,
     derive_contribution_type,
     derive_user_type,
+    feature_columns,
     joint_class,
 )
 
 
 def make_event(**overrides):
+    """An EditEvent; probabilities are overridden by their column name."""
     base = dict(
         contributor_id="c1", is_bot=False, page_id="p1",
         timestamp=date(2020, 1, 1),
         review_length=100.0, links=2.0, repeated_links=1.0,
         chars_inserted=50.0, chars_deleted=10.0, was_reverted=False,
-        damaging_true=0.2, damaging_false=0.8,
-        goodfaith_true=0.9, goodfaith_false=0.1,
+    )
+    probs = dict(
+        dmg_t=0.2, dmg_f=0.8, gf_t=0.9, gf_f=0.1,
         item_a=0.1, item_b=0.2, item_c=0.3, item_d=0.2, item_e=0.2,
         art_ok=0.7, art_attack=0.1, art_spam=0.1, art_vandalism=0.1,
         wp10_b=0.2, wp10_c=0.2, wp10_fa=0.1, wp10_ga=0.1,
         wp10_start=0.2, wp10_stub=0.2,
     )
-    base.update(overrides)
-    return EditEvent(**base)
+    for key, value in overrides.items():
+        (probs if key in probs else base)[key] = value
+    return EditEvent(**base, probs=tuple(probs[c] for c in PROB_COLUMNS))
 
 
 class TestContributionType:
@@ -79,7 +83,7 @@ class TestEditEventValidation:
         make_event().validate()
 
     def test_probability_group_sum_checked(self):
-        event = make_event(damaging_true=0.7, damaging_false=0.7)
+        event = make_event(dmg_t=0.7, dmg_f=0.7)
         with pytest.raises(ValidationError) as exc:
             event.validate()
         assert "probability group sum" in str(exc.value)
@@ -91,6 +95,13 @@ class TestEditEventValidation:
     def test_probability_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             make_event(art_ok=1.2, art_attack=-0.2).validate()
+
+    def test_probability_count_checked(self):
+        event = make_event()
+        short = EditEvent(**{**event.__dict__, "probs": event.probs[:-1]})
+        with pytest.raises(ValidationError) as exc:
+            short.validate()
+        assert "probs" in str(exc.value)
 
 
 class TestDailyAggregate:
@@ -125,20 +136,37 @@ class TestDailyAggregate:
         assert math.isclose(sum(mean), 1.0, abs_tol=1e-6)
 
 
-class TestFeatureVector:
+class TestCatalogue:
+    def test_feature_order(self):
+        assert FEATURE_IDS == (
+            "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14",
+            "15.damaging_true", "15.damaging_false",
+            "15.goodfaith_true", "15.goodfaith_false",
+            "16.A", "16.B", "16.C", "16.D", "16.E",
+            "17.ok", "17.attack", "17.spam", "17.vandalism",
+            "18.B", "18.C", "18.FA", "18.GA", "18.start", "18.stub",
+        )
+
+    def test_probability_groups(self):
+        assert PROBABILITY_GROUPS == (
+            ("15.damaging_true", "15.damaging_false"),
+            ("15.goodfaith_true", "15.goodfaith_false"),
+            ("16.A", "16.B", "16.C", "16.D", "16.E"),
+            ("17.ok", "17.attack", "17.spam", "17.vandalism"),
+            ("18.B", "18.C", "18.FA", "18.GA", "18.start", "18.stub"),
+        )
+
+
+class TestFeatureColumns:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError):
-            FeatureVector(("3", "3"), (1.0, 2.0))
+            feature_columns(("3", "3"))
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ValidationError):
-            FeatureVector(("99",), (1.0,))
+            feature_columns(("99",))
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValidationError):
-            FeatureVector(("3",), (float("nan"),))
-
-    def test_subset_keeps_order(self):
-        fv = FeatureVector(("3", "4", "5"), (1.0, 2.0, 3.0))
-        sub = fv.subset(("5", "3"))
-        assert sub.values == (3.0, 1.0)
+    def test_keeps_given_order(self):
+        columns = feature_columns(("5", "3"))
+        assert columns.tolist() == [FEATURE_INDEX["5"], FEATURE_INDEX["3"]]
+        assert not columns.flags.writeable  # shared by every caller

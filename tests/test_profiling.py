@@ -98,6 +98,16 @@ class TestProfileUpdates:
         assert second.n_updates == 2
         assert first.values != second.values
 
+    def test_bot_flag_change_rejected(self):
+        store = ProfileStore()
+        store.update(day_aggregate(contributor_id="c7"))
+        flipped = day_aggregate(contributor_id="c7", is_bot=True,
+                                timestamp=date(2020, 1, 2))
+        with pytest.raises(ValidationError) as exc:
+            store.update(flipped)
+        assert exc.value.field == "is_bot"
+        assert "c7" in str(exc.value)
+
     def test_deterministic_replay(self):
         aggs = [day_aggregate(timestamp=date(2020, 1, 1 + i),
                               review_length=float(10 + i))
@@ -116,21 +126,30 @@ class TestFeatureVectors:
 
     def test_preset_sizes(self):
         snapshot = self._snapshot()
-        assert len(to_feature_vector(snapshot, SET1).values) == 12
-        assert len(to_feature_vector(snapshot, SET3_TARGET1).values) == 10
-        assert len(to_feature_vector(snapshot, SET3_TARGET2).values) == 5
+        assert to_feature_vector(snapshot, SET1).shape == (12,)
+        assert to_feature_vector(snapshot, SET3_TARGET1).shape == (10,)
+        assert to_feature_vector(snapshot, SET3_TARGET2).shape == (5,)
 
     def test_order_matches_feature_set(self):
         snapshot = self._snapshot()
-        fv = to_feature_vector(snapshot, SET3_TARGET2)
-        assert fv.feature_ids == SET3_TARGET2.feature_ids
-        for fid, value in zip(fv.feature_ids, fv.values):
+        x = to_feature_vector(snapshot, SET3_TARGET2)
+        assert x.dtype == np.float64
+        for fid, value in zip(SET3_TARGET2.feature_ids, x):
             assert value == snapshot.values[FEATURE_INDEX[fid]]
 
     def test_unknown_feature_rejected(self):
         from wikistream.analysis import FeatureSet
         with pytest.raises(ValidationError):
             to_feature_vector(self._snapshot(), FeatureSet("bad", ("99",)))
+
+    def test_non_finite_rejected(self):
+        from dataclasses import replace
+        snapshot = self._snapshot()
+        values = list(snapshot.values)
+        values[FEATURE_INDEX["4"]] = float("nan")
+        with pytest.raises(ValidationError) as exc:
+            to_feature_vector(replace(snapshot, values=tuple(values)), SET1)
+        assert "non-finite value for 4" in str(exc.value)
 
 
 class TestPersistence:

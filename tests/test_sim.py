@@ -32,6 +32,17 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             SimConfig(counts={"human-benign": 1}, noise=1.5)
 
+    @pytest.mark.parametrize("events", [-1, 1, 39])
+    def test_event_count_below_population_rejected(self, events):
+        with pytest.raises(ValidationError) as exc:
+            SimConfig(counts={"human-benign": 40}, target_events=events)
+        assert exc.value.field == "events"
+
+    def test_event_count_of_one_per_contributor_accepted(self):
+        cfg = SimConfig(counts={"human-benign": 40}, target_events=40)
+        events, _ = simulate(cfg)
+        assert len(events) == 40
+
 
 class TestSimulate:
     def test_all_archetypes_present(self):
@@ -63,6 +74,14 @@ class TestSimulate:
                         n_days=10, seed=3, target_events=1234)
         events, _ = simulate(cfg)
         assert len(events) == 1234
+
+    def test_exact_event_budget_under_rate_skew(self):
+        # the bot's share rounds up to far more events than the budget
+        # leaves once every human holds one; trimming must continue
+        cfg = SimConfig(counts={"human-benign": 999, "bot-malign": 1},
+                        n_days=5, seed=0, target_events=1000)
+        events, _ = simulate(cfg)
+        assert len(events) == 1000
 
     def test_bot_flag_matches_archetype(self):
         cfg = SimConfig(counts={name: 4 for name in ARCHETYPE_NAMES},
