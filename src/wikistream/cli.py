@@ -67,6 +67,16 @@ def _require_input(path):
         raise ValidationError(f"input path does not exist: {path}", field="input")
 
 
+def _load_rows(path):
+    """The contributor-days of an events or aggregate file; a file
+    without any is invalid input."""
+    _require_input(path)
+    aggregates = ingest.load_stream(path)
+    if not aggregates:
+        raise ValidationError(f"no contributor-days in {path}", field="input")
+    return aggregates
+
+
 @click.group()
 def main():
     """Stream-based profiling and classification of wiki contributors."""
@@ -113,8 +123,7 @@ def simulate(human_benign, human_malign, bot_benign, bot_malign,
 @_guarded
 def analyze(input, target, threshold, out):
     """Correlate features with a target; writes report.csv + report.json."""
-    _require_input(input)
-    aggregates = ingest.load_stream(input)
+    aggregates = _load_rows(input)
     report = analysis.correlation_report(aggregates, target, threshold)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -135,8 +144,7 @@ def analyze(input, target, threshold, out):
 @_guarded
 def select(input, target, count, step, out):
     """Recursive feature elimination on a stream's profile features."""
-    _require_input(input)
-    aggregates = ingest.load_stream(input)
+    aggregates = _load_rows(input)
     X = analysis.feature_matrix(aggregates)
     y = analysis.target_vector(aggregates, target)
     result = analysis.rfe(X, y, FEATURE_IDS, target_count=count,
@@ -160,8 +168,7 @@ def select(input, target, count, step, out):
 @_guarded
 def synthesize(input, count, seed, out):
     """Generate synthetic bot samples plus a statistical comparison report."""
-    _require_input(input)
-    aggregates = ingest.load_stream(input)
+    aggregates = _load_rows(input)
     if count <= 0:
         count = fabricate.contributor_gap(aggregates)
     if count <= 0:
@@ -194,8 +201,7 @@ def synthesize(input, count, seed, out):
 @_guarded
 def balance(input, seed, out):
     """Merge real and synthetic samples into a class-balanced stream."""
-    _require_input(input)
-    aggregates = ingest.load_stream(input)
+    aggregates = _load_rows(input)
     combined = fabricate.balance_dataset(aggregates, seed=seed)
     ingest.write_aggregates(combined, out)
     click.echo(f"wrote {out} ({len(combined)} aggregates, "
@@ -209,8 +215,7 @@ def balance(input, seed, out):
 @_guarded
 def profile_cmd(input, out):
     """Replay a stream into contributor profiles; export them as JSONL."""
-    _require_input(input)
-    aggregates = ingest.load_stream(input)
+    aggregates = _load_rows(input)
     store = profiling.ProfileStore()
     for agg in aggregates:
         store.update(agg)
@@ -240,11 +245,7 @@ def profile_cmd(input, out):
 def evaluate_cmd(input, classifier, features, target, seed, do_balance,
                  window, out):
     """Prequential evaluation of one classifier / feature-set grid cell."""
-    _require_input(input)
-    aggregates = ingest.load_stream(input)
-    if not aggregates:
-        raise ValidationError(f"no contributor-days to evaluate in {input}",
-                              field="input")
+    aggregates = _load_rows(input)
     if do_balance:
         aggregates = fabricate.balance_dataset(aggregates, seed=seed)
     out_dir = Path(out)

@@ -236,9 +236,9 @@ def prequential_run_stacking(stream, model, store=None,
     mirroring how the stacked system is scored.
     """
     def step(x, agg):
-        user_probs, final_probs, _joint = model.predict(x)
         y_user, y_contribution = agg.user_type, agg.contribution_type
-        model.learn(x, y_user, y_contribution)
+        user_probs, final_probs, _joint = model.predict_learn(
+            x, y_user, y_contribution)
         return (y_contribution, final_probs), (y_user, user_probs)
 
     reports, logs = _prequential(

@@ -21,6 +21,7 @@ VARIANCE_FLOOR = 1e-9
 HOEFFDING_DELTA = 1e-7
 HOEFFDING_TIE_THRESHOLD = 0.05
 HOEFFDING_GRACE_PERIOD = 200
+HOEFFDING_MAX_DEPTH = 20
 
 
 def hoeffding_bound(value_range, delta, n):
@@ -140,115 +141,161 @@ class GaussianNaiveBayes(OnlineClassifier):
         return clf
 
 
-class _TreeNode:
-    __slots__ = ("class_counts", "n", "mean", "m2", "seen_since_attempt",
-                 "split_feature", "threshold", "left", "right", "fallback",
-                 "depth")
-
-    def __init__(self, n_classes, n_features, fallback, depth):
-        self.class_counts = np.zeros(n_classes)
-        self.n = np.zeros(n_classes)
-        self.mean = np.zeros((n_classes, n_features))
-        self.m2 = np.zeros((n_classes, n_features))
-        self.seen_since_attempt = 0.0
-        self.split_feature = None
-        self.threshold = None
-        self.left = None
-        self.right = None
-        self.fallback = fallback  # parent distribution at split time
-        self.depth = depth
-
-    @property
-    def is_leaf(self):
-        return self.split_feature is None
-
-    def route(self, x):
-        return self.left if x[self.split_feature] <= self.threshold else self.right
-
-    def distribution(self):
-        total = self.class_counts.sum()
-        if total > 0:
-            return self.class_counts / total
-        return self.fallback.copy()
+def _split_gain(counts, mean, m2, feature, threshold, base_entropy):
+    """Info gain of splitting a leaf's (counts, mean, m2) at ``threshold``,
+    with each class's side counts estimated through its Gaussian CDF."""
+    total = counts.sum()
+    left = np.zeros(len(counts))
+    for k in range(len(counts)):
+        if counts[k] <= 0:
+            continue
+        var = max(m2[k, feature] / counts[k], VARIANCE_FLOOR)
+        z = (threshold - mean[k, feature]) / math.sqrt(var)
+        left[k] = counts[k] * _normal_cdf(z)
+    right = counts - left
+    nl, nr = left.sum(), right.sum()
+    weighted = (nl * _entropy(left) + nr * _entropy(right)) / total
+    return base_entropy - weighted
 
 
-class HoeffdingTree(OnlineClassifier):
-    """Incremental decision tree split-guarded by the Hoeffding bound.
+def _fold(x, mean, m2, n, weight):
+    """A weighted Welford step: the new (mean, m2) of one class's
+    per-feature moments after ``weight`` copies of ``x``, ``n`` being the
+    class count including them."""
+    weighted = weight * (x - mean)
+    mean = mean + weighted / n
+    return mean, m2 + weighted * (x - mean)
 
-    Leaves keep per-class Gaussian moments per feature; candidate
-    thresholds are midpoints between class means, with side counts
-    estimated through the Gaussian CDF. A split is taken when the best
-    info gain beats the runner-up by the Hoeffding radius, or on a tie
-    once the radius shrinks below the tie threshold.
+
+_LEAF = (-1, None, None, None)
+_ONE_MEMBER = (0,)  # the member list of a one-member store
+
+
+class TreeStore:
+    """Hoeffding trees packed into arrays, one per member.
+
+    Member m's tree reads the input columns ``columns[m]``; its feature
+    f is input column ``columns[m][f]``. Node 0 is every member's root.
+    The structure changes only at a split and is kept per member as a
+    plain list of node tuples (input column, threshold, left, right),
+    with column -1 at a leaf: plain lists route one row faster than
+    numpy does. Node statistics are arrays indexed [member, node,
+    class(, feature)]: class counts, per-class Gaussian moments per
+    feature (mean and m2), the weight seen since the last split
+    attempt, the fallback distribution (the parent's at split time) and
+    depth. Their node capacity doubles when a member outgrows it.
+
+    Candidate thresholds are midpoints between class means. A leaf
+    splits when the best info gain beats the runner-up by the Hoeffding
+    radius, or on a tie once the radius shrinks below the tie threshold.
     """
 
-    def __init__(self, classes=(0, 1), delta=HOEFFDING_DELTA,
+    def __init__(self, columns, n_classes, delta=HOEFFDING_DELTA,
                  tie_threshold=HOEFFDING_TIE_THRESHOLD,
-                 grace_period=HOEFFDING_GRACE_PERIOD, max_depth=20):
-        super().__init__(classes)
+                 grace_period=HOEFFDING_GRACE_PERIOD,
+                 max_depth=HOEFFDING_MAX_DEPTH):
+        self.columns = np.asarray(columns)
+        n_members, self.n_features = self.columns.shape
         self.delta = delta
         self.tie_threshold = tie_threshold
         self.grace_period = grace_period
         self.max_depth = max_depth
-        self.root = None
+        self.members = np.arange(n_members)
+        self.nodes = [[_LEAF] for _ in range(n_members)]
+        self.counts = np.zeros((n_members, 1, n_classes))
+        self.mean = np.zeros((n_members, 1, n_classes, self.n_features))
+        self.m2 = np.zeros((n_members, 1, n_classes, self.n_features))
+        self.seen = np.zeros((n_members, 1))
+        self.fallback = np.full((n_members, 1, n_classes), 1.0 / n_classes)
+        self.depth = np.zeros((n_members, 1), dtype=np.int64)
 
-    def _ensure(self, d):
-        if self.root is None:
-            uniform = np.full(len(self.classes), 1.0 / len(self.classes))
-            self.root = _TreeNode(len(self.classes), d, uniform, depth=0)
+    def is_leaf(self, member, node):
+        return self.nodes[member][node][0] < 0
 
-    def _sort_to_leaf(self, x):
-        node = self.root
-        while not node.is_leaf:
-            node = node.route(x)
-        return node
+    def leaves(self, members, x):
+        """The leaf input row ``x`` reaches in each of ``members``' trees."""
+        out = []
+        for m in members:
+            nodes = self.nodes[m]
+            node = 0
+            column, threshold, left, right = nodes[0]
+            while column >= 0:
+                node = left if x[column] <= threshold else right
+                column, threshold, left, right = nodes[node]
+            out.append(node)
+        return out
 
-    def learn_one(self, x, y, weight=1):
-        x = self._check_arity(x)
-        self._ensure(x.shape[0])
-        leaf = self._sort_to_leaf(x)
-        k = self.classes.index(y)
-        leaf.class_counts[k] += weight
-        leaf.n[k] += weight
-        delta = x - leaf.mean[k]
-        leaf.mean[k] += weight * delta / leaf.n[k]
-        leaf.m2[k] += weight * delta * (x - leaf.mean[k])
-        leaf.seen_since_attempt += weight
-        if leaf.seen_since_attempt >= self.grace_period:
-            leaf.seen_since_attempt = 0.0
-            self._attempt_split(leaf)
+    def distributions(self, members, leaves):
+        """One class distribution per member: its leaf's normalised class
+        counts, or the leaf's fallback while it has none."""
+        counts = self.counts[members, leaves]
+        total = counts.sum(axis=1, keepdims=True)
+        out = self.fallback[members, leaves]
+        np.divide(counts, total, out=out, where=total > 0)
+        return out
 
-    def _split_gain(self, leaf, feature, threshold, base_entropy):
-        total = leaf.class_counts.sum()
-        left = np.zeros(len(self.classes))
-        for k in range(len(self.classes)):
-            if leaf.n[k] <= 0:
-                continue
-            var = max(leaf.m2[k, feature] / leaf.n[k], VARIANCE_FLOOR)
-            z = (threshold - leaf.mean[k, feature]) / math.sqrt(var)
-            left[k] = leaf.class_counts[k] * _normal_cdf(z)
-        right = leaf.class_counts - left
-        nl, nr = left.sum(), right.sum()
-        weighted = (nl * _entropy(left) + nr * _entropy(right)) / total
-        return base_entropy - weighted
+    def distribution(self, m, leaf):
+        """One member's ``distributions``."""
+        counts = self.counts[m, leaf]
+        total = counts.sum()
+        if total > 0:
+            return counts / total
+        return self.fallback[m, leaf].copy()
 
-    def _attempt_split(self, leaf):
-        if leaf.depth >= self.max_depth:
+    def learn(self, members, leaves, x, k, weights):
+        """Fold input row ``x`` of class ``k`` into one leaf per member
+        of the index array ``members``, with the members' positive
+        ``weights``. A leaf that has seen a grace period's weight since
+        its last attempt tries to split."""
+        leaves = np.asarray(leaves, dtype=np.intp)
+        at = (members, leaves, k)
+        n = self.counts[at] + weights
+        self.counts[at] = n
+        self.mean[at], self.m2[at] = _fold(
+            x[self.columns[members]], self.mean[at], self.m2[at],
+            n[:, None], weights[:, None])
+        seen = self.seen[members, leaves] + weights
+        due = seen >= self.grace_period
+        if due.any():
+            seen[due] = 0.0
+            for m, leaf in zip(members[due].tolist(), leaves[due].tolist()):
+                self._attempt_split(m, leaf)
+        self.seen[members, leaves] = seen
+
+    def learn_member(self, m, leaf, x, k, weight):
+        """``learn`` for one member."""
+        at = (m, leaf, k)
+        n = self.counts[at] + weight
+        self.counts[at] = n
+        self.mean[at], self.m2[at] = _fold(
+            x[self.columns[m]], self.mean[at], self.m2[at], n, weight)
+        seen = self.seen[m, leaf] + weight
+        if seen >= self.grace_period:
+            self.seen[m, leaf] = 0.0
+            self._attempt_split(m, leaf)
+        else:
+            self.seen[m, leaf] = seen
+
+    def _attempt_split(self, m, node):
+        if self.depth[m, node] >= self.max_depth:
             return
-        present = [k for k in range(len(self.classes)) if leaf.n[k] >= 2]
+        counts, mean, m2 = (self.counts[m, node], self.mean[m, node],
+                            self.m2[m, node])
+        present = [k for k in range(len(counts)) if counts[k] >= 2]
         if len(present) < 2:
             return
-        base_entropy = _entropy(leaf.class_counts)
+        base_entropy = _entropy(counts)
         if base_entropy <= 0.0:
             return
 
-        best = []  # per-feature best (gain, threshold)
+        best = []  # per-feature best (gain, feature, threshold)
         for f in range(self.n_features):
             gain, threshold = 0.0, None
             for i, a in enumerate(present):
                 for b in present[i + 1:]:
-                    candidate = 0.5 * (leaf.mean[a, f] + leaf.mean[b, f])
-                    g = self._split_gain(leaf, f, candidate, base_entropy)
+                    candidate = 0.5 * (mean[a, f] + mean[b, f])
+                    g = _split_gain(counts, mean, m2, f, candidate,
+                                    base_entropy)
                     if g > gain:
                         gain, threshold = g, candidate
             if threshold is not None:
@@ -258,68 +305,145 @@ class HoeffdingTree(OnlineClassifier):
         best.sort(key=lambda item: -item[0])
         g1, feature, threshold = best[0]
         g2 = best[1][0] if len(best) > 1 else 0.0
-        n_total = leaf.class_counts.sum()
-        value_range = math.log2(max(2, len(self.classes)))
+        n_total = counts.sum()
+        value_range = math.log2(max(2, len(counts)))
         epsilon = hoeffding_bound(value_range, self.delta, n_total)
         if g1 > 1e-12 and (g1 - g2 > epsilon or epsilon < self.tie_threshold):
-            fallback = leaf.distribution()
-            leaf.split_feature = feature
-            leaf.threshold = threshold
-            leaf.left = _TreeNode(len(self.classes), self.n_features,
-                                  fallback, leaf.depth + 1)
-            leaf.right = _TreeNode(len(self.classes), self.n_features,
-                                   fallback, leaf.depth + 1)
+            children = self._split(m, node, feature, threshold)
+            self.fallback[m, children] = counts / n_total
+
+    def _split(self, m, node, feature, threshold):
+        """Turn leaf ``node`` of member ``m`` into a split on its feature
+        ``feature`` with two fresh leaves; returns their node ids."""
+        nodes = self.nodes[m]
+        first = len(nodes)
+        while first + 2 > self.counts.shape[1]:
+            self._grow()
+        nodes.extend((_LEAF, _LEAF))
+        nodes[node] = (int(self.columns[m, feature]), float(threshold),
+                       first, first + 1)
+        children = [first, first + 1]
+        self.depth[m, children] = self.depth[m, node] + 1
+        return children
+
+    def _grow(self):
+        size = self.counts.shape[1]
+        for name in ("counts", "mean", "m2", "seen", "fallback", "depth"):
+            old = getattr(self, name)
+            grown = np.zeros((old.shape[0], 2 * size) + old.shape[2:],
+                             dtype=old.dtype)
+            grown[:, :size] = old
+            setattr(self, name, grown)
+
+    def root_state(self, m):
+        """Member ``m``'s tree as nested node dicts; None while it has
+        learned nothing."""
+        if self.is_leaf(m, 0) and not self.counts[m, 0].any():
+            return None
+        return self._node_state(m, 0)
+
+    def _node_state(self, m, node):
+        column, threshold, left, right = self.nodes[m][node]
+        leaf = column < 0
+        return {
+            "class_counts": self.counts[m, node].tolist(),
+            "mean": self.mean[m, node].tolist(),
+            "m2": self.m2[m, node].tolist(),
+            "seen_since_attempt": float(self.seen[m, node]),
+            "split_feature": (None if leaf else
+                              self.columns[m].tolist().index(column)),
+            "threshold": threshold,
+            "fallback": self.fallback[m, node].tolist(),
+            "depth": int(self.depth[m, node]),
+            "left": None if leaf else self._node_state(m, left),
+            "right": None if leaf else self._node_state(m, right),
+        }
+
+    def load_root(self, m, state):
+        """Rebuild member ``m``'s tree from ``root_state`` output. An
+        ``n`` field, which older checkpoints carry beside the equal class
+        counts, is ignored."""
+        if state is not None:
+            self._load_node(m, 0, state)
+
+    def _load_node(self, m, node, state):
+        self.counts[m, node] = state["class_counts"]
+        self.mean[m, node] = state["mean"]
+        self.m2[m, node] = state["m2"]
+        self.seen[m, node] = state["seen_since_attempt"]
+        self.fallback[m, node] = state["fallback"]
+        self.depth[m, node] = state["depth"]
+        if state["split_feature"] is not None:
+            left, right = self._split(m, node, state["split_feature"],
+                                      state["threshold"])
+            self._load_node(m, left, state["left"])
+            self._load_node(m, right, state["right"])
+
+
+def _tree_state(classes, n_features, root, delta=HOEFFDING_DELTA,
+                tie_threshold=HOEFFDING_TIE_THRESHOLD,
+                grace_period=HOEFFDING_GRACE_PERIOD,
+                max_depth=HOEFFDING_MAX_DEPTH):
+    return {
+        "kind": "hoeffding_tree",
+        "classes": classes,
+        "n_features": n_features,
+        "delta": delta,
+        "tie_threshold": tie_threshold,
+        "grace_period": grace_period,
+        "max_depth": max_depth,
+        "root": root,
+    }
+
+
+def _member_states(classes, store, n_members):
+    """The per-member tree states of an ensemble's store."""
+    if store is None:
+        return [_tree_state(classes, None, None) for _ in range(n_members)]
+    return [_tree_state(classes, store.n_features, store.root_state(m))
+            for m in range(n_members)]
+
+
+class HoeffdingTree(OnlineClassifier):
+    """Incremental decision tree split-guarded by the Hoeffding bound:
+    a one-member ``TreeStore``."""
+
+    def __init__(self, classes=(0, 1), delta=HOEFFDING_DELTA,
+                 tie_threshold=HOEFFDING_TIE_THRESHOLD,
+                 grace_period=HOEFFDING_GRACE_PERIOD,
+                 max_depth=HOEFFDING_MAX_DEPTH):
+        super().__init__(classes)
+        self.delta = delta
+        self.tie_threshold = tie_threshold
+        self.grace_period = grace_period
+        self.max_depth = max_depth
+        self.store = None
+
+    def _ensure(self, d):
+        if self.store is None:
+            self.store = TreeStore(
+                [np.arange(d)], len(self.classes), self.delta,
+                self.tie_threshold, self.grace_period, self.max_depth)
+
+    def learn_one(self, x, y, weight=1):
+        x = self._check_arity(x)
+        self._ensure(x.shape[0])
+        store = self.store
+        store.learn_member(0, store.leaves(_ONE_MEMBER, x)[0], x,
+                           self.classes.index(y), weight)
 
     def predict_proba(self, x):
         x = self._check_arity(x)
-        if self.root is None:
+        if self.store is None:
             return np.full(len(self.classes), 1.0 / len(self.classes))
-        return self._sort_to_leaf(x).distribution()
-
-    def _node_state(self, node):
-        if node is None:
-            return None
-        return {
-            "class_counts": node.class_counts.tolist(),
-            "n": node.n.tolist(),
-            "mean": node.mean.tolist(),
-            "m2": node.m2.tolist(),
-            "seen_since_attempt": node.seen_since_attempt,
-            "split_feature": node.split_feature,
-            "threshold": node.threshold,
-            "fallback": node.fallback.tolist(),
-            "depth": node.depth,
-            "left": self._node_state(node.left),
-            "right": self._node_state(node.right),
-        }
-
-    def _node_from_state(self, state):
-        if state is None:
-            return None
-        node = _TreeNode(len(self.classes), self.n_features,
-                         np.array(state["fallback"]), state["depth"])
-        node.class_counts = np.array(state["class_counts"])
-        node.n = np.array(state["n"])
-        node.mean = np.array(state["mean"])
-        node.m2 = np.array(state["m2"])
-        node.seen_since_attempt = state["seen_since_attempt"]
-        node.split_feature = state["split_feature"]
-        node.threshold = state["threshold"]
-        node.left = self._node_from_state(state["left"])
-        node.right = self._node_from_state(state["right"])
-        return node
+        store = self.store
+        return store.distribution(0, store.leaves(_ONE_MEMBER, x)[0])
 
     def to_state(self):
-        return {
-            "kind": "hoeffding_tree",
-            "classes": self.classes,
-            "n_features": self.n_features,
-            "delta": self.delta,
-            "tie_threshold": self.tie_threshold,
-            "grace_period": self.grace_period,
-            "max_depth": self.max_depth,
-            "root": self._node_state(self.root),
-        }
+        return _tree_state(
+            self.classes, self.n_features,
+            None if self.store is None else self.store.root_state(0),
+            self.delta, self.tie_threshold, self.grace_period, self.max_depth)
 
     @classmethod
     def from_state(cls, state):
@@ -328,12 +452,14 @@ class HoeffdingTree(OnlineClassifier):
                    grace_period=state["grace_period"],
                    max_depth=state["max_depth"])
         tree.n_features = state["n_features"]
-        tree.root = tree._node_from_state(state["root"])
+        if state["root"] is not None:
+            tree._ensure(tree.n_features)
+            tree.store.load_root(0, state["root"])
         return tree
 
 
 class BaggingForest(OnlineClassifier):
-    """Online bagging of Hoeffding trees.
+    """Online bagging of Hoeffding trees, held in one ``TreeStore``.
 
     Each member sees each example Poisson(1) times and is restricted to
     a random sqrt(d)-sized feature subset fixed at its birth
@@ -348,40 +474,53 @@ class BaggingForest(OnlineClassifier):
         self.seed = seed
         self.max_features = max_features
         self.use_poisson = use_poisson
-        self.members = [HoeffdingTree(classes) for _ in range(n_members)]
         self._rngs = [np.random.default_rng([seed, m])
                       for m in range(n_members)]
-        self.subsets = None
+        self.store = None
+
+    @property
+    def subsets(self):
+        """Each member's feature subset (sorted column indices), or None
+        before the first call."""
+        return None if self.store is None else list(self.store.columns)
 
     def _ensure(self, d):
-        if self.subsets is not None:
+        if self.store is not None:
             return
         if self.max_features is None:
-            self.subsets = [np.arange(d) for _ in range(self.n_members)]
+            subsets = [np.arange(d) for _ in range(self.n_members)]
         else:
             size = max(1, math.ceil(math.sqrt(d)))
-            self.subsets = [
+            subsets = [
                 np.sort(self._rngs[m].choice(d, size=size, replace=False))
                 for m in range(self.n_members)
             ]
+        self.store = TreeStore(subsets, len(self.classes))
 
     def learn_one(self, x, y, weight=1):
         x = self._check_arity(x)
         self._ensure(x.shape[0])
-        for m, tree in enumerate(self.members):
-            w = self._rngs[m].poisson(1.0) if self.use_poisson else 1
-            if w > 0:
-                tree.learn_one(x[self.subsets[m]], y, weight=w * weight)
+        k = self.classes.index(y)
+        if self.use_poisson:
+            weights = np.array([rng.poisson(1.0) for rng in self._rngs],
+                               dtype=float) * weight
+        else:
+            weights = np.full(self.n_members, float(weight))
+        hit = np.flatnonzero(weights > 0)
+        store = self.store
+        store.learn(hit, store.leaves(hit.tolist(), x.tolist()), x, k,
+                    weights[hit])
 
     def predict_proba(self, x):
         x = self._check_arity(x)
         self._ensure(x.shape[0])
-        probs = np.zeros(len(self.classes))
-        for m, tree in enumerate(self.members):
-            probs += tree.predict_proba(x[self.subsets[m]])
-        return probs / self.n_members
+        store = self.store
+        leaves = store.leaves(range(self.n_members), x.tolist())
+        return (store.distributions(store.members, leaves).sum(axis=0)
+                / self.n_members)
 
     def to_state(self):
+        subsets = self.subsets
         return {
             "kind": "bagging_forest",
             "classes": self.classes,
@@ -390,9 +529,10 @@ class BaggingForest(OnlineClassifier):
             "seed": self.seed,
             "max_features": self.max_features,
             "use_poisson": self.use_poisson,
-            "subsets": (None if self.subsets is None
-                        else [s.tolist() for s in self.subsets]),
-            "members": [t.to_state() for t in self.members],
+            "subsets": (None if subsets is None
+                        else [s.tolist() for s in subsets]),
+            "members": _member_states(self.classes, self.store,
+                                      self.n_members),
             "rng_states": [rng.bit_generator.state for rng in self._rngs],
         }
 
@@ -404,15 +544,17 @@ class BaggingForest(OnlineClassifier):
             use_poisson=state["use_poisson"])
         forest.n_features = state["n_features"]
         if state["subsets"] is not None:
-            forest.subsets = [np.array(s) for s in state["subsets"]]
-        forest.members = [HoeffdingTree.from_state(s) for s in state["members"]]
+            forest.store = TreeStore(state["subsets"], len(forest.classes))
+            for m, member in enumerate(state["members"]):
+                forest.store.load_root(m, member["root"])
         for rng, rng_state in zip(forest._rngs, state["rng_states"]):
             rng.bit_generator.state = rng_state
         return forest
 
 
 class OnlineBoosting(OnlineClassifier):
-    """Sequential Poisson-weighted boosting of Hoeffding trees.
+    """Sequential Poisson-weighted boosting of Hoeffding trees, held in
+    one ``TreeStore``.
 
     Each member draws Poisson(lambda) replications; lambda is raised on
     members' mistakes and lowered on their successes, concentrating
@@ -423,20 +565,31 @@ class OnlineBoosting(OnlineClassifier):
         super().__init__(classes)
         self.n_members = n_members
         self.seed = seed
-        self.members = [HoeffdingTree(classes) for _ in range(n_members)]
         self._rngs = [np.random.default_rng([seed, m])
                       for m in range(n_members)]
         self.lambda_correct = np.zeros(n_members)
         self.lambda_wrong = np.zeros(n_members)
+        self.store = None
+
+    def _ensure(self, d):
+        if self.store is None:
+            self.store = TreeStore([np.arange(d)] * self.n_members,
+                                   len(self.classes))
 
     def learn_one(self, x, y, weight=1):
         x = self._check_arity(x)
+        self._ensure(x.shape[0])
+        store = self.store
+        k = self.classes.index(y)
+        row = x.tolist()
         lam = float(weight)
-        for m, tree in enumerate(self.members):
-            w = self._rngs[m].poisson(lam)
+        for m, rng in enumerate(self._rngs):
+            member = (m,)
+            w = rng.poisson(lam)
             if w > 0:
-                tree.learn_one(x, y, weight=w)
-            if tree.predict(x) == y:
+                store.learn_member(m, store.leaves(member, row)[0], x, k, w)
+            probs = store.distribution(m, store.leaves(member, row)[0])
+            if int(np.argmax(probs)) == k:
                 self.lambda_correct[m] += lam
                 total = self.lambda_correct[m] + self.lambda_wrong[m]
                 lam *= total / (2.0 * self.lambda_correct[m])
@@ -460,11 +613,12 @@ class OnlineBoosting(OnlineClassifier):
         weights = self._member_weights()
         if weights.sum() == 0:
             return np.full(len(self.classes), 1.0 / len(self.classes))
-        votes = np.zeros(len(self.classes))
-        for m, tree in enumerate(self.members):
-            if weights[m] > 0:
-                probs = tree.predict_proba(x)
-                votes[int(np.argmax(probs))] += weights[m]
+        store = self.store
+        leaves = store.leaves(range(self.n_members), x.tolist())
+        winners = store.distributions(store.members, leaves).argmax(axis=1)
+        # bincount adds the weights in member order, as a loop would
+        votes = np.bincount(winners, weights=weights,
+                            minlength=len(self.classes))
         return votes / votes.sum()
 
     def to_state(self):
@@ -476,7 +630,8 @@ class OnlineBoosting(OnlineClassifier):
             "seed": self.seed,
             "lambda_correct": self.lambda_correct.tolist(),
             "lambda_wrong": self.lambda_wrong.tolist(),
-            "members": [t.to_state() for t in self.members],
+            "members": _member_states(self.classes, self.store,
+                                      self.n_members),
             "rng_states": [rng.bit_generator.state for rng in self._rngs],
         }
 
@@ -487,7 +642,10 @@ class OnlineBoosting(OnlineClassifier):
         clf.n_features = state["n_features"]
         clf.lambda_correct = np.array(state["lambda_correct"])
         clf.lambda_wrong = np.array(state["lambda_wrong"])
-        clf.members = [HoeffdingTree.from_state(s) for s in state["members"]]
+        if clf.n_features is not None:
+            clf._ensure(clf.n_features)
+            for m, member in enumerate(state["members"]):
+                clf.store.load_root(m, member["root"])
         for rng, rng_state in zip(clf._rngs, state["rng_states"]):
             rng.bit_generator.state = rng_state
         return clf
@@ -540,25 +698,42 @@ class StackingModel:
         head = np.array([p_bot, p_malign])
         return np.concatenate([head, xc]) if self.include_base_features else head
 
-    def predict(self, x):
-        """Returns (user probs, final contribution probs, joint class name)."""
+    def _level1(self, x):
+        """The level-1 inputs, the level-2 input and the user probs."""
         xu, xc = self._slice(x)
         user_probs = self.forest_user.predict_proba(xu)
         contrib_probs = self.forest_contribution.predict_proba(xc)
         x2 = self._level2_input(user_probs[1], contrib_probs[1], xc)
+        return xu, xc, x2, user_probs
+
+    def _predict(self, level1):
+        _, _, x2, user_probs = level1
         final_probs = self.forest_final.predict_proba(x2)
         joint = joint_class(int(np.argmax(user_probs)),
                             int(np.argmax(final_probs)))
         return user_probs, final_probs, joint
 
-    def learn(self, x, y_user, y_contribution):
-        xu, xc = self._slice(x)
-        user_probs = self.forest_user.predict_proba(xu)
-        contrib_probs = self.forest_contribution.predict_proba(xc)
-        x2 = self._level2_input(user_probs[1], contrib_probs[1], xc)
+    def _learn(self, level1, y_user, y_contribution):
+        xu, xc, x2, _ = level1
         self.forest_user.learn_one(xu, y_user)
         self.forest_contribution.learn_one(xc, y_contribution)
         self.forest_final.learn_one(x2, y_contribution)
+
+    def predict(self, x):
+        """Returns (user probs, final contribution probs, joint class name)."""
+        return self._predict(self._level1(x))
+
+    def learn(self, x, y_user, y_contribution):
+        self._learn(self._level1(x), y_user, y_contribution)
+
+    def predict_learn(self, x, y_user, y_contribution):
+        """``predict(x)`` then ``learn(x, y_user, y_contribution)``, with
+        the level-1 forests predicting once; returns what ``predict``
+        returns."""
+        level1 = self._level1(x)
+        outputs = self._predict(level1)
+        self._learn(level1, y_user, y_contribution)
+        return outputs
 
     def to_state(self):
         return {

@@ -108,16 +108,42 @@ class ContributorProfile:
         }
 
     @classmethod
-    def from_record(cls, record):
-        profile = cls(
-            record["contributor_id"],
-            record["is_bot"],
-            date.fromisoformat(record["first_seen"]),
-        )
-        profile.last_seen = date.fromisoformat(record["last_seen"])
-        profile.n_updates = record["n_updates"]
-        profile.sums = {k: float(v) for k, v in record["sums"].items()}
-        profile.means = {k: float(v) for k, v in record["means"].items()}
+    def from_record(cls, record, line=None):
+        """The profile ``to_record`` wrote; a missing field or a value of
+        the wrong type raises ValidationError naming the field."""
+        def checked(value, kind, name):
+            # bool is an int subclass: only a bool field takes a bool
+            if not isinstance(value, kind) or (
+                    isinstance(value, bool) and kind is not bool):
+                raise ValidationError(f"unexpected value {value!r}",
+                                      field=name, line=line)
+            return value
+
+        def field(name, kind):
+            if name not in record:
+                raise ValidationError("missing", field=name, line=line)
+            return checked(record[name], kind, name)
+
+        def day(name):
+            value = field(name, str)
+            try:
+                return date.fromisoformat(value)
+            except ValueError:
+                raise ValidationError(f"not an ISO date: {value!r}",
+                                      field=name, line=line) from None
+
+        def table(name, ids):
+            values = field(name, dict)
+            return {fid: float(checked(values.get(fid), (int, float),
+                                       f"{name}.{fid}"))
+                    for fid in ids}
+
+        profile = cls(field("contributor_id", str), field("is_bot", bool),
+                      day("first_seen"))
+        profile.last_seen = day("last_seen")
+        profile.n_updates = field("n_updates", int)
+        profile.sums = table("sums", SUM_FEATURES)
+        profile.means = table("means", MEAN_FEATURES)
         return profile
 
 
@@ -165,11 +191,18 @@ class ProfileStore:
     def import_jsonl(cls, path):
         store = cls()
         with open(Path(path), encoding="utf-8") as handle:
-            for raw in handle:
+            for line, raw in enumerate(handle, start=1):
                 raw = raw.strip()
                 if not raw:
                     continue
-                profile = ContributorProfile.from_record(json.loads(raw))
+                try:
+                    record = json.loads(raw)
+                except json.JSONDecodeError as exc:
+                    raise ValidationError(f"invalid JSON: {exc}",
+                                          line=line) from None
+                if not isinstance(record, dict):
+                    raise ValidationError("expected a JSON object", line=line)
+                profile = ContributorProfile.from_record(record, line=line)
                 store._profiles[profile.contributor_id] = profile
         return store
 

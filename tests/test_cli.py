@@ -2,6 +2,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from wikistream.cli import main
@@ -19,6 +20,13 @@ def simulate_stream(out_dir, humans=6, bots=6, days=8, seed=0):
                  "--days", days, "--seed", seed, "--out", out_dir)
     assert result.exit_code == 0, result.output
     return Path(out_dir) / "events.csv"
+
+
+def header_only_events(tmp_path):
+    from wikistream.ingest import EVENT_COLUMNS
+    events = tmp_path / "events.csv"
+    events.write_text(",".join(EVENT_COLUMNS) + "\n", encoding="utf-8")
+    return events
 
 
 class TestSimulateCommand:
@@ -172,9 +180,7 @@ class TestEvaluateCommand:
         assert "bogus_key" in result.output
 
     def test_header_only_events_exit_validation(self, tmp_path):
-        from wikistream.ingest import EVENT_COLUMNS
-        events = tmp_path / "events.csv"
-        events.write_text(",".join(EVENT_COLUMNS) + "\n", encoding="utf-8")
+        events = header_only_events(tmp_path)
         result = run("evaluate", events, "--classifier", "nb",
                      "--out", tmp_path / "eval")
         assert result.exit_code == 2
@@ -215,3 +221,18 @@ class TestEvaluateCommand:
         assert result.exit_code == 2
         assert "classifier" in result.output
         assert "Accuracy" not in result.output
+
+
+@pytest.mark.parametrize("command,out", [
+    ("analyze", "analysis"),
+    ("select", "selected.json"),
+    ("synthesize", "syn"),
+    ("balance", "balanced.csv"),
+    ("profile", "profiles.jsonl"),
+])
+def test_stream_without_rows_exits_validation(tmp_path, command, out):
+    events = header_only_events(tmp_path)
+    result = run(command, events, "--out", tmp_path / out)
+    assert result.exit_code == 2, result.output
+    assert f"no contributor-days in {events}" in result.output
+    assert not (tmp_path / out).exists()

@@ -91,7 +91,7 @@ class TestHoeffdingTree:
         tree = HoeffdingTree()
         for x, y in zip(xs, ys):
             tree.learn_one(x, int(y))
-        assert tree.root.is_leaf
+        assert tree.store.is_leaf(0, 0)
 
     def test_learns_threshold_concept(self):
         xs, ys = threshold_stream(5000, seed=1)
@@ -102,7 +102,7 @@ class TestHoeffdingTree:
                 correct += 1
             tree.learn_one(x, int(y))
         assert correct / 1000 >= 0.95
-        assert not tree.root.is_leaf
+        assert not tree.store.is_leaf(0, 0)
 
     def test_untrained_predicts_uniform(self):
         tree = HoeffdingTree()
@@ -303,6 +303,19 @@ class TestStackingModel:
                 model.learn(fv, yu, yc)
             outputs.append(run)
         assert outputs[0] == outputs[1]
+
+    def test_predict_learn_is_predict_then_learn(self):
+        rng = np.random.default_rng(7)
+        apart, joined = StackingModel(seed=1), StackingModel(seed=1)
+        for i in range(400):
+            bot, malign = i % 2 == 0, i % 3 == 0
+            fv = profile_vector(rng, bot=bot, malign=malign)
+            a = apart.predict(fv)
+            apart.learn(fv, int(bot), int(malign))
+            b = joined.predict_learn(fv, int(bot), int(malign))
+            assert (a[0].tolist(), a[1].tolist(), a[2]) == \
+                (b[0].tolist(), b[1].tolist(), b[2])
+        assert apart.to_state() == joined.to_state()
 
     def test_learns_joint_concept(self):
         rng = np.random.default_rng(4)

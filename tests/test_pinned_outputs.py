@@ -1,0 +1,64 @@
+"""
+The prediction logs of the single-target classifiers, pinned.
+
+Each classifier runs prequentially over one small simulated stream; the
+log, without its wall-clock ``latency_us`` column, must hash to the
+digest recorded for it. The stacking model's log is pinned in
+``test_acceptance.test_determinism``.
+"""
+
+import csv
+import hashlib
+from io import StringIO
+
+import pytest
+
+from wikistream.analysis import FEATURE_SETS
+from wikistream.evaluate import prequential_run, write_prediction_log
+from wikistream.ingest import aggregate_daily
+from wikistream.learn import make_classifier
+from wikistream.sim import SimConfig, simulate
+
+
+@pytest.fixture(scope="module")
+def stream():
+    cfg = SimConfig(counts={name: 60 for name in
+                            ("human-benign", "human-malign",
+                             "bot-benign", "bot-malign")},
+                    n_days=30, seed=11, noise=0.1, target_events=8000)
+    events, _ = simulate(cfg)
+    return aggregate_daily(events)
+
+
+def log_digest(log, path):
+    write_prediction_log(log, path)
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    drop = rows[0].index("latency_us")
+    out = StringIO()
+    writer = csv.writer(out)
+    for row in rows:
+        writer.writerow(row[:drop] + row[drop + 1:])
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+# Recorded with numpy 2.4.6 on Python 3.11.7, from the pointer-tree
+# implementation that the packed tree store replaced.
+PINNED = {
+    ("nb", "set2", "contribution_type"):
+        "98f12a5bfbc8649cb4991eb8903237956ba8a92d24b3aff0a8ac05fd0e1e7ef2",
+    ("dt", "set2", "user_type"):
+        "24571a4eff63beabae50abe2db6ea327b4d7bc5f72737f7d5159a63d23603d61",
+    ("rf", "set1", "contribution_type"):
+        "9febce33fbc2789cbba5da563693817bc32c019ea1e2a03795c1a59e8c319757",
+    ("bc", "set1", "user_type"):
+        "f0471375d3de70674e7452e379e9a045666ea7fe2c01eb8c22e58b87a841130c",
+}
+
+
+@pytest.mark.parametrize("kind,features,target", sorted(PINNED))
+def test_prediction_log_pinned(stream, tmp_path, kind, features, target):
+    _, log = prequential_run(stream, make_classifier(kind, seed=3),
+                             FEATURE_SETS[features], target)
+    digest = log_digest(log, tmp_path / "predictions.csv")
+    assert digest == PINNED[(kind, features, target)]

@@ -175,3 +175,57 @@ class TestPersistence:
         follow_up = day_aggregate(timestamp=date(2020, 1, 9),
                                   review_length=42.0)
         assert restored.update(follow_up) == store.update(follow_up)
+
+
+class TestImportValidation:
+    def _export(self, tmp_path):
+        store = ProfileStore()
+        store.update(day_aggregate(contributor_id="a"))
+        store.update(day_aggregate(contributor_id="b", is_bot=True))
+        path = tmp_path / "profiles.jsonl"
+        store.export_jsonl(path)
+        return path
+
+    def _rewrite_second(self, path, edit):
+        import json
+        lines = path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        edit(record)
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    @pytest.mark.parametrize("name", ["contributor_id", "is_bot",
+                                      "first_seen", "last_seen",
+                                      "n_updates", "sums", "means"])
+    def test_missing_field_names_line_and_field(self, tmp_path, name):
+        path = self._export(tmp_path)
+        self._rewrite_second(path, lambda record: record.pop(name))
+        with pytest.raises(ValidationError) as exc:
+            ProfileStore.import_jsonl(path)
+        assert exc.value.line == 2 and exc.value.field == name
+
+    @pytest.mark.parametrize("name,value,field", [
+        ("is_bot", "yes", "is_bot"),
+        ("n_updates", True, "n_updates"),
+        ("n_updates", 1.5, "n_updates"),
+        ("first_seen", "2020-13-01", "first_seen"),
+        ("contributor_id", 7, "contributor_id"),
+        ("sums", {"3": 1.0}, "sums.5"),
+        ("means", [], "means"),
+    ])
+    def test_wrong_type_names_line_and_field(self, tmp_path, name, value,
+                                             field):
+        path = self._export(tmp_path)
+        self._rewrite_second(path,
+                             lambda record: record.update({name: value}))
+        with pytest.raises(ValidationError) as exc:
+            ProfileStore.import_jsonl(path)
+        assert exc.value.line == 2 and exc.value.field == field
+
+    def test_malformed_json_names_line(self, tmp_path):
+        path = self._export(tmp_path)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("{not json\n")
+        with pytest.raises(ValidationError) as exc:
+            ProfileStore.import_jsonl(path)
+        assert exc.value.line == 3
