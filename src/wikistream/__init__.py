@@ -10,13 +10,11 @@ prequential evaluation.
 from .model import (
     DailyAggregate,
     EditEvent,
-    TargetLabels,
     ValidationError,
     derive_contribution_type,
     derive_user_type,
 )
 from .ingest import (
-    StreamSource,
     aggregate_daily,
     load_stream,
     parse_events,

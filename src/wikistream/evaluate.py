@@ -182,8 +182,7 @@ def _prequential(stream, store, features, step, classes, classifier,
     started = time.perf_counter()
     for index, agg in enumerate(stream):
         t0 = time.perf_counter()
-        snapshot = store.update(agg)
-        x = to_feature_vector(snapshot, features)
+        x = to_feature_vector(store.update(agg), features)
         try:
             outcomes = step(x, agg)
         except ValidationError as exc:

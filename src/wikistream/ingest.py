@@ -44,17 +44,6 @@ def _is_jsonl(path):
     return Path(path).suffix == ".jsonl"
 
 
-@dataclass
-class StreamSource:
-    """A file to read events or aggregates from: JSON lines when its
-    suffix is ``.jsonl``, CSV otherwise."""
-
-    path: Path
-
-    def __post_init__(self):
-        self.path = Path(self.path)
-
-
 def _parse_bool(raw, name, line):
     if raw in ("0", "false", "False"):
         return False
@@ -98,19 +87,21 @@ def _event_from_record(record, line):
     return event.validate(line=line)
 
 
-def _iter_records(source):
-    """Yield (record dict, line number) pairs from a source file."""
-    if not source.path.exists():
-        raise ValidationError(f"file not found: {source.path}", field="path")
-    if not _is_jsonl(source.path):
-        with open(source.path, newline="", encoding="utf-8") as handle:
+def _iter_records(path):
+    """Yield (record dict, line number) pairs from a file: JSON lines when
+    its suffix is ``.jsonl``, CSV otherwise."""
+    path = Path(path)
+    if not path.exists():
+        raise ValidationError(f"file not found: {path}", field="path")
+    if not _is_jsonl(path):
+        with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.DictReader(handle)
             if reader.fieldnames is None:
                 return
             for record in reader:
                 yield record, reader.line_num
     else:
-        with open(source.path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle:
             for line_num, raw in enumerate(handle, start=1):
                 raw = raw.strip()
                 if not raw:
@@ -122,13 +113,13 @@ def _iter_records(source):
                 yield record, line_num
 
 
-def parse_events(source):
-    """Parse and validate all edit events of a source.
+def parse_events(path):
+    """Parse and validate all edit events of a file.
 
     Raises ValidationError carrying the offending line number and field.
     """
     events = []
-    for record, line in _iter_records(source):
+    for record, line in _iter_records(path):
         events.append(_event_from_record(record, line))
     events.sort(key=lambda e: (e.day, e.contributor_id))
     return events
@@ -260,14 +251,18 @@ def _aggregate_from_record(record, line):
         is_bot=_parse_bool(str(record["is_bot"]), "is_bot", line),
         values=values,
         synthetic=_parse_bool(str(record["synthetic"]), "synthetic", line),
-    )
+    ).validate(line)
 
 
-def read_aggregates(source):
-    """Read a stream persisted in the aggregate schema. A contributor
-    whose ``is_bot`` flag changes between rows is rejected."""
+def read_aggregates(path):
+    """Read and validate a stream persisted in the aggregate schema.
+
+    Rows are checked as event rows are: every non-probability column
+    finite and >= 0, every probability group in [0, 1] summing to 1.
+    A contributor whose ``is_bot`` flag changes between rows is rejected.
+    """
     aggregates = []
-    for record, line in _iter_records(source):
+    for record, line in _iter_records(path):
         aggregates.append(_aggregate_from_record(record, line))
     _check_bot_flags(aggregates)
     aggregates.sort(key=lambda a: (a.day, a.contributor_id))
@@ -319,7 +314,6 @@ def is_aggregate_file(path):
 
 def load_stream(path):
     """Load a time-ordered aggregate stream from either schema."""
-    source = StreamSource(path)
-    if is_aggregate_file(source.path):
-        return read_aggregates(source)
-    return aggregate_daily(parse_events(source))
+    if is_aggregate_file(path):
+        return read_aggregates(path)
+    return aggregate_daily(parse_events(path))

@@ -13,15 +13,23 @@ import math
 
 import numpy as np
 
-from .analysis import SET2, SET3_TARGET1, SET3_TARGET2, FeatureSet
+from .analysis import SET2, SET3_TARGET1, SET3_TARGET2
 from .model import ValidationError, feature_columns, joint_class
 
 VARIANCE_FLOOR = 1e-9
 
+# Fixed Hoeffding tree settings (Domingos & Hulten 2000). Checkpoints
+# carry them, and ``from_state`` rejects a checkpoint with other values.
 HOEFFDING_DELTA = 1e-7
 HOEFFDING_TIE_THRESHOLD = 0.05
 HOEFFDING_GRACE_PERIOD = 200
 HOEFFDING_MAX_DEPTH = 20
+_TREE_SETTINGS = {
+    "delta": HOEFFDING_DELTA,
+    "tie_threshold": HOEFFDING_TIE_THRESHOLD,
+    "grace_period": HOEFFDING_GRACE_PERIOD,
+    "max_depth": HOEFFDING_MAX_DEPTH,
+}
 
 
 def hoeffding_bound(value_range, delta, n):
@@ -31,6 +39,15 @@ def hoeffding_bound(value_range, delta, n):
 
 def _normal_cdf(z):
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+
+def _check_settings(state, settings, where=""):
+    """Reject a checkpoint whose fixed settings differ from ``settings``."""
+    for name, value in settings.items():
+        if state.get(name) != value:
+            raise ValidationError(
+                f"checkpoint has {state.get(name)!r}, expected {value!r}",
+                field=where + name)
 
 
 def _entropy(counts):
@@ -67,7 +84,7 @@ class OnlineClassifier:
     def predict_proba(self, x):
         raise NotImplementedError
 
-    def learn_one(self, x, y, weight=1):
+    def learn_one(self, x, y):
         raise NotImplementedError
 
     def predict(self, x):
@@ -94,14 +111,14 @@ class GaussianNaiveBayes(OnlineClassifier):
             self._mean = np.zeros((c, d))
             self._m2 = np.zeros((c, d))
 
-    def learn_one(self, x, y, weight=1):
+    def learn_one(self, x, y):
         x = self._check_arity(x)
         self._ensure(x.shape[0])
         k = self.classes.index(y)
-        self._counts[k] += weight
+        self._counts[k] += 1
         delta = x - self._mean[k]
-        self._mean[k] += weight * delta / self._counts[k]
-        self._m2[k] += weight * delta * (x - self._mean[k])
+        self._mean[k] += delta / self._counts[k]
+        self._m2[k] += delta * (x - self._mean[k])
 
     def predict_proba(self, x):
         x = self._check_arity(x)
@@ -190,16 +207,9 @@ class TreeStore:
     radius, or on a tie once the radius shrinks below the tie threshold.
     """
 
-    def __init__(self, columns, n_classes, delta=HOEFFDING_DELTA,
-                 tie_threshold=HOEFFDING_TIE_THRESHOLD,
-                 grace_period=HOEFFDING_GRACE_PERIOD,
-                 max_depth=HOEFFDING_MAX_DEPTH):
+    def __init__(self, columns, n_classes):
         self.columns = np.asarray(columns)
         n_members, self.n_features = self.columns.shape
-        self.delta = delta
-        self.tie_threshold = tie_threshold
-        self.grace_period = grace_period
-        self.max_depth = max_depth
         self.members = np.arange(n_members)
         self.nodes = [[_LEAF] for _ in range(n_members)]
         self.counts = np.zeros((n_members, 1, n_classes))
@@ -255,7 +265,7 @@ class TreeStore:
             x[self.columns[members]], self.mean[at], self.m2[at],
             n[:, None], weights[:, None])
         seen = self.seen[members, leaves] + weights
-        due = seen >= self.grace_period
+        due = seen >= HOEFFDING_GRACE_PERIOD
         if due.any():
             seen[due] = 0.0
             for m, leaf in zip(members[due].tolist(), leaves[due].tolist()):
@@ -270,14 +280,14 @@ class TreeStore:
         self.mean[at], self.m2[at] = _fold(
             x[self.columns[m]], self.mean[at], self.m2[at], n, weight)
         seen = self.seen[m, leaf] + weight
-        if seen >= self.grace_period:
+        if seen >= HOEFFDING_GRACE_PERIOD:
             self.seen[m, leaf] = 0.0
             self._attempt_split(m, leaf)
         else:
             self.seen[m, leaf] = seen
 
     def _attempt_split(self, m, node):
-        if self.depth[m, node] >= self.max_depth:
+        if self.depth[m, node] >= HOEFFDING_MAX_DEPTH:
             return
         counts, mean, m2 = (self.counts[m, node], self.mean[m, node],
                             self.m2[m, node])
@@ -307,8 +317,9 @@ class TreeStore:
         g2 = best[1][0] if len(best) > 1 else 0.0
         n_total = counts.sum()
         value_range = math.log2(max(2, len(counts)))
-        epsilon = hoeffding_bound(value_range, self.delta, n_total)
-        if g1 > 1e-12 and (g1 - g2 > epsilon or epsilon < self.tie_threshold):
+        epsilon = hoeffding_bound(value_range, HOEFFDING_DELTA, n_total)
+        if g1 > 1e-12 and (g1 - g2 > epsilon
+                           or epsilon < HOEFFDING_TIE_THRESHOLD):
             children = self._split(m, node, feature, threshold)
             self.fallback[m, children] = counts / n_total
 
@@ -360,11 +371,10 @@ class TreeStore:
         }
 
     def load_root(self, m, state):
-        """Rebuild member ``m``'s tree from ``root_state`` output. An
-        ``n`` field, which older checkpoints carry beside the equal class
-        counts, is ignored."""
-        if state is not None:
-            self._load_node(m, 0, state)
+        """Rebuild member ``m``'s tree from ``root_state`` output other
+        than None. An ``n`` field, which older checkpoints carry beside
+        the equal class counts, is ignored."""
+        self._load_node(m, 0, state)
 
     def _load_node(self, m, node, state):
         self.counts[m, node] = state["class_counts"]
@@ -380,18 +390,12 @@ class TreeStore:
             self._load_node(m, right, state["right"])
 
 
-def _tree_state(classes, n_features, root, delta=HOEFFDING_DELTA,
-                tie_threshold=HOEFFDING_TIE_THRESHOLD,
-                grace_period=HOEFFDING_GRACE_PERIOD,
-                max_depth=HOEFFDING_MAX_DEPTH):
+def _tree_state(classes, n_features, root):
     return {
         "kind": "hoeffding_tree",
         "classes": classes,
         "n_features": n_features,
-        "delta": delta,
-        "tie_threshold": tie_threshold,
-        "grace_period": grace_period,
-        "max_depth": max_depth,
+        **_TREE_SETTINGS,
         "root": root,
     }
 
@@ -404,33 +408,35 @@ def _member_states(classes, store, n_members):
             for m in range(n_members)]
 
 
+def _load_ensemble(clf, state):
+    """Load an ensemble's member trees into its store and its member
+    RNG states."""
+    for m, member in enumerate(state["members"]):
+        _check_settings(member, _TREE_SETTINGS, f"members.{m}.")
+        if member["root"] is not None:
+            clf.store.load_root(m, member["root"])
+    for rng, rng_state in zip(clf._rngs, state["rng_states"]):
+        rng.bit_generator.state = rng_state
+
+
 class HoeffdingTree(OnlineClassifier):
     """Incremental decision tree split-guarded by the Hoeffding bound:
     a one-member ``TreeStore``."""
 
-    def __init__(self, classes=(0, 1), delta=HOEFFDING_DELTA,
-                 tie_threshold=HOEFFDING_TIE_THRESHOLD,
-                 grace_period=HOEFFDING_GRACE_PERIOD,
-                 max_depth=HOEFFDING_MAX_DEPTH):
+    def __init__(self, classes=(0, 1)):
         super().__init__(classes)
-        self.delta = delta
-        self.tie_threshold = tie_threshold
-        self.grace_period = grace_period
-        self.max_depth = max_depth
         self.store = None
 
     def _ensure(self, d):
         if self.store is None:
-            self.store = TreeStore(
-                [np.arange(d)], len(self.classes), self.delta,
-                self.tie_threshold, self.grace_period, self.max_depth)
+            self.store = TreeStore([np.arange(d)], len(self.classes))
 
-    def learn_one(self, x, y, weight=1):
+    def learn_one(self, x, y):
         x = self._check_arity(x)
         self._ensure(x.shape[0])
         store = self.store
         store.learn_member(0, store.leaves(_ONE_MEMBER, x)[0], x,
-                           self.classes.index(y), weight)
+                           self.classes.index(y), 1)
 
     def predict_proba(self, x):
         x = self._check_arity(x)
@@ -442,15 +448,12 @@ class HoeffdingTree(OnlineClassifier):
     def to_state(self):
         return _tree_state(
             self.classes, self.n_features,
-            None if self.store is None else self.store.root_state(0),
-            self.delta, self.tie_threshold, self.grace_period, self.max_depth)
+            None if self.store is None else self.store.root_state(0))
 
     @classmethod
     def from_state(cls, state):
-        tree = cls(state["classes"], delta=state["delta"],
-                   tie_threshold=state["tie_threshold"],
-                   grace_period=state["grace_period"],
-                   max_depth=state["max_depth"])
+        _check_settings(state, _TREE_SETTINGS)
+        tree = cls(state["classes"])
         tree.n_features = state["n_features"]
         if state["root"] is not None:
             tree._ensure(tree.n_features)
@@ -497,15 +500,15 @@ class BaggingForest(OnlineClassifier):
             ]
         self.store = TreeStore(subsets, len(self.classes))
 
-    def learn_one(self, x, y, weight=1):
+    def learn_one(self, x, y):
         x = self._check_arity(x)
         self._ensure(x.shape[0])
         k = self.classes.index(y)
         if self.use_poisson:
             weights = np.array([rng.poisson(1.0) for rng in self._rngs],
-                               dtype=float) * weight
+                               dtype=float)
         else:
-            weights = np.full(self.n_members, float(weight))
+            weights = np.ones(self.n_members)
         hit = np.flatnonzero(weights > 0)
         store = self.store
         store.learn(hit, store.leaves(hit.tolist(), x.tolist()), x, k,
@@ -545,10 +548,7 @@ class BaggingForest(OnlineClassifier):
         forest.n_features = state["n_features"]
         if state["subsets"] is not None:
             forest.store = TreeStore(state["subsets"], len(forest.classes))
-            for m, member in enumerate(state["members"]):
-                forest.store.load_root(m, member["root"])
-        for rng, rng_state in zip(forest._rngs, state["rng_states"]):
-            rng.bit_generator.state = rng_state
+        _load_ensemble(forest, state)
         return forest
 
 
@@ -576,13 +576,13 @@ class OnlineBoosting(OnlineClassifier):
             self.store = TreeStore([np.arange(d)] * self.n_members,
                                    len(self.classes))
 
-    def learn_one(self, x, y, weight=1):
+    def learn_one(self, x, y):
         x = self._check_arity(x)
         self._ensure(x.shape[0])
         store = self.store
         k = self.classes.index(y)
         row = x.tolist()
-        lam = float(weight)
+        lam = 1.0
         for m, rng in enumerate(self._rngs):
             member = (m,)
             w = rng.poisson(lam)
@@ -644,23 +644,33 @@ class OnlineBoosting(OnlineClassifier):
         clf.lambda_wrong = np.array(state["lambda_wrong"])
         if clf.n_features is not None:
             clf._ensure(clf.n_features)
-            for m, member in enumerate(state["members"]):
-                clf.store.load_root(m, member["root"])
-        for rng, rng_state in zip(clf._rngs, state["rng_states"]):
-            rng.bit_generator.state = rng_state
+        _load_ensemble(clf, state)
         return clf
 
 
 STACKING_ENSEMBLE_SIZE = 15
 
+_USER_COLUMNS = feature_columns(SET3_TARGET1.feature_ids)
+_CONTRIBUTION_COLUMNS = feature_columns(SET3_TARGET2.feature_ids)
+
+
+def _stacking_settings():
+    """The fixed settings every stacking checkpoint carries."""
+    return {
+        "user_features": list(SET3_TARGET1.feature_ids),
+        "contribution_features": list(SET3_TARGET2.feature_ids),
+        "include_base_features": True,
+    }
+
 
 class StackingModel:
-    """Two-level stack of three bagging forests.
+    """Two-level stack of three bagging forests of
+    ``STACKING_ENSEMBLE_SIZE`` full-feature members each.
 
-    Level 1a predicts user type from its own feature columns, level 1b
-    predicts contribution type from its columns, and level 2 refines the
-    contribution prediction from [P(bot), P(malign)] plus (optionally)
-    the level-1b feature columns. Level 2 trains on level-1 outputs
+    Level 1a predicts user type from the ``SET3_TARGET1`` columns, level
+    1b predicts contribution type from the ``SET3_TARGET2`` columns, and
+    level 2 refines the contribution prediction from [P(bot), P(malign)]
+    plus the level-1b columns. Level 2 trains on level-1 outputs
     computed before the level-1 update, keeping them out-of-sample.
 
     ``predict`` and ``learn`` take a profile's feature array in the order
@@ -668,42 +678,25 @@ class StackingModel:
     own columns of it.
     """
 
-    def __init__(self, user_features=SET3_TARGET1,
-                 contribution_features=SET3_TARGET2, seed=0,
-                 n_members=STACKING_ENSEMBLE_SIZE,
-                 include_base_features=True):
-        self.user_features = user_features
-        self.contribution_features = contribution_features
-        self.seed = seed
-        self.include_base_features = include_base_features
-        self.features = SET2
-        self._user_columns = feature_columns(tuple(user_features.feature_ids))
-        self._contribution_columns = feature_columns(
-            tuple(contribution_features.feature_ids))
-        self.forest_user = BaggingForest(
-            n_members, seed=_substream(seed, 1), max_features=None)
-        self.forest_contribution = BaggingForest(
-            n_members, seed=_substream(seed, 2), max_features=None)
-        self.forest_final = BaggingForest(
-            n_members, seed=_substream(seed, 3), max_features=None)
+    features = SET2
 
-    def _slice(self, x):
+    def __init__(self, seed=0):
+        self.seed = seed
+        self.forest_user, self.forest_contribution, self.forest_final = (
+            BaggingForest(STACKING_ENSEMBLE_SIZE, seed=_substream(seed, i),
+                          max_features=None)
+            for i in (1, 2, 3))
+
+    def _level1(self, x):
+        """The level-1 inputs, the level-2 input and the user probs."""
         x = np.asarray(x, dtype=float)
         if x.shape != (len(self.features),):
             raise ValidationError(
                 f"expected {len(self.features)} features, got shape {x.shape}")
-        return x[self._user_columns], x[self._contribution_columns]
-
-    def _level2_input(self, p_bot, p_malign, xc):
-        head = np.array([p_bot, p_malign])
-        return np.concatenate([head, xc]) if self.include_base_features else head
-
-    def _level1(self, x):
-        """The level-1 inputs, the level-2 input and the user probs."""
-        xu, xc = self._slice(x)
+        xu, xc = x[_USER_COLUMNS], x[_CONTRIBUTION_COLUMNS]
         user_probs = self.forest_user.predict_proba(xu)
         contrib_probs = self.forest_contribution.predict_proba(xc)
-        x2 = self._level2_input(user_probs[1], contrib_probs[1], xc)
+        x2 = np.concatenate(((user_probs[1], contrib_probs[1]), xc))
         return xu, xc, x2, user_probs
 
     def _predict(self, level1):
@@ -739,9 +732,7 @@ class StackingModel:
         return {
             "kind": "stacking",
             "seed": self.seed,
-            "user_features": list(self.user_features.feature_ids),
-            "contribution_features": list(self.contribution_features.feature_ids),
-            "include_base_features": self.include_base_features,
+            **_stacking_settings(),
             "forest_user": self.forest_user.to_state(),
             "forest_contribution": self.forest_contribution.to_state(),
             "forest_final": self.forest_final.to_state(),
@@ -749,16 +740,14 @@ class StackingModel:
 
     @classmethod
     def from_state(cls, state):
-        model = cls(
-            user_features=FeatureSet("user", tuple(state["user_features"])),
-            contribution_features=FeatureSet(
-                "contribution", tuple(state["contribution_features"])),
-            seed=state["seed"],
-            include_base_features=state["include_base_features"])
-        model.forest_user = BaggingForest.from_state(state["forest_user"])
-        model.forest_contribution = BaggingForest.from_state(
-            state["forest_contribution"])
-        model.forest_final = BaggingForest.from_state(state["forest_final"])
+        """The model ``to_state`` wrote. A checkpoint whose fixed settings
+        or forest sizes differ raises ValidationError naming the field."""
+        _check_settings(state, _stacking_settings())
+        model = cls(seed=state["seed"])
+        for name in ("forest_user", "forest_contribution", "forest_final"):
+            _check_settings(state[name],
+                            {"n_members": STACKING_ENSEMBLE_SIZE}, name + ".")
+            setattr(model, name, BaggingForest.from_state(state[name]))
         return model
 
 

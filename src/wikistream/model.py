@@ -110,24 +110,29 @@ class ValidationError(ValueError):
         super().__init__(prefix + message)
 
 
-def _check_probability_group(values, name, line=None):
-    for v in values:
-        if not math.isfinite(v) or v < 0.0 or v > 1.0:
-            raise ValidationError(
-                f"probability {v!r} outside [0, 1]", field=name, line=line
-            )
-    total = sum(values)
-    if abs(total - 1.0) > PROB_TOL:
+def check_row(counts, probs, line):
+    """Check one event or aggregate row: each (name, value) of ``counts``
+    finite and >= 0, and ``probs``, in PROB_COLUMNS order, one
+    probability vector per group. Raises ValidationError with the line
+    and field of the first breach."""
+    for name, value in counts:
+        if not math.isfinite(value) or value < 0:
+            raise ValidationError(f"count {value!r} must be finite and >= 0",
+                                  field=name, line=line)
+    if len(probs) != len(PROB_COLUMNS):
         raise ValidationError(
-            f"probability group sum {total:.8f} != 1", field=name, line=line
-        )
-
-
-def _check_count(value, name, line=None):
-    if not math.isfinite(value) or value < 0:
-        raise ValidationError(
-            f"count {value!r} must be finite and >= 0", field=name, line=line
-        )
+            f"expected {len(PROB_COLUMNS)} probabilities, got {len(probs)}",
+            field="probs", line=line)
+    for name, span in _PROB_GROUP_SLICES:
+        group = probs[span]
+        for v in group:
+            if not math.isfinite(v) or v < 0.0 or v > 1.0:
+                raise ValidationError(f"probability {v!r} outside [0, 1]",
+                                      field=name, line=line)
+        total = sum(group)
+        if abs(total - 1.0) > PROB_TOL:
+            raise ValidationError(f"probability group sum {total:.8f} != 1",
+                                  field=name, line=line)
 
 
 @dataclass(frozen=True)
@@ -148,14 +153,8 @@ class EditEvent:
 
     def validate(self, line=None):
         """Check all invariants; raises ValidationError on the first breach."""
-        for name in EVENT_COUNT_FIELDS:
-            _check_count(getattr(self, name), name, line=line)
-        if len(self.probs) != len(PROB_COLUMNS):
-            raise ValidationError(
-                f"expected {len(PROB_COLUMNS)} probabilities, "
-                f"got {len(self.probs)}", field="probs", line=line)
-        for name, span in _PROB_GROUP_SLICES:
-            _check_probability_group(self.probs[span], name, line=line)
+        check_row(((name, getattr(self, name)) for name in EVENT_COUNT_FIELDS),
+                  self.probs, line)
         return self
 
     @property
@@ -183,18 +182,6 @@ def derive_user_type(is_bot):
 def joint_class(user_type, contribution_type):
     """Cross product of the two binary labels, as a readable name."""
     return JOINT_CLASS_NAMES[(user_type, contribution_type)]
-
-
-@dataclass(frozen=True)
-class TargetLabels:
-    """Both binary targets plus their joint class name."""
-
-    user_type: int
-    contribution_type: int
-
-    @property
-    def joint_class(self):
-        return joint_class(self.user_type, self.contribution_type)
 
 
 @dataclass(frozen=True)
@@ -229,9 +216,17 @@ class DailyAggregate:
     def contribution_type(self):
         return derive_contribution_type(self.value("17.ok"))
 
-    @property
-    def labels(self):
-        return TargetLabels(self.user_type, self.contribution_type)
+    def validate(self, line):
+        """Check all invariants of an aggregate read from file ``line``:
+        every column that is not a probability is a count, mean or ratio,
+        so finite and >= 0. Raises ValidationError on the first breach."""
+        values = self.values
+        check_row(((column, values[i])
+                   for i, (_, column, group) in enumerate(CATALOGUE)
+                   if not group),
+                  tuple(values[FEATURE_INDEX[f]] for f in PROB_FEATURE_IDS),
+                  line)
+        return self
 
 
 @lru_cache(maxsize=64)

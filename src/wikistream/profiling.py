@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 
 from .model import (
-    FEATURE_IDS,
     FEATURE_INDEX,
+    N_FEATURES,
     PROB_FEATURE_IDS,
     ValidationError,
     feature_columns,
@@ -28,6 +27,11 @@ from .model import (
 SUM_FEATURES = ("3", "5", "9", "11", "12", "13", "14")
 MEAN_FEATURES = ("4", "6") + PROB_FEATURE_IDS
 
+_SUMS = feature_columns(SUM_FEATURES)
+_MEANS = feature_columns(MEAN_FEATURES)
+_REVIEWS, _PAGES, _REVERTS, _REVIEW_RATE, _PAGE_RATE, _REVERT_FREQUENCY = (
+    FEATURE_INDEX[fid] for fid in ("3", "5", "9", "7", "8", "10"))
+
 
 def elapsed_weeks(first_seen, last_seen):
     """Calendar weeks spanned by [first_seen, last_seen], at least 1."""
@@ -35,23 +39,14 @@ def elapsed_weeks(first_seen, last_seen):
     return max(1, math.ceil(days / 7))
 
 
-@dataclass(frozen=True)
-class ProfileSnapshot:
-    """Immutable view of a profile, safe to hand to classifiers."""
-
-    contributor_id: str
-    is_bot: bool
-    first_seen: date
-    last_seen: date
-    n_updates: int
-    values: tuple
-
-    def value(self, feature_id):
-        return self.values[FEATURE_INDEX[feature_id]]
-
-
 class ContributorProfile:
-    """Mutable per-contributor state, updated by each DailyAggregate."""
+    """Mutable per-contributor state, updated by each DailyAggregate.
+
+    ``values`` is one float row in FEATURE_IDS order: sums at the
+    SUM_FEATURES columns, running means at the MEAN_FEATURES columns,
+    and the weekly rates (7, 8) and revert frequency (10) derived from
+    the sums.
+    """
 
     def __init__(self, contributor_id, is_bot, first_seen):
         self.contributor_id = contributor_id
@@ -59,8 +54,7 @@ class ContributorProfile:
         self.first_seen = first_seen
         self.last_seen = first_seen
         self.n_updates = 0
-        self.sums = {fid: 0.0 for fid in SUM_FEATURES}
-        self.means = {fid: 0.0 for fid in MEAN_FEATURES}
+        self.values = np.zeros(N_FEATURES)
 
     def update(self, agg):
         self.n_updates += 1
@@ -68,33 +62,21 @@ class ContributorProfile:
             self.first_seen = agg.day
         if agg.day > self.last_seen:
             self.last_seen = agg.day
-        for fid in SUM_FEATURES:
-            self.sums[fid] += agg.value(fid)
-        n = self.n_updates
-        for fid in MEAN_FEATURES:
-            m = self.means[fid]
-            self.means[fid] = m + (agg.value(fid) - m) / n
-        return self.snapshot()
+        x = np.array(agg.values, dtype=float)
+        values = self.values
+        values[_SUMS] += x[_SUMS]
+        means = values[_MEANS]
+        values[_MEANS] = means + (x[_MEANS] - means) / self.n_updates
+        self._derive()
 
-    def snapshot(self):
+    def _derive(self):
+        values = self.values
         weeks = elapsed_weeks(self.first_seen, self.last_seen)
-        values = [0.0] * len(FEATURE_IDS)
-        for fid in SUM_FEATURES:
-            values[FEATURE_INDEX[fid]] = self.sums[fid]
-        for fid in MEAN_FEATURES:
-            values[FEATURE_INDEX[fid]] = self.means[fid]
-        reviews = self.sums["3"]
-        values[FEATURE_INDEX["7"]] = reviews / weeks
-        values[FEATURE_INDEX["8"]] = self.sums["5"] / weeks
-        values[FEATURE_INDEX["10"]] = self.sums["9"] / reviews if reviews else 0.0
-        return ProfileSnapshot(
-            contributor_id=self.contributor_id,
-            is_bot=self.is_bot,
-            first_seen=self.first_seen,
-            last_seen=self.last_seen,
-            n_updates=self.n_updates,
-            values=tuple(values),
-        )
+        reviews = values[_REVIEWS]
+        values[_REVIEW_RATE] = reviews / weeks
+        values[_PAGE_RATE] = values[_PAGES] / weeks
+        values[_REVERT_FREQUENCY] = (values[_REVERTS] / reviews if reviews
+                                     else 0.0)
 
     def to_record(self):
         return {
@@ -103,8 +85,8 @@ class ContributorProfile:
             "first_seen": self.first_seen.isoformat(),
             "last_seen": self.last_seen.isoformat(),
             "n_updates": self.n_updates,
-            "sums": self.sums,
-            "means": self.means,
+            "sums": dict(zip(SUM_FEATURES, self.values[_SUMS].tolist())),
+            "means": dict(zip(MEAN_FEATURES, self.values[_MEANS].tolist())),
         }
 
     @classmethod
@@ -134,16 +116,17 @@ class ContributorProfile:
 
         def table(name, ids):
             values = field(name, dict)
-            return {fid: float(checked(values.get(fid), (int, float),
-                                       f"{name}.{fid}"))
-                    for fid in ids}
+            return [float(checked(values.get(fid), (int, float),
+                                  f"{name}.{fid}"))
+                    for fid in ids]
 
         profile = cls(field("contributor_id", str), field("is_bot", bool),
                       day("first_seen"))
         profile.last_seen = day("last_seen")
         profile.n_updates = field("n_updates", int)
-        profile.sums = table("sums", SUM_FEATURES)
-        profile.means = table("means", MEAN_FEATURES)
+        profile.values[_SUMS] = table("sums", SUM_FEATURES)
+        profile.values[_MEANS] = table("means", MEAN_FEATURES)
+        profile._derive()
         return profile
 
 
@@ -166,7 +149,8 @@ class ProfileStore:
         return self._profiles.values()
 
     def update(self, agg):
-        """Fold one aggregate in; returns the refreshed snapshot.
+        """Fold one aggregate in; returns a copy of the profile's
+        refreshed feature row.
 
         An aggregate whose ``is_bot`` flag differs from its contributor's
         profile is rejected.
@@ -179,7 +163,8 @@ class ProfileStore:
             raise ValidationError(
                 f"contributor {agg.contributor_id!r} changes its is_bot flag "
                 "between rows", field="is_bot")
-        return profile.update(agg)
+        profile.update(agg)
+        return profile.values.copy()
 
     def export_jsonl(self, path):
         with open(Path(path), "w", encoding="utf-8") as handle:
@@ -207,11 +192,11 @@ class ProfileStore:
         return store
 
 
-def to_feature_vector(snapshot, feature_set):
-    """The snapshot's values for ``feature_set``, as a float array in the
+def to_feature_vector(values, feature_set):
+    """A profile row's values for ``feature_set``, as a float array in the
     set's order. Rejects unknown or duplicate ids and non-finite values."""
     ids = tuple(feature_set.feature_ids)
-    x = np.array(snapshot.values)[feature_columns(ids)]
+    x = np.asarray(values, dtype=float)[feature_columns(ids)]
     finite = np.isfinite(x)
     if not finite.all():
         raise ValidationError(

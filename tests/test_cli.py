@@ -6,6 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from wikistream.cli import main
+from wikistream.ingest import load_stream, write_aggregates
+from tests.test_ingest import INVALID_AGGREGATE_COLUMNS, with_columns
 
 
 def run(*args):
@@ -185,6 +187,19 @@ class TestEvaluateCommand:
                      "--out", tmp_path / "eval")
         assert result.exit_code == 2
         assert "no contributor-days" in result.output
+        assert not (tmp_path / "eval" / "metrics.json").exists()
+
+    @pytest.mark.parametrize("columns,field", INVALID_AGGREGATE_COLUMNS)
+    def test_invalid_aggregate_row_exits_validation(self, tmp_path, columns,
+                                                    field):
+        aggs = load_stream(simulate_stream(tmp_path / "sim"))
+        stream = tmp_path / "stream.csv"
+        write_aggregates([with_columns(aggs[0], **columns)] + aggs[1:],
+                         stream)
+        result = run("evaluate", stream, "--classifier", "nb",
+                     "--out", tmp_path / "eval")
+        assert result.exit_code == 2, result.output
+        assert f"line 2: field '{field}'" in result.output
         assert not (tmp_path / "eval" / "metrics.json").exists()
 
     def test_report_renders_metrics(self, tmp_path):

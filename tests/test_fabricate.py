@@ -226,7 +226,8 @@ class TestSynthesizeBotSamples:
         rows = synthetic_to_aggregates(batches[0], start, end, seed=5)
         for agg in rows:
             assert start <= agg.day <= end
-            assert agg.labels is not None  # derivable labels
+            # derivable labels
+            assert (agg.user_type, agg.contribution_type) in {(1, 0), (1, 1)}
 
 
 class TestCompareStats:

@@ -7,7 +7,6 @@ import pytest
 from wikistream.ingest import (
     AGGREGATE_COLUMNS,
     EVENT_COLUMNS,
-    StreamSource,
     aggregate_daily,
     load_stream,
     parse_events,
@@ -15,7 +14,7 @@ from wikistream.ingest import (
     summarize,
     write_aggregates,
 )
-from wikistream.model import ValidationError
+from wikistream.model import FEATURE_COLUMNS, ValidationError
 from tests.test_model import make_event
 
 
@@ -37,7 +36,7 @@ class TestParseEvents:
         path = tmp_path / "events.csv"
         write_event_csv(path, [make_event(contributor_id=f"c{i}")
                                for i in range(3)])
-        events = parse_events(StreamSource(path))
+        events = parse_events(path)
         assert len(events) == 3
 
     def test_probability_group_violation_names_line(self, tmp_path):
@@ -52,14 +51,14 @@ class TestParseEvents:
             writer.writerow(event_row(make_event()))
             writer.writerow(row)
         with pytest.raises(ValidationError) as exc:
-            parse_events(StreamSource(path))
+            parse_events(path)
         assert "probability group sum" in str(exc.value)
         assert "line 3" in str(exc.value)
 
     def test_empty_file_yields_empty_sequence(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text("", encoding="utf-8")
-        assert parse_events(StreamSource(path)) == []
+        assert parse_events(path) == []
 
     def test_malformed_number_reports_field(self, tmp_path):
         path = tmp_path / "events.csv"
@@ -70,12 +69,12 @@ class TestParseEvents:
             writer.writeheader()
             writer.writerow(row)
         with pytest.raises(ValidationError) as exc:
-            parse_events(StreamSource(path))
+            parse_events(path)
         assert "links" in str(exc.value)
 
     def test_missing_path(self, tmp_path):
         with pytest.raises(ValidationError):
-            parse_events(StreamSource(tmp_path / "nope.csv"))
+            parse_events(tmp_path / "nope.csv")
 
     def test_jsonl_round_trip(self, tmp_path):
         import json
@@ -84,7 +83,7 @@ class TestParseEvents:
         with open(path, "w", encoding="utf-8") as handle:
             for row in rows:
                 handle.write(json.dumps(row) + "\n")
-        assert len(parse_events(StreamSource(path))) == 2
+        assert len(parse_events(path)) == 2
 
 
 class TestAggregateDaily:
@@ -183,6 +182,22 @@ class TestSummarize:
         assert summary.joint_histogram["human-malign"] == 1
 
 
+def with_columns(agg, **columns):
+    """``agg`` with the given aggregate-file columns replaced."""
+    values = list(agg.values)
+    for column, value in columns.items():
+        values[FEATURE_COLUMNS.index(column)] = value
+    return replace(agg, values=tuple(values))
+
+
+# Aggregate rows that break a column invariant, and the field named.
+INVALID_AGGREGATE_COLUMNS = [
+    ({"f4": -5.0}, "f4"),
+    ({"dmg_t": 0.9, "dmg_f": 0.9}, "damaging"),
+    ({"art_ok": 1.7}, "article_quality"),
+]
+
+
 class TestAggregateSchema:
     def test_round_trip(self, tmp_path):
         events = [make_event(contributor_id=f"c{i}", is_bot=i % 2 == 0)
@@ -190,14 +205,14 @@ class TestAggregateSchema:
         aggs = aggregate_daily(events)
         path = tmp_path / "aggs.csv"
         write_aggregates(aggs, path)
-        back = read_aggregates(StreamSource(path))
+        back = read_aggregates(path)
         assert back == aggs
 
     def test_jsonl_round_trip(self, tmp_path):
         aggs = aggregate_daily([make_event()])
         path = tmp_path / "aggs.jsonl"
         write_aggregates(aggs, path)
-        assert read_aggregates(StreamSource(path)) == aggs
+        assert read_aggregates(path) == aggs
 
     def test_load_stream_detects_schema(self, tmp_path):
         events = [make_event(contributor_id=f"c{i}") for i in range(3)]
@@ -216,6 +231,18 @@ class TestAggregateSchema:
         with pytest.raises(ValidationError) as exc:
             load_stream(path)
         assert exc.value.field == "is_bot"
+
+    @pytest.mark.parametrize("suffix,line", [(".csv", 3), (".jsonl", 2)])
+    @pytest.mark.parametrize("columns,field", INVALID_AGGREGATE_COLUMNS)
+    def test_invalid_row_names_line_and_field(self, tmp_path, suffix, line,
+                                              columns, field):
+        aggs = aggregate_daily([make_event(contributor_id=f"c{i}")
+                                for i in range(2)])
+        path = tmp_path / f"aggs{suffix}"
+        write_aggregates([aggs[0], with_columns(aggs[1], **columns)], path)
+        with pytest.raises(ValidationError) as exc:
+            read_aggregates(path)
+        assert exc.value.line == line and exc.value.field == field
 
     def test_synthetic_column_present(self):
         assert "synthetic" in AGGREGATE_COLUMNS

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wikistream.analysis import SET3_TARGET1, SET3_TARGET2, FeatureSet
+from wikistream.analysis import SET3_TARGET1, SET3_TARGET2
 from wikistream.learn import (
     BaggingForest,
     GaussianNaiveBayes,
@@ -119,6 +119,19 @@ class TestHoeffdingTree:
             assert np.allclose(restored.predict_proba(x),
                                tree.predict_proba(x))
 
+    @pytest.mark.parametrize("name,value", [
+        ("delta", 1e-3), ("tie_threshold", 0.1), ("grace_period", 50),
+        ("max_depth", 5)])
+    def test_checkpoint_with_other_setting_rejected(self, name, value):
+        tree = HoeffdingTree()
+        tree.learn_one([0.0, 1.0], 0)
+        state = tree.to_state()
+        assert state[name] == HoeffdingTree().to_state()[name]
+        state[name] = value
+        with pytest.raises(ValidationError) as exc:
+            HoeffdingTree.from_state(state)
+        assert exc.value.field == name
+
     def test_round_trip_continues_identically(self):
         xs, ys = threshold_stream(1000, seed=4)
         tree = HoeffdingTree()
@@ -180,6 +193,15 @@ class TestBaggingForest:
                 correct += 1
             forest.learn_one(x, int(y))
         assert correct / 1000 >= 0.9
+
+    def test_member_with_other_setting_rejected(self):
+        forest = BaggingForest(n_members=3, seed=0)
+        forest.learn_one(np.zeros(4), 0)
+        state = forest.to_state()
+        state["members"][2]["grace_period"] = 10
+        with pytest.raises(ValidationError) as exc:
+            BaggingForest.from_state(state)
+        assert exc.value.field == "members.2.grace_period"
 
     def test_state_round_trip(self):
         xs, ys = threshold_stream(600, seed=3)
@@ -275,8 +297,27 @@ class TestStackingModel:
         assert StackingModel(seed=0).features.feature_ids == FEATURE_IDS
 
     def test_unknown_feature_rejected(self):
-        with pytest.raises(ValidationError):
-            StackingModel(user_features=FeatureSet("bad", ("99",)))
+        state = StackingModel(seed=0).to_state()
+        state["user_features"] = ["99"]
+        with pytest.raises(ValidationError) as exc:
+            StackingModel.from_state(state)
+        assert exc.value.field == "user_features"
+
+    @pytest.mark.parametrize("name,value,field", [
+        ("contribution_features", list(SET3_TARGET1.feature_ids),
+         "contribution_features"),
+        ("include_base_features", False, "include_base_features"),
+        ("forest_final", {"n_members": 10}, "forest_final.n_members"),
+    ])
+    def test_checkpoint_with_other_setting_rejected(self, name, value, field):
+        state = StackingModel(seed=0).to_state()
+        if isinstance(value, dict):
+            state[name].update(value)
+        else:
+            state[name] = value
+        with pytest.raises(ValidationError) as exc:
+            StackingModel.from_state(state)
+        assert exc.value.field == field
 
     def test_wrong_input_length_rejected(self):
         model = StackingModel(seed=0)

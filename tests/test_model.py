@@ -10,7 +10,6 @@ from wikistream.model import (
     PROBABILITY_GROUPS,
     DailyAggregate,
     EditEvent,
-    TargetLabels,
     ValidationError,
     derive_contribution_type,
     derive_user_type,
@@ -74,8 +73,8 @@ class TestJointClass:
                          "bot-benign", "bot-malign"}
 
     def test_target_labels(self):
-        assert TargetLabels(1, 1).joint_class == "bot-malign"
-        assert TargetLabels(0, 0).joint_class == "human-benign"
+        assert joint_class(1, 1) == "bot-malign"
+        assert joint_class(0, 0) == "human-benign"
 
 
 class TestEditEventValidation:
@@ -121,7 +120,8 @@ class TestDailyAggregate:
                                              "17.spam": 0.05,
                                              "17.vandalism": 0.05}))
         assert agg.contribution_type == 0
-        assert agg.labels.joint_class == "human-benign"
+        assert joint_class(agg.user_type,
+                           agg.contribution_type) == "human-benign"
 
     def test_requires_at_least_one_review(self):
         with pytest.raises(ValidationError):

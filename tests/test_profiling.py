@@ -14,6 +14,10 @@ from wikistream.profiling import (
 from tests.test_model import make_event
 
 
+def value(row, feature_id):
+    return row[FEATURE_INDEX[feature_id]]
+
+
 def day_aggregate(**overrides):
     defaults = dict(contributor_id="c1", timestamp=date(2020, 1, 1))
     defaults.update(overrides)
@@ -37,14 +41,14 @@ class TestElapsedWeeks:
 class TestProfileUpdates:
     def test_weekly_review_rate_first_week(self):
         store = ProfileStore()
-        snapshot = None
+        row = None
         for d in range(1, 8):
             events = [make_event(timestamp=date(2020, 1, d))
                       for _ in range(2)]
-            snapshot = store.update(aggregate_daily(events)[0])
+            row = store.update(aggregate_daily(events)[0])
         # 14 reviews in one calendar week
-        assert snapshot.value("7") == pytest.approx(14.0)
-        assert snapshot.value("3") == 14.0
+        assert value(row, "7") == pytest.approx(14.0)
+        assert value(row, "3") == 14.0
 
     def test_revert_ratio_accumulates(self):
         store = ProfileStore()
@@ -55,48 +59,50 @@ class TestProfileUpdates:
             date(2020, 1, 2): [make_event(timestamp=date(2020, 1, 2))
                                for _ in range(5)],
         }
-        snapshot = None
+        row = None
         for day in sorted(events_by_day):
-            snapshot = store.update(aggregate_daily(events_by_day[day])[0])
+            row = store.update(aggregate_daily(events_by_day[day])[0])
         # 1 revert over 10 reviews
-        assert snapshot.value("10") == pytest.approx(0.1)
+        assert value(row, "10") == pytest.approx(0.1)
 
     def test_quality_features_are_running_means(self):
         store = ProfileStore()
-        snapshot = store.update(day_aggregate(art_ok=0.6, art_attack=0.2,
-                                              art_spam=0.1, art_vandalism=0.1))
-        snapshot = store.update(day_aggregate(timestamp=date(2020, 1, 2),
-                                              art_ok=0.2, art_attack=0.4,
-                                              art_spam=0.2, art_vandalism=0.2))
-        assert snapshot.value("17.ok") == pytest.approx(0.4)
+        store.update(day_aggregate(art_ok=0.6, art_attack=0.2,
+                                   art_spam=0.1, art_vandalism=0.1))
+        row = store.update(day_aggregate(timestamp=date(2020, 1, 2),
+                                         art_ok=0.2, art_attack=0.4,
+                                         art_spam=0.2, art_vandalism=0.2))
+        assert value(row, "17.ok") == pytest.approx(0.4)
 
     def test_running_mean_matches_batch_oracle(self):
         rng = np.random.default_rng(0)
         store = ProfileStore()
         lengths = rng.uniform(5.0, 500.0, size=50)
-        snapshot = None
+        row = None
         for i, length in enumerate(lengths):
             agg = day_aggregate(timestamp=date(2020, 1, 1)
                                 + timedelta(days=i),
                                 review_length=float(length))
-            snapshot = store.update(agg)
-        assert snapshot.value("4") == pytest.approx(float(np.mean(lengths)),
-                                                    abs=1e-9)
+            row = store.update(agg)
+        assert value(row, "4") == pytest.approx(float(np.mean(lengths)),
+                                                abs=1e-9)
 
     def test_sum_features_accumulate(self):
         store = ProfileStore()
         store.update(day_aggregate(chars_inserted=30.0))
-        snapshot = store.update(day_aggregate(timestamp=date(2020, 1, 2),
-                                              chars_inserted=50.0))
-        assert snapshot.value("13") == 80.0
+        row = store.update(day_aggregate(timestamp=date(2020, 1, 2),
+                                         chars_inserted=50.0))
+        assert value(row, "13") == 80.0
 
     def test_snapshot_is_immutable_view(self):
+        # update returns a copy of the row: later updates leave it as it was
         store = ProfileStore()
         first = store.update(day_aggregate())
+        kept = first.copy()
         second = store.update(day_aggregate(timestamp=date(2020, 1, 2)))
-        assert first.n_updates == 1
-        assert second.n_updates == 2
-        assert first.values != second.values
+        assert store.get("c1").n_updates == 2
+        assert np.array_equal(first, kept)
+        assert not np.array_equal(first, second)
 
     def test_bot_flag_change_rejected(self):
         store = ProfileStore()
@@ -115,40 +121,39 @@ class TestProfileUpdates:
         a = ProfileStore()
         b = ProfileStore()
         for agg in aggs:
-            snap_a = a.update(agg)
-            snap_b = b.update(agg)
-        assert snap_a == snap_b
+            row_a = a.update(agg)
+            row_b = b.update(agg)
+        assert np.array_equal(row_a, row_b)
+        assert a.get("c1").to_record() == b.get("c1").to_record()
 
 
 class TestFeatureVectors:
-    def _snapshot(self):
+    def _row(self):
         return ProfileStore().update(day_aggregate())
 
     def test_preset_sizes(self):
-        snapshot = self._snapshot()
-        assert to_feature_vector(snapshot, SET1).shape == (12,)
-        assert to_feature_vector(snapshot, SET3_TARGET1).shape == (10,)
-        assert to_feature_vector(snapshot, SET3_TARGET2).shape == (5,)
+        row = self._row()
+        assert to_feature_vector(row, SET1).shape == (12,)
+        assert to_feature_vector(row, SET3_TARGET1).shape == (10,)
+        assert to_feature_vector(row, SET3_TARGET2).shape == (5,)
 
     def test_order_matches_feature_set(self):
-        snapshot = self._snapshot()
-        x = to_feature_vector(snapshot, SET3_TARGET2)
+        row = self._row()
+        x = to_feature_vector(row, SET3_TARGET2)
         assert x.dtype == np.float64
-        for fid, value in zip(SET3_TARGET2.feature_ids, x):
-            assert value == snapshot.values[FEATURE_INDEX[fid]]
+        for fid, x_value in zip(SET3_TARGET2.feature_ids, x):
+            assert x_value == value(row, fid)
 
     def test_unknown_feature_rejected(self):
         from wikistream.analysis import FeatureSet
         with pytest.raises(ValidationError):
-            to_feature_vector(self._snapshot(), FeatureSet("bad", ("99",)))
+            to_feature_vector(self._row(), FeatureSet("bad", ("99",)))
 
     def test_non_finite_rejected(self):
-        from dataclasses import replace
-        snapshot = self._snapshot()
-        values = list(snapshot.values)
-        values[FEATURE_INDEX["4"]] = float("nan")
+        row = self._row()
+        row[FEATURE_INDEX["4"]] = float("nan")
         with pytest.raises(ValidationError) as exc:
-            to_feature_vector(replace(snapshot, values=tuple(values)), SET1)
+            to_feature_vector(row, SET1)
         assert "non-finite value for 4" in str(exc.value)
 
 
@@ -164,7 +169,9 @@ class TestPersistence:
         restored = ProfileStore.import_jsonl(path)
         assert len(restored) == 2
         for cid in ("a", "b"):
-            assert restored.get(cid).snapshot() == store.get(cid).snapshot()
+            back, original = restored.get(cid), store.get(cid)
+            assert back.to_record() == original.to_record()
+            assert np.array_equal(back.values, original.values)
 
     def test_restored_store_continues_identically(self, tmp_path):
         store = ProfileStore()
@@ -174,7 +181,8 @@ class TestPersistence:
         restored = ProfileStore.import_jsonl(path)
         follow_up = day_aggregate(timestamp=date(2020, 1, 9),
                                   review_length=42.0)
-        assert restored.update(follow_up) == store.update(follow_up)
+        assert np.array_equal(restored.update(follow_up),
+                              store.update(follow_up))
 
 
 class TestImportValidation:

@@ -1,22 +1,36 @@
 """
-Property-based tests of the classifiers' contracts.
+Property-based tests of the classifiers' contracts, the aggregate files
+and the profiles.
 
-Hypothesis draws the shape of a stream (arity, length, class count,
-value pattern, seed); numpy draws the values from that seed, which keeps
-long streams cheap to generate.
+For the classifiers, hypothesis draws the shape of a stream (arity,
+length, class count, value pattern, seed); numpy draws the values from
+that seed, which keeps long streams cheap to generate.
 """
+
+import math
+import sys
+import tempfile
+from datetime import date
+from pathlib import Path
 
 import numpy as np
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from wikistream.ingest import read_aggregates, write_aggregates
 from wikistream.learn import (
     BaggingForest,
     HoeffdingTree,
     StackingModel,
     make_classifier,
 )
-from wikistream.model import FEATURE_IDS
+from wikistream.model import (
+    CATALOGUE,
+    FEATURE_IDS,
+    FEATURE_INDEX,
+    DailyAggregate,
+)
+from wikistream.profiling import ProfileStore
 
 PATTERNS = ("uniform", "constant", "ties", "wide")
 
@@ -95,3 +109,83 @@ def test_one_member_forest_is_the_tree(stream):
         tree.learn_one(x, y)
     assert forest.to_state()["members"] == [tree.to_state()]
     event(f"tree nodes: {len(tree.store.nodes[0])}")
+
+
+# Profile sums of these columns add integers, so any order gives one value.
+INTEGER_SUMS = ("3", "5", "9", "13", "14")
+
+
+@st.composite
+def aggregate_values(draw):
+    """A valid aggregate row: counts finite and >= 0 (whole numbers at
+    INTEGER_SUMS, at least one review), every probability group a
+    distribution."""
+    values = [0.0] * len(FEATURE_IDS)
+    groups = {}
+    for fid, _, group in CATALOGUE:
+        if group:
+            groups.setdefault(group, []).append(FEATURE_INDEX[fid])
+        elif fid in INTEGER_SUMS:
+            values[FEATURE_INDEX[fid]] = float(draw(st.integers(
+                1 if fid == "3" else 0, 10 ** 6)))
+        else:
+            values[FEATURE_INDEX[fid]] = draw(st.floats(0.0, 1e9))
+    for columns in groups.values():
+        weights = draw(st.lists(st.floats(0.0, 1.0), min_size=len(columns),
+                                max_size=len(columns)))
+        total = sum(weights)
+        for column, weight in zip(columns, weights):
+            values[column] = (weight / total if total > 0
+                              else 1.0 / len(columns))
+    return tuple(values)
+
+
+@st.composite
+def aggregate_rows(draw):
+    ids = draw(st.lists(st.text(st.characters(codec="utf-8",
+                                              exclude_categories=("Cs", "Cc")),
+                                min_size=1, max_size=8),
+                        min_size=1, max_size=4, unique=True))
+    bots = {cid: draw(st.booleans()) for cid in ids}
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from(ids),
+        st.dates(date(2000, 1, 1), date(2099, 12, 31)),
+        st.booleans(), aggregate_values()), min_size=1, max_size=12))
+    return [DailyAggregate(cid, day, bots[cid], values, synthetic)
+            for cid, day, synthetic, values in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=aggregate_rows(), suffix=st.sampled_from([".csv", ".jsonl"]))
+def test_aggregate_file_round_trip_is_exact(rows, suffix):
+    rows = sorted(rows, key=lambda a: (a.day, a.contributor_id))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"stream{suffix}"
+        write_aggregates(rows, path)
+        assert read_aggregates(path) == rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_profile_is_independent_of_fold_order(data):
+    days = data.draw(st.lists(st.dates(date(2020, 1, 1), date(2021, 12, 31)),
+                              min_size=1, max_size=30, unique=True))
+    aggs = [DailyAggregate("c", day, False, data.draw(aggregate_values()))
+            for day in days]
+    stores = []
+    for order in (aggs, data.draw(st.permutations(aggs))):
+        store = ProfileStore()
+        for agg in order:
+            store.update(agg)
+        stores.append(store.get("c"))
+    a, b = stores
+    assert (a.n_updates, a.first_seen, a.last_seen) == \
+        (b.n_updates, b.first_seen, b.last_seen)
+    for fid, x, y in zip(FEATURE_IDS, a.values.tolist(), b.values.tolist()):
+        if fid in INTEGER_SUMS:
+            assert x == y, fid
+        else:
+            # relative precision holds down to the smallest normal float;
+            # subnormal running means may differ in their last bits
+            assert math.isclose(x, y, rel_tol=1e-9,
+                                abs_tol=sys.float_info.min), fid

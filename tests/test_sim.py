@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from wikistream.analysis import pearson
-from wikistream.ingest import aggregate_daily, parse_events, StreamSource
-from wikistream.model import ValidationError
+from wikistream.ingest import aggregate_daily, parse_events
+from wikistream.model import FEATURE_IDS, ValidationError
 from wikistream.profiling import ProfileStore
 from wikistream.sim import (
     ARCHETYPE_NAMES,
@@ -112,15 +112,13 @@ class TestSeparability:
         store = ProfileStore()
         for agg in aggregate_daily(events):
             store.update(agg)
-        rows = []
-        for profile in store.profiles():
-            snapshot = profile.snapshot()
-            rows.append((labels[snapshot.contributor_id], snapshot))
-        return rows
+        return [(labels[profile.contributor_id],
+                 dict(zip(FEATURE_IDS, profile.values.tolist())))
+                for profile in store.profiles()]
 
     def test_weekly_rate_separates_bots_when_noiseless(self):
         rows = self._profiles(noise=0.0)
-        rates = [snap.value("7") for _, snap in rows]
+        rates = [snap["7"] for _, snap in rows]
         is_bot = [1.0 if name.startswith("bot") else 0.0 for name, _ in rows]
         assert abs(pearson(rates, is_bot)) > 0.9
 
@@ -128,11 +126,11 @@ class TestSeparability:
         # threshold oracle on (weekly rate, mean OK score): bots edit an
         # order of magnitude more, malign profiles sit below OK = 0.5
         rows = self._profiles(noise=0.0)
-        rates = np.array([snap.value("7") for _, snap in rows])
+        rates = np.array([snap["7"] for _, snap in rows])
         boundary = np.sqrt(rates.min() * rates.max())
         for name, snap in rows:
-            predicted_bot = snap.value("7") > boundary
-            predicted_malign = snap.value("17.ok") < 0.5
+            predicted_bot = snap["7"] > boundary
+            predicted_malign = snap["17.ok"] < 0.5
             assert predicted_bot == name.startswith("bot")
             assert predicted_malign == name.endswith("malign")
 
@@ -141,7 +139,7 @@ class TestSeparability:
             rows = self._profiles(noise=noise)
             ok = {True: [], False: []}
             for name, snap in rows:
-                ok[name.endswith("malign")].append(snap.value("17.ok"))
+                ok[name.endswith("malign")].append(snap["17.ok"])
             return np.mean(ok[False]) - np.mean(ok[True])
 
         assert spread(0.0) > spread(0.8) > 0
@@ -152,7 +150,7 @@ class TestOutputFiles:
         cfg = SimConfig(counts={"human-benign": 3, "bot-malign": 3},
                         n_days=4, seed=0)
         events_path, labels_path = write_simulation(cfg, tmp_path)
-        events = parse_events(StreamSource(events_path))
+        events = parse_events(events_path)
         reference, _ = simulate(cfg)
         assert events == reference
         text = labels_path.read_text(encoding="utf-8")
