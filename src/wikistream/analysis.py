@@ -8,13 +8,13 @@ model trained by proximal gradient descent with backtracking.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .ingest import write_rows
 from .model import FEATURE_IDS, N_FEATURES, ValidationError, feature_columns
 
 DEFAULT_CORRELATION_THRESHOLD = 0.15
@@ -80,15 +80,11 @@ class CorrelationReport:
                 if abs(r) > self.threshold}
 
     def write_csv(self, path):
-        with open(Path(path), "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["feature_id", "r", "selected"])
-            for fid in self.feature_ids:
-                if fid in self.target_correlations:
-                    r = self.target_correlations[fid]
-                    writer.writerow([fid, repr(r), int(abs(r) > self.threshold)])
-            for fid in self.undefined:
-                writer.writerow([fid, "undefined", 0])
+        r = self.target_correlations
+        rows = [(fid, repr(r[fid]), int(abs(r[fid]) > self.threshold))
+                for fid in self.feature_ids if fid in r]
+        rows += [(fid, "undefined", 0) for fid in self.undefined]
+        write_rows(rows, ("feature_id", "r", "selected"), path)
 
     def write_json(self, path):
         payload = {

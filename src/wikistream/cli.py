@@ -9,7 +9,6 @@ JSON plus a rendered table.
 
 from __future__ import annotations
 
-import csv
 import json
 import sys
 from functools import wraps
@@ -264,11 +263,8 @@ def evaluate_cmd(input, classifier, features, target, seed, do_balance,
             classifier_name=classifier)
     report.write_json(out_dir / "metrics.json")
     evaluate.write_prediction_log(log, out_dir / "predictions.csv")
-    with open(out_dir / "window_series.csv", "w", newline="",
-              encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["end_index", "window_accuracy"])
-        writer.writerows(report.window_series)
+    ingest.write_rows(report.window_series, ("end_index", "window_accuracy"),
+                      out_dir / "window_series.csv")
     click.echo(evaluate.TABLE_HEADER)
     click.echo(evaluate.render_table_row(report.to_dict(), label=classifier))
     click.echo(f"mean latency: {report.ms_per_event:.3f} ms/event")

@@ -8,14 +8,14 @@ averages, a sliding-window accuracy series and per-event latency.
 
 from __future__ import annotations
 
-import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .ingest import write_rows
 from .model import ValidationError
 from .profiling import ProfileStore, to_feature_vector
 
@@ -101,27 +101,14 @@ class MetricsReport:
     window_series: list      # (end index, window accuracy)
     final_window_accuracy: float
     elapsed_seconds: float
+    # Both count contributor-days, the samples of the stream, not raw
+    # edit events; the names stay for the metrics.json keys.
     events_per_second: float
     ms_per_event: float
 
     def to_dict(self):
-        return {
-            "schema_version": 1,
-            "classifier": self.classifier,
-            "target": self.target,
-            "n_samples": self.n_samples,
-            "accuracy": self.accuracy,
-            "per_class": {str(k): v for k, v in self.per_class.items()},
-            "macro_f": self.macro_f,
-            "micro_f": self.micro_f,
-            "confusion": self.confusion,
-            "window_size": self.window_size,
-            "window_series": self.window_series,
-            "final_window_accuracy": self.final_window_accuracy,
-            "elapsed_seconds": self.elapsed_seconds,
-            "events_per_second": self.events_per_second,
-            "ms_per_event": self.ms_per_event,
-        }
+        return {"schema_version": 1, **asdict(self),
+                "per_class": {str(k): v for k, v in self.per_class.items()}}
 
     def write_json(self, path):
         with open(Path(path), "w", encoding="utf-8") as handle:
@@ -248,16 +235,11 @@ def prequential_run_stacking(stream, model, store=None,
 
 def write_prediction_log(log, path):
     """Prediction log as CSV: index, id, labels, probabilities, latency."""
-    with open(Path(path), "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["index", "contributor_id", "true", "predicted",
-                         "probabilities", "latency_us"])
-        for r in log:
-            writer.writerow([
-                r.index, r.contributor_id, r.true, r.predicted,
-                ";".join(repr(p) for p in r.probabilities),
-                f"{r.latency_us:.1f}",
-            ])
+    write_rows(((r.index, r.contributor_id, r.true, r.predicted,
+                 ";".join(map(repr, r.probabilities)), f"{r.latency_us:.1f}")
+                for r in log),
+               ("index", "contributor_id", "true", "predicted",
+                "probabilities", "latency_us"), path)
 
 
 def _metric(metrics, *path, kind=(int, float)):

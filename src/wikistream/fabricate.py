@@ -9,14 +9,13 @@ the real stream to even out the bot/human imbalance.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from datetime import timedelta
-from pathlib import Path
 
 import numpy as np
 
 from .analysis import SET2, feature_matrix
+from .ingest import write_rows
 from .model import (
     FEATURE_IDS,
     FEATURE_INDEX,
@@ -345,17 +344,11 @@ class StatComparison:
     changes: dict = field(default_factory=dict)
 
     def write_csv(self, path):
-        stats = list(self.changes)
-        with open(Path(path), "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["feature_id"] + stats)
-            for j, fid in enumerate(self.feature_ids):
-                row = [fid]
-                for stat in stats:
-                    delta = self.changes[stat][j]
-                    row.append("n/a (zero base)" if delta is None
-                               else f"{delta:.2f}")
-                writer.writerow(row)
+        rows = ((fid, *("n/a (zero base)" if delta is None else f"{delta:.2f}"
+                        for delta in deltas))
+                for fid, *deltas in zip(self.feature_ids,
+                                        *self.changes.values()))
+        write_rows(rows, ("feature_id", *self.changes), path)
 
 
 def compare_stats(original, synthetic):

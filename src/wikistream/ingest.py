@@ -8,6 +8,10 @@ Two on-disk schemas are supported:
 * the aggregate schema (one contributor-day per row) used to persist
   balanced / synthetic streams. Aggregate files carry a ``synthetic``
   provenance column.
+
+Each schema is one table of (column, parser) pairs. Every line-oriented
+file of the package is written by ``write_rows`` and read through one
+CSV and one JSON-lines reader, chosen by the ``.jsonl`` suffix.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ import csv
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
-from datetime import date, datetime
+from dataclasses import asdict, dataclass, field
+from datetime import datetime
 from pathlib import Path
 
 from .model import (
@@ -33,18 +37,17 @@ from .model import (
     joint_class,
 )
 
-EVENT_COLUMNS = (("contributor_id", "is_bot", "page_id", "timestamp")
-                 + EVENT_COUNT_FIELDS + ("was_reverted",) + PROB_COLUMNS)
-
-AGGREGATE_COLUMNS = (
-    ("contributor_id", "day", "is_bot", "synthetic") + FEATURE_COLUMNS)
-
 
 def _is_jsonl(path):
     return Path(path).suffix == ".jsonl"
 
 
+def _parse_str(raw, name, line):
+    return str(raw)
+
+
 def _parse_bool(raw, name, line):
+    raw = str(raw)
     if raw in ("0", "false", "False"):
         return False
     if raw in ("1", "true", "True"):
@@ -70,47 +73,86 @@ def _parse_day(raw, name, line):
             f"not an ISO-8601 date or datetime: {raw!r}", field=name, line=line)
 
 
-def _event_from_record(record, line):
-    missing = [c for c in EVENT_COLUMNS if record.get(c) in (None, "")]
-    if missing:
-        raise ValidationError(f"missing column(s) {missing}", line=line)
-    event = EditEvent(
-        contributor_id=str(record["contributor_id"]),
-        is_bot=_parse_bool(str(record["is_bot"]), "is_bot", line),
-        page_id=str(record["page_id"]),
-        timestamp=_parse_day(record["timestamp"], "timestamp", line),
-        **{name: _parse_float(record[name], name, line)
-           for name in EVENT_COUNT_FIELDS},
-        was_reverted=_parse_bool(str(record["was_reverted"]), "was_reverted", line),
-        probs=tuple(_parse_float(record[c], c, line) for c in PROB_COLUMNS),
-    )
-    return event.validate(line=line)
+# The file schemas: (column, parser) per column, in file order. An event
+# row's columns follow EditEvent's fields, an aggregate row's are
+# DailyAggregate's with ``synthetic`` moved ahead of the feature values.
+EVENT_SCHEMA = (
+    ("contributor_id", _parse_str), ("is_bot", _parse_bool),
+    ("page_id", _parse_str), ("timestamp", _parse_day),
+    *((name, _parse_float) for name in EVENT_COUNT_FIELDS),
+    ("was_reverted", _parse_bool),
+    *((column, _parse_float) for column in PROB_COLUMNS))
+
+AGGREGATE_SCHEMA = (
+    ("contributor_id", _parse_str), ("day", _parse_day),
+    ("is_bot", _parse_bool), ("synthetic", _parse_bool),
+    *((column, _parse_float) for column in FEATURE_COLUMNS))
+
+EVENT_COLUMNS = tuple(column for column, _ in EVENT_SCHEMA)
+
+AGGREGATE_COLUMNS = tuple(column for column, _ in AGGREGATE_SCHEMA)
+
+# Columns of an event row before its probabilities.
+_N_EVENT_SCALARS = len(EVENT_COLUMNS) - len(PROB_COLUMNS)
 
 
-def _iter_records(path):
-    """Yield (record dict, line number) pairs from a file: JSON lines when
-    its suffix is ``.jsonl``, CSV otherwise."""
-    path = Path(path)
-    if not path.exists():
+def read_jsonl(path):
+    """Yield (object, line number) per non-blank line of a JSON-lines
+    file. A line that is not a JSON object raises ValidationError
+    naming it."""
+    with open(path, encoding="utf-8") as handle:
+        for line, raw in enumerate(handle, start=1):
+            if not raw.strip():
+                continue
+            try:
+                record = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"invalid JSON: {exc}",
+                                      line=line) from None
+            if not isinstance(record, dict):
+                raise ValidationError("expected a JSON object", line=line)
+            yield record, line
+
+
+def _read_csv(path):
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        for record in reader:
+            yield record, reader.line_num
+
+
+def _records(path):
+    """(record dict, line number) pairs of a file: JSON lines when its
+    suffix is ``.jsonl``, CSV with a header otherwise."""
+    if not Path(path).exists():
         raise ValidationError(f"file not found: {path}", field="path")
-    if not _is_jsonl(path):
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames is None:
-                return
-            for record in reader:
-                yield record, reader.line_num
-    else:
-        with open(path, encoding="utf-8") as handle:
-            for line_num, raw in enumerate(handle, start=1):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    record = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise ValidationError(f"invalid JSON: {exc}", line=line_num)
-                yield record, line_num
+    return read_jsonl(path) if _is_jsonl(path) else _read_csv(path)
+
+
+def _read_rows(path, schema):
+    """Yield (row, line number) per record of ``path``: the row lists
+    ``schema``'s columns, each parsed. A missing or unparsable cell
+    raises ValidationError naming its line and column."""
+    for record, line in _records(path):
+        missing = [c for c, _ in schema if record.get(c) in (None, "")]
+        if missing:
+            raise ValidationError(f"missing column(s) {missing}", line=line)
+        yield [parse(record[c], c, line) for c, parse in schema], line
+
+
+def write_rows(rows, columns, path):
+    """Write ``rows``, sequences of cells in ``columns`` order, to
+    ``path``: one JSON object per line when its suffix is ``.jsonl``,
+    CSV under a header row otherwise. Cells are written as they are:
+    str, int (0/1 for a flag) or float (written as its repr)."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        if _is_jsonl(path):
+            handle.writelines(json.dumps(dict(zip(columns, row))) + "\n"
+                              for row in rows)
+        else:
+            writer = csv.writer(handle)
+            writer.writerow(columns)
+            writer.writerows(rows)
 
 
 def parse_events(path):
@@ -118,9 +160,9 @@ def parse_events(path):
 
     Raises ValidationError carrying the offending line number and field.
     """
-    events = []
-    for record, line in _iter_records(path):
-        events.append(_event_from_record(record, line))
+    events = [EditEvent(*row[:_N_EVENT_SCALARS],
+                        tuple(row[_N_EVENT_SCALARS:])).validate(line)
+              for row, line in _read_rows(path, EVENT_SCHEMA)]
     events.sort(key=lambda e: (e.day, e.contributor_id))
     return events
 
@@ -196,15 +238,7 @@ class DatasetSummary:
     joint_histogram: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "schema_version": 1,
-            "n_pages": self.n_pages,
-            "n_contributors": self.n_contributors,
-            "n_events": self.n_events,
-            "n_bots": self.n_bots,
-            "n_humans": self.n_humans,
-            "joint_histogram": dict(self.joint_histogram),
-        }
+        return {"schema_version": 1, **asdict(self)}
 
 
 def summarize(aggregates, events=None):
@@ -240,20 +274,6 @@ def summarize(aggregates, events=None):
     )
 
 
-def _aggregate_from_record(record, line):
-    missing = [c for c in AGGREGATE_COLUMNS if record.get(c) in (None, "")]
-    if missing:
-        raise ValidationError(f"missing column(s) {missing}", line=line)
-    values = tuple(_parse_float(record[c], c, line) for c in FEATURE_COLUMNS)
-    return DailyAggregate(
-        contributor_id=str(record["contributor_id"]),
-        day=_parse_day(record["day"], "day", line),
-        is_bot=_parse_bool(str(record["is_bot"]), "is_bot", line),
-        values=values,
-        synthetic=_parse_bool(str(record["synthetic"]), "synthetic", line),
-    ).validate(line)
-
-
 def read_aggregates(path):
     """Read and validate a stream persisted in the aggregate schema.
 
@@ -262,54 +282,33 @@ def read_aggregates(path):
     A contributor whose ``is_bot`` flag changes between rows is rejected.
     """
     aggregates = []
-    for record, line in _iter_records(path):
-        aggregates.append(_aggregate_from_record(record, line))
+    for row, line in _read_rows(path, AGGREGATE_SCHEMA):
+        contributor_id, day, is_bot, synthetic = row[:4]
+        try:
+            agg = DailyAggregate(contributor_id, day, is_bot,
+                                 tuple(row[4:]), synthetic)
+        except ValidationError as exc:
+            raise exc.at(line) from None
+        aggregates.append(agg.validate(line))
     _check_bot_flags(aggregates)
     aggregates.sort(key=lambda a: (a.day, a.contributor_id))
     return aggregates
 
 
-def aggregate_to_record(agg):
-    record = {
-        "contributor_id": agg.contributor_id,
-        "day": agg.day.isoformat(),
-        "is_bot": int(agg.is_bot),
-        "synthetic": int(agg.synthetic),
-    }
-    for column, value in zip(FEATURE_COLUMNS, agg.values):
-        record[column] = repr(float(value))
-    return record
-
-
 def write_aggregates(aggregates, path):
     """Persist aggregates in the aggregate schema: JSON lines when the
     suffix is ``.jsonl``, CSV otherwise."""
-    if _is_jsonl(path):
-        with open(path, "w", encoding="utf-8") as handle:
-            for agg in aggregates:
-                record = aggregate_to_record(agg)
-                record.update(zip(FEATURE_COLUMNS, agg.values))
-                handle.write(json.dumps(record) + "\n")
-    else:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(handle, fieldnames=AGGREGATE_COLUMNS)
-            writer.writeheader()
-            for agg in aggregates:
-                writer.writerow(aggregate_to_record(agg))
+    write_rows(((a.contributor_id, a.day.isoformat(), int(a.is_bot),
+                 int(a.synthetic), *map(float, a.values))
+                for a in aggregates), AGGREGATE_COLUMNS, path)
 
 
 def is_aggregate_file(path):
-    """Sniff whether a file uses the aggregate schema (vs raw events)."""
-    if _is_jsonl(path):
-        with open(path, encoding="utf-8") as handle:
-            for raw in handle:
-                raw = raw.strip()
-                if raw:
-                    return "f3" in json.loads(raw)
-        return False
-    with open(path, newline="", encoding="utf-8") as handle:
-        header = handle.readline()
-    return "f3" in header.split(",")
+    """Sniff whether a file uses the aggregate schema (vs raw events):
+    its first record has an ``f3`` column."""
+    for record, _ in _records(path):
+        return "f3" in record
+    return False
 
 
 def load_stream(path):

@@ -100,6 +100,7 @@ class ValidationError(ValueError):
     """Raised when a record or argument violates a documented invariant."""
 
     def __init__(self, message, field=None, line=None):
+        self.message = message
         self.field = field
         self.line = line
         prefix = ""
@@ -108,6 +109,10 @@ class ValidationError(ValueError):
         if field is not None:
             prefix += f"field '{field}': "
         super().__init__(prefix + message)
+
+    def at(self, line):
+        """This error, located at file line ``line``."""
+        return ValidationError(self.message, self.field, line)
 
 
 def check_row(counts, probs, line):
@@ -203,7 +208,7 @@ class DailyAggregate:
                 f"expected {N_FEATURES} feature values, got {len(self.values)}")
         if self.value("3") < 1:
             raise ValidationError(
-                "aggregate must cover at least one review", field="3")
+                "aggregate must cover at least one review", field="f3")
 
     def value(self, feature_id):
         return self.values[FEATURE_INDEX[feature_id]]

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .ingest import read_jsonl
 from .model import (
     FEATURE_INDEX,
     N_FEATURES,
@@ -91,8 +92,9 @@ class ContributorProfile:
 
     @classmethod
     def from_record(cls, record, line=None):
-        """The profile ``to_record`` wrote; a missing field or a value of
-        the wrong type raises ValidationError naming the field."""
+        """The profile ``to_record`` wrote; a missing field, a value of
+        the wrong type or a non-finite number raises ValidationError
+        naming the field."""
         def checked(value, kind, name):
             # bool is an int subclass: only a bool field takes a bool
             if not isinstance(value, kind) or (
@@ -114,11 +116,19 @@ class ContributorProfile:
                 raise ValidationError(f"not an ISO date: {value!r}",
                                       field=name, line=line) from None
 
+        def number(value, name):
+            try:
+                value = float(checked(value, (int, float), name))
+            except OverflowError:  # an integer beyond the float range
+                value = math.inf
+            if not math.isfinite(value):
+                raise ValidationError(f"non-finite value {value!r}",
+                                      field=name, line=line)
+            return value
+
         def table(name, ids):
             values = field(name, dict)
-            return [float(checked(values.get(fid), (int, float),
-                                  f"{name}.{fid}"))
-                    for fid in ids]
+            return [number(values.get(fid), f"{name}.{fid}") for fid in ids]
 
         profile = cls(field("contributor_id", str), field("is_bot", bool),
                       day("first_seen"))
@@ -175,20 +185,9 @@ class ProfileStore:
     @classmethod
     def import_jsonl(cls, path):
         store = cls()
-        with open(Path(path), encoding="utf-8") as handle:
-            for line, raw in enumerate(handle, start=1):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    record = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise ValidationError(f"invalid JSON: {exc}",
-                                          line=line) from None
-                if not isinstance(record, dict):
-                    raise ValidationError("expected a JSON object", line=line)
-                profile = ContributorProfile.from_record(record, line=line)
-                store._profiles[profile.contributor_id] = profile
+        for record, line in read_jsonl(path):
+            profile = ContributorProfile.from_record(record, line=line)
+            store._profiles[profile.contributor_id] = profile
         return store
 
 

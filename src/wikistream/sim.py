@@ -10,16 +10,15 @@ distributions toward indistinguishability (0 = fully separable).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .ingest import EVENT_COLUMNS
-from .model import (
-    EVENT_COUNT_FIELDS, PROB_COLUMNS, EditEvent, ValidationError)
+from .ingest import EVENT_COLUMNS, write_rows
+from .model import EVENT_COUNT_FIELDS, EditEvent, ValidationError
 
 ARCHETYPE_NAMES = ("human-benign", "human-malign", "bot-benign", "bot-malign")
 
@@ -275,35 +274,22 @@ def simulate(config):
     return events, labels
 
 
-def event_to_record(event):
-    record = {
-        "contributor_id": event.contributor_id,
-        "is_bot": int(event.is_bot),
-        "page_id": event.page_id,
-        "timestamp": event.timestamp.isoformat(),
-        "was_reverted": int(event.was_reverted),
-    }
-    for name in EVENT_COUNT_FIELDS:
-        record[name] = repr(getattr(event, name))
-    record.update(zip(PROB_COLUMNS, map(repr, event.probs)))
-    return record
+_event_counts = attrgetter(*EVENT_COUNT_FIELDS)
 
 
 def write_events(events, path):
-    """Write events in the ingestion CSV schema."""
-    with open(Path(path), "w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=EVENT_COLUMNS)
-        writer.writeheader()
-        for event in events:
-            writer.writerow(event_to_record(event))
+    """Write events in the event schema: JSON lines when the suffix is
+    ``.jsonl``, CSV otherwise."""
+    write_rows(((e.contributor_id, int(e.is_bot), e.page_id,
+                 e.timestamp.isoformat(), *_event_counts(e),
+                 int(e.was_reverted), *e.probs) for e in events),
+               EVENT_COLUMNS, path)
 
 
 def write_labels(labels, path):
-    with open(Path(path), "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["contributor_id", "archetype"])
-        for contributor_id in sorted(labels):
-            writer.writerow([contributor_id, labels[contributor_id]])
+    write_rows(((contributor_id, labels[contributor_id])
+                for contributor_id in sorted(labels)),
+               ("contributor_id", "archetype"), path)
 
 
 def write_simulation(config, out_dir):

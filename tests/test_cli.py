@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from wikistream.cli import main
 from wikistream.ingest import load_stream, write_aggregates
-from tests.test_ingest import INVALID_AGGREGATE_COLUMNS, with_columns
+from tests.test_ingest import INVALID_AGGREGATE_COLUMNS, rewrite_cells
 
 
 def run(*args):
@@ -194,8 +194,8 @@ class TestEvaluateCommand:
                                                     field):
         aggs = load_stream(simulate_stream(tmp_path / "sim"))
         stream = tmp_path / "stream.csv"
-        write_aggregates([with_columns(aggs[0], **columns)] + aggs[1:],
-                         stream)
+        write_aggregates(aggs, stream)
+        rewrite_cells(stream, 0, **columns)
         result = run("evaluate", stream, "--classifier", "nb",
                      "--out", tmp_path / "eval")
         assert result.exit_code == 2, result.output
@@ -238,16 +238,31 @@ class TestEvaluateCommand:
         assert "Accuracy" not in result.output
 
 
-@pytest.mark.parametrize("command,out", [
+# The commands that read a stream, and the output each is given.
+STREAM_COMMANDS = [
     ("analyze", "analysis"),
     ("select", "selected.json"),
     ("synthesize", "syn"),
     ("balance", "balanced.csv"),
     ("profile", "profiles.jsonl"),
-])
+]
+
+
+@pytest.mark.parametrize("command,out", STREAM_COMMANDS)
 def test_stream_without_rows_exits_validation(tmp_path, command, out):
     events = header_only_events(tmp_path)
     result = run(command, events, "--out", tmp_path / out)
     assert result.exit_code == 2, result.output
     assert f"no contributor-days in {events}" in result.output
+    assert not (tmp_path / out).exists()
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '"x"', "42"])
+@pytest.mark.parametrize("command,out", STREAM_COMMANDS + [("evaluate", "eval")])
+def test_malformed_jsonl_stream_exits_validation(tmp_path, command, out, text):
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text(text + "\n", encoding="utf-8")
+    result = run(command, stream, "--out", tmp_path / out)
+    assert result.exit_code == 2, result.output
+    assert "error: line 1:" in result.output
     assert not (tmp_path / out).exists()

@@ -1,6 +1,8 @@
 import csv
+import json
 from dataclasses import replace
 from datetime import date
+from pathlib import Path
 
 import pytest
 
@@ -13,43 +15,40 @@ from wikistream.ingest import (
     read_aggregates,
     summarize,
     write_aggregates,
+    write_rows,
 )
-from wikistream.model import FEATURE_COLUMNS, ValidationError
+from wikistream.model import ValidationError
+from wikistream.sim import write_events
 from tests.test_model import make_event
 
 
-def event_row(event):
-    from wikistream.sim import event_to_record
-    return event_to_record(event)
-
-
-def write_event_csv(path, events):
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=EVENT_COLUMNS)
-        writer.writeheader()
-        for event in events:
-            writer.writerow(event_row(event))
+def rewrite_cells(path, index, **cells):
+    """Replace cells of record ``index`` of a file that write_events or
+    write_aggregates wrote. Values a constructor rejects reach the file
+    this way."""
+    path = Path(path)
+    if path.suffix == ".jsonl":
+        records = [json.loads(raw) for raw in
+                   path.read_text(encoding="utf-8").splitlines()]
+    else:
+        with open(path, newline="", encoding="utf-8") as handle:
+            records = list(csv.DictReader(handle))
+    records[index].update(cells)
+    write_rows([list(r.values()) for r in records], list(records[0]), path)
 
 
 class TestParseEvents:
     def test_well_formed_file(self, tmp_path):
         path = tmp_path / "events.csv"
-        write_event_csv(path, [make_event(contributor_id=f"c{i}")
-                               for i in range(3)])
+        write_events([make_event(contributor_id=f"c{i}") for i in range(3)],
+                     path)
         events = parse_events(path)
         assert len(events) == 3
 
     def test_probability_group_violation_names_line(self, tmp_path):
         path = tmp_path / "events.csv"
-        bad = make_event()
-        row = event_row(bad)
-        row["dmg_t"] = "0.7"
-        row["dmg_f"] = "0.7"
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(handle, fieldnames=EVENT_COLUMNS)
-            writer.writeheader()
-            writer.writerow(event_row(make_event()))
-            writer.writerow(row)
+        write_events([make_event(), make_event()], path)
+        rewrite_cells(path, 1, dmg_t="0.7", dmg_f="0.7")
         with pytest.raises(ValidationError) as exc:
             parse_events(path)
         assert "probability group sum" in str(exc.value)
@@ -62,12 +61,8 @@ class TestParseEvents:
 
     def test_malformed_number_reports_field(self, tmp_path):
         path = tmp_path / "events.csv"
-        row = event_row(make_event())
-        row["links"] = "many"
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(handle, fieldnames=EVENT_COLUMNS)
-            writer.writeheader()
-            writer.writerow(row)
+        write_events([make_event()], path)
+        rewrite_cells(path, 0, links="many")
         with pytest.raises(ValidationError) as exc:
             parse_events(path)
         assert "links" in str(exc.value)
@@ -77,12 +72,9 @@ class TestParseEvents:
             parse_events(tmp_path / "nope.csv")
 
     def test_jsonl_round_trip(self, tmp_path):
-        import json
         path = tmp_path / "events.jsonl"
-        rows = [event_row(make_event(contributor_id=f"c{i}")) for i in range(2)]
-        with open(path, "w", encoding="utf-8") as handle:
-            for row in rows:
-                handle.write(json.dumps(row) + "\n")
+        write_events([make_event(contributor_id=f"c{i}") for i in range(2)],
+                     path)
         assert len(parse_events(path)) == 2
 
 
@@ -182,19 +174,12 @@ class TestSummarize:
         assert summary.joint_histogram["human-malign"] == 1
 
 
-def with_columns(agg, **columns):
-    """``agg`` with the given aggregate-file columns replaced."""
-    values = list(agg.values)
-    for column, value in columns.items():
-        values[FEATURE_COLUMNS.index(column)] = value
-    return replace(agg, values=tuple(values))
-
-
 # Aggregate rows that break a column invariant, and the field named.
 INVALID_AGGREGATE_COLUMNS = [
     ({"f4": -5.0}, "f4"),
     ({"dmg_t": 0.9, "dmg_f": 0.9}, "damaging"),
     ({"art_ok": 1.7}, "article_quality"),
+    ({"f3": 0.5}, "f3"),
 ]
 
 
@@ -217,7 +202,7 @@ class TestAggregateSchema:
     def test_load_stream_detects_schema(self, tmp_path):
         events = [make_event(contributor_id=f"c{i}") for i in range(3)]
         event_path = tmp_path / "events.csv"
-        write_event_csv(event_path, events)
+        write_events(events, event_path)
         aggs = load_stream(event_path)
         agg_path = tmp_path / "aggs.csv"
         write_aggregates(aggs, agg_path)
@@ -239,7 +224,8 @@ class TestAggregateSchema:
         aggs = aggregate_daily([make_event(contributor_id=f"c{i}")
                                 for i in range(2)])
         path = tmp_path / f"aggs{suffix}"
-        write_aggregates([aggs[0], with_columns(aggs[1], **columns)], path)
+        write_aggregates(aggs, path)
+        rewrite_cells(path, 1, **columns)
         with pytest.raises(ValidationError) as exc:
             read_aggregates(path)
         assert exc.value.line == line and exc.value.field == field

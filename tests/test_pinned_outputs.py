@@ -1,10 +1,11 @@
 """
-The prediction logs of the single-target classifiers, pinned.
+The prediction logs of the single-target classifiers and the JSON-lines
+aggregate file, pinned.
 
 Each classifier runs prequentially over one small simulated stream; the
 log, without its wall-clock ``latency_us`` column, must hash to the
-digest recorded for it. The stacking model's log is pinned in
-``test_acceptance.test_determinism``.
+digest recorded for it. The stacking model's log and the pipeline's
+other outputs are pinned in ``test_acceptance.test_determinism``.
 """
 
 import csv
@@ -15,7 +16,7 @@ import pytest
 
 from wikistream.analysis import FEATURE_SETS
 from wikistream.evaluate import prequential_run, write_prediction_log
-from wikistream.ingest import aggregate_daily
+from wikistream.ingest import aggregate_daily, write_aggregates
 from wikistream.learn import make_classifier
 from wikistream.sim import SimConfig, simulate
 
@@ -62,3 +63,16 @@ def test_prediction_log_pinned(stream, tmp_path, kind, features, target):
                              FEATURE_SETS[features], target)
     digest = log_digest(log, tmp_path / "predictions.csv")
     assert digest == PINNED[(kind, features, target)]
+
+
+# Recorded with numpy 2.4.6 on Python 3.11.7, from the per-schema writer
+# that the shared row codec replaced.
+PINNED_AGGREGATE_JSONL = (
+    "10ed62a317a89f61359482aa2f4fdd04ddeb833d6511d277d7f5d84e3be02edc")
+
+
+def test_aggregate_jsonl_pinned(stream, tmp_path):
+    path = tmp_path / "stream.jsonl"
+    write_aggregates(stream, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        PINNED_AGGREGATE_JSONL

@@ -220,6 +220,10 @@ class TestImportValidation:
         ("contributor_id", 7, "contributor_id"),
         ("sums", {"3": 1.0}, "sums.5"),
         ("means", [], "means"),
+        ("sums", {"3": float("nan")}, "sums.3"),
+        ("means", {"4": float("inf")}, "means.4"),
+        ("means", {"4": float("-inf")}, "means.4"),
+        ("sums", {"3": 10 ** 400}, "sums.3"),  # beyond the float range
     ])
     def test_wrong_type_names_line_and_field(self, tmp_path, name, value,
                                              field):

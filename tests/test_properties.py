@@ -1,6 +1,6 @@
 """
-Property-based tests of the classifiers' contracts, the aggregate files
-and the profiles.
+Property-based tests of the classifiers' contracts, the event and
+aggregate files and the profiles.
 
 For the classifiers, hypothesis draws the shape of a stream (arity,
 length, class count, value pattern, seed); numpy draws the values from
@@ -11,13 +11,14 @@ import math
 import sys
 import tempfile
 from datetime import date
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from wikistream.ingest import read_aggregates, write_aggregates
+from wikistream.ingest import parse_events, read_aggregates, write_aggregates
 from wikistream.learn import (
     BaggingForest,
     HoeffdingTree,
@@ -26,11 +27,15 @@ from wikistream.learn import (
 )
 from wikistream.model import (
     CATALOGUE,
+    EVENT_COUNT_FIELDS,
     FEATURE_IDS,
     FEATURE_INDEX,
+    PROBABILITY_GROUPS,
     DailyAggregate,
+    EditEvent,
 )
 from wikistream.profiling import ProfileStore
+from wikistream.sim import write_events
 
 PATTERNS = ("uniform", "constant", "ties", "wide")
 
@@ -116,6 +121,16 @@ INTEGER_SUMS = ("3", "5", "9", "13", "14")
 
 
 @st.composite
+def distributions(draw, size):
+    """``size`` probabilities in [0, 1] summing to one."""
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=size,
+                            max_size=size))
+    total = sum(weights)
+    return [weight / total if total > 0 else 1.0 / size
+            for weight in weights]
+
+
+@st.composite
 def aggregate_values(draw):
     """A valid aggregate row: counts finite and >= 0 (whole numbers at
     INTEGER_SUMS, at least one review), every probability group a
@@ -131,21 +146,18 @@ def aggregate_values(draw):
         else:
             values[FEATURE_INDEX[fid]] = draw(st.floats(0.0, 1e9))
     for columns in groups.values():
-        weights = draw(st.lists(st.floats(0.0, 1.0), min_size=len(columns),
-                                max_size=len(columns)))
-        total = sum(weights)
-        for column, weight in zip(columns, weights):
-            values[column] = (weight / total if total > 0
-                              else 1.0 / len(columns))
+        for column, p in zip(columns, draw(distributions(len(columns)))):
+            values[column] = p
     return tuple(values)
+
+
+names = st.text(st.characters(codec="utf-8", exclude_categories=("Cs", "Cc")),
+                min_size=1, max_size=8)
 
 
 @st.composite
 def aggregate_rows(draw):
-    ids = draw(st.lists(st.text(st.characters(codec="utf-8",
-                                              exclude_categories=("Cs", "Cc")),
-                                min_size=1, max_size=8),
-                        min_size=1, max_size=4, unique=True))
+    ids = draw(st.lists(names, min_size=1, max_size=4, unique=True))
     bots = {cid: draw(st.booleans()) for cid in ids}
     rows = draw(st.lists(st.tuples(
         st.sampled_from(ids),
@@ -163,6 +175,27 @@ def test_aggregate_file_round_trip_is_exact(rows, suffix):
         path = Path(tmp) / f"stream{suffix}"
         write_aggregates(rows, path)
         assert read_aggregates(path) == rows
+
+
+# Valid edit events: counts finite and >= 0, every probability group a
+# distribution.
+edit_events = st.builds(
+    EditEvent, names, st.booleans(), names,
+    st.dates(date(2000, 1, 1), date(2099, 12, 31)),
+    *[st.floats(0.0, 1e9)] * len(EVENT_COUNT_FIELDS), st.booleans(),
+    st.tuples(*(distributions(len(group)) for group in PROBABILITY_GROUPS))
+    .map(lambda groups: tuple(chain(*groups))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(events=st.lists(edit_events, min_size=1, max_size=12),
+       suffix=st.sampled_from([".csv", ".jsonl"]))
+def test_event_file_round_trip_is_exact(events, suffix):
+    events = sorted(events, key=lambda e: (e.day, e.contributor_id))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"events{suffix}"
+        write_events(events, path)
+        assert parse_events(path) == events
 
 
 @settings(max_examples=60, deadline=None)
