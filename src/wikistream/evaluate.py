@@ -202,10 +202,8 @@ def prequential_run(stream, classifier, feature_set, target,
         raise ValidationError(f"unknown target {target!r}", field="target")
 
     def step(x, agg):
-        probs = classifier.predict_proba(x)
         true = getattr(agg, target)
-        classifier.learn_one(x, true)
-        return ((true, probs),)
+        return ((true, classifier.predict_learn(x, true)),)
 
     (report,), (log,) = _prequential(
         stream, store, feature_set, step, classifier.classes,

@@ -131,9 +131,13 @@ def _records(path):
 
 def _read_rows(path, schema):
     """Yield (row, line number) per record of ``path``: the row lists
-    ``schema``'s columns, each parsed. A missing or unparsable cell
-    raises ValidationError naming its line and column."""
+    ``schema``'s columns, each parsed. A missing or unparsable cell, or
+    a CSV row with more cells than its header (filed under the key
+    None), raises ValidationError naming its line (and column)."""
     for record, line in _records(path):
+        if None in record:
+            raise ValidationError(
+                f"{len(record[None])} cell(s) beyond the header", line=line)
         missing = [c for c, _ in schema if record.get(c) in (None, "")]
         if missing:
             raise ValidationError(f"missing column(s) {missing}", line=line)

@@ -87,6 +87,13 @@ class OnlineClassifier:
     def learn_one(self, x, y):
         raise NotImplementedError
 
+    def predict_learn(self, x, y):
+        """``predict_proba(x)``, then ``learn_one(x, y)``; returns the
+        probabilities."""
+        probs = self.predict_proba(x)
+        self.learn_one(x, y)
+        return probs
+
     def predict(self, x):
         probs = self.predict_proba(x)
         return self.classes[int(np.argmax(probs))]
@@ -185,7 +192,6 @@ def _fold(x, mean, m2, n, weight):
 
 
 _LEAF = (-1, None, None, None)
-_ONE_MEMBER = (0,)  # the member list of a one-member store
 
 
 class TreeStore:
@@ -224,16 +230,17 @@ class TreeStore:
 
     def leaves(self, members, x):
         """The leaf input row ``x`` reaches in each of ``members``' trees."""
-        out = []
-        for m in members:
-            nodes = self.nodes[m]
-            node = 0
-            column, threshold, left, right = nodes[0]
-            while column >= 0:
-                node = left if x[column] <= threshold else right
-                column, threshold, left, right = nodes[node]
-            out.append(node)
-        return out
+        return [self.descend(m, 0, x) for m in members]
+
+    def descend(self, m, node, x):
+        """The leaf input row ``x`` reaches in member ``m``'s tree from
+        its node ``node``."""
+        nodes = self.nodes[m]
+        column, threshold, left, right = nodes[node]
+        while column >= 0:
+            node = left if x[column] <= threshold else right
+            column, threshold, left, right = nodes[node]
+        return node
 
     def distributions(self, members, leaves):
         """One class distribution per member: its leaf's normalised class
@@ -408,17 +415,6 @@ def _member_states(classes, store, n_members):
             for m in range(n_members)]
 
 
-def _load_ensemble(clf, state):
-    """Load an ensemble's member trees into its store and its member
-    RNG states."""
-    for m, member in enumerate(state["members"]):
-        _check_settings(member, _TREE_SETTINGS, f"members.{m}.")
-        if member["root"] is not None:
-            clf.store.load_root(m, member["root"])
-    for rng, rng_state in zip(clf._rngs, state["rng_states"]):
-        rng.bit_generator.state = rng_state
-
-
 class HoeffdingTree(OnlineClassifier):
     """Incremental decision tree split-guarded by the Hoeffding bound:
     a one-member ``TreeStore``."""
@@ -435,7 +431,7 @@ class HoeffdingTree(OnlineClassifier):
         x = self._check_arity(x)
         self._ensure(x.shape[0])
         store = self.store
-        store.learn_member(0, store.leaves(_ONE_MEMBER, x)[0], x,
+        store.learn_member(0, store.descend(0, 0, x), x,
                            self.classes.index(y), 1)
 
     def predict_proba(self, x):
@@ -443,7 +439,7 @@ class HoeffdingTree(OnlineClassifier):
         if self.store is None:
             return np.full(len(self.classes), 1.0 / len(self.classes))
         store = self.store
-        return store.distribution(0, store.leaves(_ONE_MEMBER, x)[0])
+        return store.distribution(0, store.descend(0, 0, x))
 
     def to_state(self):
         return _tree_state(
@@ -461,25 +457,108 @@ class HoeffdingTree(OnlineClassifier):
         return tree
 
 
-class BaggingForest(OnlineClassifier):
-    """Online bagging of Hoeffding trees, held in one ``TreeStore``.
+def _check_length(state, name, n_members):
+    """Reject a checkpoint whose list ``name`` has other than one entry
+    per member."""
+    if len(state[name]) != n_members:
+        raise ValidationError(
+            f"checkpoint lists {len(state[name])} entries for "
+            f"{n_members} members", field=name)
+
+
+# Online bagging draws each member's Poisson(1) weights this many
+# examples at a time; one array draw yields the values, and leaves the
+# generator in the state, of as many scalar draws.
+POISSON_BLOCK = 64
+
+
+class _Ensemble(OnlineClassifier):
+    """Member trees held in one ``TreeStore``, each member with its own
+    RNG substream derived from (seed, member index).
+
+    An example is routed once through every member's tree: the ensemble
+    predicts from those leaves and, in ``predict_learn``, learns at them.
+    Only member m's own learn changes member m's tree.
+    """
+
+    def __init__(self, n_members, classes, seed):
+        super().__init__(classes)
+        self.n_members = n_members
+        self.seed = seed
+        self._rngs = [np.random.default_rng([seed, m])
+                      for m in range(n_members)]
+        self.store = None
+
+    def _route(self, x):
+        """``x`` checked, and the leaf it reaches in each member's tree."""
+        x = self._check_arity(x)
+        self._ensure(x.shape[0])
+        return x, self.store.leaves(range(self.n_members), x.tolist())
+
+    def predict_proba(self, x):
+        return self._vote(self._route(x)[1])
+
+    def learn_one(self, x, y):
+        self._learn(*self._route(x), y)
+
+    def predict_learn(self, x, y):
+        x, leaves = self._route(x)
+        probs = self._vote(leaves)
+        self._learn(x, leaves, y)
+        return probs
+
+    def _rng_states(self):
+        return [rng.bit_generator.state for rng in self._rngs]
+
+    def _state(self, kind, settings):
+        """The checkpoint: ``settings`` between the shared fields and
+        the members."""
+        return {
+            "kind": kind,
+            "classes": self.classes,
+            "n_features": self.n_features,
+            "n_members": self.n_members,
+            "seed": self.seed,
+            **settings,
+            "members": _member_states(self.classes, self.store,
+                                      self.n_members),
+            "rng_states": self._rng_states(),
+        }
+
+    def _load(self, state):
+        """Load the member trees and RNG states of checkpoint ``state``
+        into the store. A list without one entry per member raises
+        ValidationError naming it."""
+        _check_length(state, "members", self.n_members)
+        _check_length(state, "rng_states", self.n_members)
+        for m, member in enumerate(state["members"]):
+            _check_settings(member, _TREE_SETTINGS, f"members.{m}.")
+            if member["root"] is not None:
+                self.store.load_root(m, member["root"])
+        for rng, rng_state in zip(self._rngs, state["rng_states"]):
+            rng.bit_generator.state = rng_state
+
+
+class BaggingForest(_Ensemble):
+    """Online bagging of Hoeffding trees (Oza & Russell 2001).
 
     Each member sees each example Poisson(1) times and is restricted to
     a random sqrt(d)-sized feature subset fixed at its birth
-    (``max_features=None`` keeps the full set). Member RNG substreams
-    derive from (seed, member index).
+    (``max_features=None`` keeps the full set). The weights come from a
+    block of ``POISSON_BLOCK`` draws per member, refilled member by
+    member, so each member's substream yields the draws one-per-example
+    scalar draws would; a checkpoint carries each member's state after
+    the draws used so far.
     """
 
     def __init__(self, n_members=10, classes=(0, 1), seed=0,
                  max_features="sqrt", use_poisson=True):
-        super().__init__(classes)
-        self.n_members = n_members
-        self.seed = seed
+        super().__init__(n_members, classes, seed)
         self.max_features = max_features
         self.use_poisson = use_poisson
-        self._rngs = [np.random.default_rng([seed, m])
-                      for m in range(n_members)]
-        self.store = None
+        self._block = None         # (n_members, POISSON_BLOCK) weights
+        self._block_states = None  # each member's RNG state before it
+        self._drawn = 0            # block columns used
 
     @property
     def subsets(self):
@@ -500,95 +579,101 @@ class BaggingForest(OnlineClassifier):
             ]
         self.store = TreeStore(subsets, len(self.classes))
 
-    def learn_one(self, x, y):
-        x = self._check_arity(x)
-        self._ensure(x.shape[0])
-        k = self.classes.index(y)
-        if self.use_poisson:
-            weights = np.array([rng.poisson(1.0) for rng in self._rngs],
-                               dtype=float)
-        else:
-            weights = np.ones(self.n_members)
-        hit = np.flatnonzero(weights > 0)
-        store = self.store
-        store.learn(hit, store.leaves(hit.tolist(), x.tolist()), x, k,
-                    weights[hit])
+    def _weights(self):
+        """Each member's weight for the next example: its next Poisson(1)
+        draw, or 1 without Poisson resampling."""
+        if not self.use_poisson:
+            return np.ones(self.n_members)
+        if self._block is None or self._drawn == POISSON_BLOCK:
+            self._block_states = [rng.bit_generator.state
+                                  for rng in self._rngs]
+            self._block = np.array(
+                [rng.poisson(1.0, size=POISSON_BLOCK) for rng in self._rngs],
+                dtype=float)
+            self._drawn = 0
+        self._drawn += 1
+        return self._block[:, self._drawn - 1]
 
-    def predict_proba(self, x):
-        x = self._check_arity(x)
-        self._ensure(x.shape[0])
+    def _rng_states(self):
+        """Each member's RNG state after the draws used so far: its state
+        before the block, advanced by that many draws."""
+        if self._block is None:
+            return super()._rng_states()
+        states = []
+        for rng, state in zip(self._rngs, self._block_states):
+            replay = np.random.Generator(type(rng.bit_generator)())
+            replay.bit_generator.state = state
+            replay.poisson(1.0, size=self._drawn)
+            states.append(replay.bit_generator.state)
+        return states
+
+    def _vote(self, leaves):
         store = self.store
-        leaves = store.leaves(range(self.n_members), x.tolist())
         return (store.distributions(store.members, leaves).sum(axis=0)
                 / self.n_members)
 
+    def _learn(self, x, leaves, y):
+        k = self.classes.index(y)
+        weights = self._weights()
+        hit = np.flatnonzero(weights > 0)
+        self.store.learn(hit, np.asarray(leaves, dtype=np.intp)[hit], x, k,
+                         weights[hit])
+
     def to_state(self):
         subsets = self.subsets
-        return {
-            "kind": "bagging_forest",
-            "classes": self.classes,
-            "n_features": self.n_features,
-            "n_members": self.n_members,
-            "seed": self.seed,
+        return self._state("bagging_forest", {
             "max_features": self.max_features,
             "use_poisson": self.use_poisson,
             "subsets": (None if subsets is None
                         else [s.tolist() for s in subsets]),
-            "members": _member_states(self.classes, self.store,
-                                      self.n_members),
-            "rng_states": [rng.bit_generator.state for rng in self._rngs],
-        }
+        })
 
     @classmethod
     def from_state(cls, state):
+        """The forest ``to_state`` wrote, with an empty Poisson block."""
         forest = cls(
             n_members=state["n_members"], classes=state["classes"],
             seed=state["seed"], max_features=state["max_features"],
             use_poisson=state["use_poisson"])
         forest.n_features = state["n_features"]
         if state["subsets"] is not None:
+            _check_length(state, "subsets", forest.n_members)
             forest.store = TreeStore(state["subsets"], len(forest.classes))
-        _load_ensemble(forest, state)
+        forest._load(state)
         return forest
 
 
-class OnlineBoosting(OnlineClassifier):
+class OnlineBoosting(_Ensemble):
     """Sequential Poisson-weighted boosting of Hoeffding trees, held in
     one ``TreeStore``.
 
     Each member draws Poisson(lambda) replications; lambda is raised on
     members' mistakes and lowered on their successes, concentrating
-    later members on the hard examples.
+    later members on the hard examples. Lambda changes per member and
+    per example, so the draws are scalar.
     """
 
     def __init__(self, n_members=10, classes=(0, 1), seed=0):
-        super().__init__(classes)
-        self.n_members = n_members
-        self.seed = seed
-        self._rngs = [np.random.default_rng([seed, m])
-                      for m in range(n_members)]
+        super().__init__(n_members, classes, seed)
         self.lambda_correct = np.zeros(n_members)
         self.lambda_wrong = np.zeros(n_members)
-        self.store = None
 
     def _ensure(self, d):
         if self.store is None:
             self.store = TreeStore([np.arange(d)] * self.n_members,
                                    len(self.classes))
 
-    def learn_one(self, x, y):
-        x = self._check_arity(x)
-        self._ensure(x.shape[0])
+    def _learn(self, x, leaves, y):
         store = self.store
         k = self.classes.index(y)
-        row = x.tolist()
         lam = 1.0
-        for m, rng in enumerate(self._rngs):
-            member = (m,)
+        for m, (rng, leaf) in enumerate(zip(self._rngs, leaves)):
             w = rng.poisson(lam)
             if w > 0:
-                store.learn_member(m, store.leaves(member, row)[0], x, k, w)
-            probs = store.distribution(m, store.leaves(member, row)[0])
+                store.learn_member(m, leaf, x, k, w)
+                if not store.is_leaf(m, leaf):  # the learn split it
+                    leaf = store.descend(m, leaf, x)
+            probs = store.distribution(m, leaf)
             if int(np.argmax(probs)) == k:
                 self.lambda_correct[m] += lam
                 total = self.lambda_correct[m] + self.lambda_wrong[m]
@@ -609,12 +694,16 @@ class OnlineBoosting(OnlineClassifier):
         return weights
 
     def predict_proba(self, x):
-        x = self._check_arity(x)
+        if self.store is None:  # nothing learned yet
+            self._check_arity(x)
+            return np.full(len(self.classes), 1.0 / len(self.classes))
+        return super().predict_proba(x)
+
+    def _vote(self, leaves):
         weights = self._member_weights()
         if weights.sum() == 0:
             return np.full(len(self.classes), 1.0 / len(self.classes))
         store = self.store
-        leaves = store.leaves(range(self.n_members), x.tolist())
         winners = store.distributions(store.members, leaves).argmax(axis=1)
         # bincount adds the weights in member order, as a loop would
         votes = np.bincount(winners, weights=weights,
@@ -622,18 +711,10 @@ class OnlineBoosting(OnlineClassifier):
         return votes / votes.sum()
 
     def to_state(self):
-        return {
-            "kind": "online_boosting",
-            "classes": self.classes,
-            "n_features": self.n_features,
-            "n_members": self.n_members,
-            "seed": self.seed,
+        return self._state("online_boosting", {
             "lambda_correct": self.lambda_correct.tolist(),
             "lambda_wrong": self.lambda_wrong.tolist(),
-            "members": _member_states(self.classes, self.store,
-                                      self.n_members),
-            "rng_states": [rng.bit_generator.state for rng in self._rngs],
-        }
+        })
 
     @classmethod
     def from_state(cls, state):
@@ -644,7 +725,7 @@ class OnlineBoosting(OnlineClassifier):
         clf.lambda_wrong = np.array(state["lambda_wrong"])
         if clf.n_features is not None:
             clf._ensure(clf.n_features)
-        _load_ensemble(clf, state)
+        clf._load(state)
         return clf
 
 
@@ -687,46 +768,38 @@ class StackingModel:
                           max_features=None)
             for i in (1, 2, 3))
 
-    def _level1(self, x):
-        """The level-1 inputs, the level-2 input and the user probs."""
+    def _run(self, x, step, y_user, y_contribution):
+        """One pass through the levels, ``step(forest, input, label)``
+        giving each forest's probabilities; returns (user probs, final
+        contribution probs, joint class name)."""
         x = np.asarray(x, dtype=float)
         if x.shape != (len(self.features),):
             raise ValidationError(
                 f"expected {len(self.features)} features, got shape {x.shape}")
-        xu, xc = x[_USER_COLUMNS], x[_CONTRIBUTION_COLUMNS]
-        user_probs = self.forest_user.predict_proba(xu)
-        contrib_probs = self.forest_contribution.predict_proba(xc)
+        xc = x[_CONTRIBUTION_COLUMNS]
+        user_probs = step(self.forest_user, x[_USER_COLUMNS], y_user)
+        contrib_probs = step(self.forest_contribution, xc, y_contribution)
         x2 = np.concatenate(((user_probs[1], contrib_probs[1]), xc))
-        return xu, xc, x2, user_probs
-
-    def _predict(self, level1):
-        _, _, x2, user_probs = level1
-        final_probs = self.forest_final.predict_proba(x2)
+        final_probs = step(self.forest_final, x2, y_contribution)
         joint = joint_class(int(np.argmax(user_probs)),
                             int(np.argmax(final_probs)))
         return user_probs, final_probs, joint
 
-    def _learn(self, level1, y_user, y_contribution):
-        xu, xc, x2, _ = level1
-        self.forest_user.learn_one(xu, y_user)
-        self.forest_contribution.learn_one(xc, y_contribution)
-        self.forest_final.learn_one(x2, y_contribution)
-
     def predict(self, x):
         """Returns (user probs, final contribution probs, joint class name)."""
-        return self._predict(self._level1(x))
+        return self._run(x, _predict_only, None, None)
 
     def learn(self, x, y_user, y_contribution):
-        self._learn(self._level1(x), y_user, y_contribution)
+        """``predict_learn`` without its outputs."""
+        self.predict_learn(x, y_user, y_contribution)
 
     def predict_learn(self, x, y_user, y_contribution):
-        """``predict(x)`` then ``learn(x, y_user, y_contribution)``, with
-        the level-1 forests predicting once; returns what ``predict``
-        returns."""
-        level1 = self._level1(x)
-        outputs = self._predict(level1)
-        self._learn(level1, y_user, y_contribution)
-        return outputs
+        """``predict(x)`` then ``learn(x, y_user, y_contribution)``: each
+        forest predicts and learns in one ``predict_learn``, in the order
+        user, contribution, final. The forests share no state, so the
+        level-1 forests may learn before level 2 predicts."""
+        return self._run(x, BaggingForest.predict_learn, y_user,
+                         y_contribution)
 
     def to_state(self):
         return {
@@ -741,14 +814,23 @@ class StackingModel:
     @classmethod
     def from_state(cls, state):
         """The model ``to_state`` wrote. A checkpoint whose fixed settings
-        or forest sizes differ raises ValidationError naming the field."""
+        or forest sizes differ, or whose forest does not load, raises
+        ValidationError naming the field."""
         _check_settings(state, _stacking_settings())
         model = cls(seed=state["seed"])
         for name in ("forest_user", "forest_contribution", "forest_final"):
             _check_settings(state[name],
                             {"n_members": STACKING_ENSEMBLE_SIZE}, name + ".")
-            setattr(model, name, BaggingForest.from_state(state[name]))
+            try:
+                setattr(model, name, BaggingForest.from_state(state[name]))
+            except ValidationError as exc:
+                raise ValidationError(
+                    exc.message, field=f"{name}.{exc.field}") from None
         return model
+
+
+def _predict_only(forest, x, _label):
+    return forest.predict_proba(x)
 
 
 def _substream(seed, index):

@@ -1,8 +1,10 @@
 """
 Checkpoints: a model restored mid-stream from its JSON state continues
-exactly as the uninterrupted model does, and checkpoints written by the
-pointer-tree implementation (whose nodes carried an ``n`` field equal to
-``class_counts``) still load and continue exactly.
+exactly as the uninterrupted model does, also from inside a block of
+Poisson weights; checkpoints written by the pointer-tree implementation
+(whose nodes carried an ``n`` field equal to ``class_counts``) still
+load and continue exactly; and an ensemble checkpoint without one entry
+per member in each per-member list is rejected.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from wikistream.learn import (
+    POISSON_BLOCK,
     BaggingForest,
     GaussianNaiveBayes,
     HoeffdingTree,
@@ -20,6 +23,7 @@ from wikistream.learn import (
     StackingModel,
     make_classifier,
 )
+from wikistream.model import ValidationError
 from tests.test_learn import profile_vector
 
 KINDS = {"nb": GaussianNaiveBayes, "dt": HoeffdingTree, "rf": BaggingForest,
@@ -68,6 +72,73 @@ def test_stacking_resume_continues_exactly():
         assert a[1].tolist() == b[1].tolist()
         assert a[2] == b[2]
     assert restored.to_state() == model.to_state()
+
+
+# Ends inside the forests' third block of Poisson weights, after the
+# first trees split.
+MID_BLOCK = 3 * POISSON_BLOCK + 17
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_mid_block_resume_continues_through_predict_learn(kind):
+    xs, ys = concept_stream(MID_BLOCK + 2 * POISSON_BLOCK, seed=6, d=5)
+    model = make_classifier(kind, seed=2)
+    for x, y in zip(xs[:MID_BLOCK], ys[:MID_BLOCK]):
+        model.predict_learn(x, int(y))
+    restored = KINDS[kind].from_state(json_round_trip(model.to_state()))
+    for x, y in zip(xs[MID_BLOCK:], ys[MID_BLOCK:]):
+        assert restored.predict_learn(x, int(y)).tolist() == \
+            model.predict_learn(x, int(y)).tolist()
+    assert restored.to_state() == model.to_state()
+
+
+def test_stacking_mid_block_resume_continues_exactly():
+    rng = np.random.default_rng(5)
+    stream = [(profile_vector(rng, bot=i % 2 == 0, malign=i % 3 == 0),
+               i % 2, int(i % 3 == 0))
+              for i in range(MID_BLOCK + 2 * POISSON_BLOCK)]
+    model = StackingModel(seed=6)
+    for x, y_user, y_contribution in stream[:MID_BLOCK]:
+        model.predict_learn(x, y_user, y_contribution)
+    restored = StackingModel.from_state(json_round_trip(model.to_state()))
+    for x, y_user, y_contribution in stream[MID_BLOCK:]:
+        a = model.predict_learn(x, y_user, y_contribution)
+        b = restored.predict_learn(x, y_user, y_contribution)
+        assert (a[0].tolist(), a[1].tolist(), a[2]) == \
+            (b[0].tolist(), b[1].tolist(), b[2])
+    assert restored.to_state() == model.to_state()
+
+
+def resized(items, change):
+    """``items`` one entry short (change -1) or one entry long (+1)."""
+    return items[:change] if change < 0 else items + items[:change]
+
+
+@pytest.mark.parametrize("change", [-1, 1])
+@pytest.mark.parametrize("kind,field", [
+    ("rf", "members"), ("rf", "rng_states"), ("rf", "subsets"),
+    ("bc", "members"), ("bc", "rng_states")])
+def test_member_list_length_checked(kind, field, change):
+    xs, ys = concept_stream(20, seed=3)
+    model = make_classifier(kind, seed=1)
+    for x, y in zip(xs, ys):
+        model.learn_one(x, int(y))
+    state = json_round_trip(model.to_state())
+    state[field] = resized(state[field], change)
+    with pytest.raises(ValidationError) as exc:
+        KINDS[kind].from_state(state)
+    assert exc.value.field == field
+
+
+@pytest.mark.parametrize("change", [-1, 1])
+@pytest.mark.parametrize("field", ["members", "rng_states"])
+def test_stacking_forest_list_length_checked(field, change):
+    state = json_round_trip(StackingModel(seed=0).to_state())
+    forest = state["forest_contribution"]
+    forest[field] = resized(forest[field], change)
+    with pytest.raises(ValidationError) as exc:
+        StackingModel.from_state(state)
+    assert exc.value.field == f"forest_contribution.{field}"
 
 
 POINTER_TREE_CHECKPOINTS = Path(__file__).parent / "data" / \

@@ -7,7 +7,11 @@ from click.testing import CliRunner
 
 from wikistream.cli import main
 from wikistream.ingest import load_stream, write_aggregates
-from tests.test_ingest import INVALID_AGGREGATE_COLUMNS, rewrite_cells
+from tests.test_ingest import (
+    INVALID_AGGREGATE_COLUMNS,
+    append_surplus_cells,
+    rewrite_cells,
+)
 
 
 def run(*args):
@@ -265,4 +269,14 @@ def test_malformed_jsonl_stream_exits_validation(tmp_path, command, out, text):
     result = run(command, stream, "--out", tmp_path / out)
     assert result.exit_code == 2, result.output
     assert "error: line 1:" in result.output
+    assert not (tmp_path / out).exists()
+
+
+@pytest.mark.parametrize("command,out", STREAM_COMMANDS + [("evaluate", "eval")])
+def test_surplus_csv_cells_exit_validation(tmp_path, command, out):
+    events = simulate_stream(tmp_path / "sim")
+    append_surplus_cells(events, 0)
+    result = run(command, events, "--out", tmp_path / out)
+    assert result.exit_code == 2, result.output
+    assert "error: line 2: 2 cell(s) beyond the header" in result.output
     assert not (tmp_path / out).exists()

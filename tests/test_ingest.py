@@ -37,6 +37,15 @@ def rewrite_cells(path, index, **cells):
     write_rows([list(r.values()) for r in records], list(records[0]), path)
 
 
+def append_surplus_cells(path, index):
+    """Append two cells beyond the header to data row ``index`` of a
+    CSV file."""
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[index + 1] = lines[index + 1].rstrip("\r\n") + ",surplus,cells\r\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
 class TestParseEvents:
     def test_well_formed_file(self, tmp_path):
         path = tmp_path / "events.csv"
@@ -70,6 +79,16 @@ class TestParseEvents:
     def test_missing_path(self, tmp_path):
         with pytest.raises(ValidationError):
             parse_events(tmp_path / "nope.csv")
+
+    def test_surplus_cells_rejected_with_line(self, tmp_path):
+        path = tmp_path / "events.csv"
+        write_events([make_event(contributor_id=f"c{i}") for i in range(2)],
+                     path)
+        append_surplus_cells(path, 0)
+        with pytest.raises(ValidationError) as exc:
+            parse_events(path)
+        assert exc.value.line == 2
+        assert "2 cell(s) beyond the header" in str(exc.value)
 
     def test_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -229,6 +248,16 @@ class TestAggregateSchema:
         with pytest.raises(ValidationError) as exc:
             read_aggregates(path)
         assert exc.value.line == line and exc.value.field == field
+
+    def test_surplus_cells_rejected_with_line(self, tmp_path):
+        aggs = aggregate_daily([make_event(contributor_id=f"c{i}")
+                                for i in range(2)])
+        path = tmp_path / "aggs.csv"
+        write_aggregates(aggs, path)
+        append_surplus_cells(path, 1)
+        with pytest.raises(ValidationError) as exc:
+            read_aggregates(path)
+        assert exc.value.line == 3
 
     def test_synthetic_column_present(self):
         assert "synthetic" in AGGREGATE_COLUMNS

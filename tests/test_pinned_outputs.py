@@ -5,19 +5,26 @@ aggregate file, pinned.
 Each classifier runs prequentially over one small simulated stream; the
 log, without its wall-clock ``latency_us`` column, must hash to the
 digest recorded for it. The stacking model's log and the pipeline's
-other outputs are pinned in ``test_acceptance.test_determinism``.
+other outputs are pinned in ``test_acceptance.test_determinism``. The
+JSON checkpoints of the forests and the stacking model are pinned after
+a prefix of the stream that ends inside a block of Poisson weights.
 """
 
 import csv
 import hashlib
+import json
 from io import StringIO
 
 import pytest
 
 from wikistream.analysis import FEATURE_SETS
-from wikistream.evaluate import prequential_run, write_prediction_log
+from wikistream.evaluate import (
+    prequential_run,
+    prequential_run_stacking,
+    write_prediction_log,
+)
 from wikistream.ingest import aggregate_daily, write_aggregates
-from wikistream.learn import make_classifier
+from wikistream.learn import POISSON_BLOCK, StackingModel, make_classifier
 from wikistream.sim import SimConfig, simulate
 
 
@@ -76,3 +83,32 @@ def test_aggregate_jsonl_pinned(stream, tmp_path):
     write_aggregates(stream, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         PINNED_AGGREGATE_JSONL
+
+
+# Recorded with numpy 2.4.6 on Python 3.11.7, from the implementation
+# that drew one scalar Poisson weight per member and example: the
+# SHA-256 of ``json.dumps(model.to_state(), sort_keys=True)`` after the
+# first CHECKPOINT_DAYS contributor-days.
+CHECKPOINT_DAYS = 1999
+PINNED_CHECKPOINTS = {
+    "rf": "a25ba78fae0be27dda7312546a20eee0cf761f30bcc875567fd122e060151405",
+    "bc": "b1e0e6aca174c8712777d771e5b2ad247653b5347080d677804980706b9ce406",
+    "stacking":
+        "190bf9d2f9395ca03987bf8b0edd6fe1ea951b609bcd8518ffb1318bcbb61366",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_CHECKPOINTS))
+def test_mid_block_checkpoint_pinned(stream, kind):
+    assert CHECKPOINT_DAYS % POISSON_BLOCK != 0
+    days = stream[:CHECKPOINT_DAYS]
+    if kind == "stacking":
+        model = StackingModel(seed=3)
+        prequential_run_stacking(days, model)
+    else:
+        model = make_classifier(kind, seed=3)
+        prequential_run(days, model, FEATURE_SETS["set1"],
+                        "contribution_type")
+    state = json.dumps(model.to_state(), sort_keys=True)
+    assert hashlib.sha256(state.encode()).hexdigest() == \
+        PINNED_CHECKPOINTS[kind]

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from wikistream.ingest import parse_events, read_aggregates, write_aggregates
 from wikistream.learn import (
+    POISSON_BLOCK,
     BaggingForest,
     HoeffdingTree,
     StackingModel,
@@ -114,6 +115,49 @@ def test_one_member_forest_is_the_tree(stream):
         tree.learn_one(x, y)
     assert forest.to_state()["members"] == [tree.to_state()]
     event(f"tree nodes: {len(tree.store.nodes[0])}")
+
+
+# Long enough to cross a refill of the Poisson block and to split trees
+# (a leaf first tries to split after 200 examples).
+long_streams = st.tuples(st.integers(0, 2 ** 32 - 1),
+                         st.integers(max(300, POISSON_BLOCK + 1), 800),
+                         st.integers(1, 6), st.integers(2, 3),
+                         st.sampled_from(PATTERNS),
+                         st.sampled_from([0.0, 0.1, 0.5]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["nb", "dt", "rf", "bc"]), stream=long_streams)
+def test_predict_learn_is_predict_then_learn(kind, stream):
+    seed, n, d, n_classes, pattern, noise = stream
+    xs, ys = draw_stream(seed, n, d, n_classes, pattern, noise)
+    classes = list(range(n_classes))
+    apart, joined = (make_classifier(kind, seed=seed % 1000, classes=classes)
+                     for _ in range(2))
+    for x, y in zip(xs, ys):
+        expected = apart.predict_proba(x).tolist()
+        apart.learn_one(x, y)
+        assert joined.predict_learn(x, y).tolist() == expected
+    assert joined.to_state() == apart.to_state()
+    if kind in ("dt", "rf", "bc"):
+        event(f"{kind} nodes: {sum(map(len, joined.store.nodes))}")
+
+
+@settings(max_examples=6, deadline=None)
+@given(stream=long_streams)
+def test_stacking_predict_learn_is_predict_then_learn(stream):
+    seed, n, _, _, pattern, noise = stream
+    xs, ys = draw_stream(seed, n, len(FEATURE_IDS), 2, pattern, noise)
+    labels = np.random.default_rng(seed).integers(0, 2, size=n).tolist()
+    apart, joined = StackingModel(seed=seed % 1000), \
+        StackingModel(seed=seed % 1000)
+    for x, y_user, y_contribution in zip(xs, labels, ys):
+        a = apart.predict(x)
+        apart.learn(x, y_user, y_contribution)
+        b = joined.predict_learn(x, y_user, y_contribution)
+        assert (a[0].tolist(), a[1].tolist(), a[2]) == \
+            (b[0].tolist(), b[1].tolist(), b[2])
+    assert joined.to_state() == apart.to_state()
 
 
 # Profile sums of these columns add integers, so any order gives one value.
