@@ -123,9 +123,8 @@ class GaussianNaiveBayes(OnlineClassifier):
         self._ensure(x.shape[0])
         k = self.classes.index(y)
         self._counts[k] += 1
-        delta = x - self._mean[k]
-        self._mean[k] += delta / self._counts[k]
-        self._m2[k] += delta * (x - self._mean[k])
+        self._mean[k], self._m2[k] = _fold(x, self._mean[k], self._m2[k],
+                                           self._counts[k], 1)
 
     def predict_proba(self, x):
         x = self._check_arity(x)
@@ -195,18 +194,19 @@ _LEAF = (-1, None, None, None)
 
 
 class TreeStore:
-    """Hoeffding trees packed into arrays, one per member.
+    """Hoeffding trees packed into one node table, one tree per member.
 
     Member m's tree reads the input columns ``columns[m]``; its feature
-    f is input column ``columns[m][f]``. Node 0 is every member's root.
-    The structure changes only at a split and is kept per member as a
+    f is input column ``columns[m][f]``. Node ids run over the whole
+    store: node m is member m's root, and a split appends its two
+    children. The structure changes only at a split and is kept as one
     plain list of node tuples (input column, threshold, left, right),
     with column -1 at a leaf: plain lists route one row faster than
-    numpy does. Node statistics are arrays indexed [member, node,
-    class(, feature)]: class counts, per-class Gaussian moments per
-    feature (mean and m2), the weight seen since the last split
-    attempt, the fallback distribution (the parent's at split time) and
-    depth. Their node capacity doubles when a member outgrows it.
+    numpy does. Node statistics are arrays indexed [node, class(,
+    feature)]: class counts, per-class Gaussian moments per feature
+    (mean and m2), the weight seen since the last split attempt, the
+    fallback distribution (the parent's at split time) and depth. Their
+    node capacity doubles when the table outgrows it.
 
     Candidate thresholds are midpoints between class means. A leaf
     splits when the best info gain beats the runner-up by the Hoeffding
@@ -216,48 +216,43 @@ class TreeStore:
     def __init__(self, columns, n_classes):
         self.columns = np.asarray(columns)
         n_members, self.n_features = self.columns.shape
-        self.members = np.arange(n_members)
-        self.nodes = [[_LEAF] for _ in range(n_members)]
-        self.counts = np.zeros((n_members, 1, n_classes))
-        self.mean = np.zeros((n_members, 1, n_classes, self.n_features))
-        self.m2 = np.zeros((n_members, 1, n_classes, self.n_features))
-        self.seen = np.zeros((n_members, 1))
-        self.fallback = np.full((n_members, 1, n_classes), 1.0 / n_classes)
-        self.depth = np.zeros((n_members, 1), dtype=np.int64)
+        self.nodes = [_LEAF] * n_members
+        self.counts = np.zeros((n_members, n_classes))
+        self.mean = np.zeros((n_members, n_classes, self.n_features))
+        self.m2 = np.zeros((n_members, n_classes, self.n_features))
+        self.seen = np.zeros(n_members)
+        self.fallback = np.full((n_members, n_classes), 1.0 / n_classes)
+        self.depth = np.zeros(n_members, dtype=np.int64)
 
-    def is_leaf(self, member, node):
-        return self.nodes[member][node][0] < 0
+    def is_leaf(self, node):
+        return self.nodes[node][0] < 0
 
-    def leaves(self, members, x):
-        """The leaf input row ``x`` reaches in each of ``members``' trees."""
-        return [self.descend(m, 0, x) for m in members]
-
-    def descend(self, m, node, x):
-        """The leaf input row ``x`` reaches in member ``m``'s tree from
-        its node ``node``."""
-        nodes = self.nodes[m]
+    def descend(self, node, x):
+        """The leaf input row ``x`` reaches from node ``node``; from node
+        m, the leaf it reaches in member m's tree."""
+        nodes = self.nodes
         column, threshold, left, right = nodes[node]
         while column >= 0:
             node = left if x[column] <= threshold else right
             column, threshold, left, right = nodes[node]
         return node
 
-    def distributions(self, members, leaves):
-        """One class distribution per member: its leaf's normalised class
-        counts, or the leaf's fallback while it has none."""
-        counts = self.counts[members, leaves]
+    def distributions(self, leaves):
+        """One class distribution per leaf: its normalised class counts,
+        or its fallback while it has none."""
+        counts = self.counts[leaves]
         total = counts.sum(axis=1, keepdims=True)
-        out = self.fallback[members, leaves]
+        out = self.fallback[leaves]
         np.divide(counts, total, out=out, where=total > 0)
         return out
 
-    def distribution(self, m, leaf):
-        """One member's ``distributions``."""
-        counts = self.counts[m, leaf]
+    def distribution(self, leaf):
+        """One leaf's ``distributions``."""
+        counts = self.counts[leaf]
         total = counts.sum()
         if total > 0:
             return counts / total
-        return self.fallback[m, leaf].copy()
+        return self.fallback[leaf].copy()
 
     def learn(self, members, leaves, x, k, weights):
         """Fold input row ``x`` of class ``k`` into one leaf per member
@@ -265,39 +260,38 @@ class TreeStore:
         ``weights``. A leaf that has seen a grace period's weight since
         its last attempt tries to split."""
         leaves = np.asarray(leaves, dtype=np.intp)
-        at = (members, leaves, k)
+        at = (leaves, k)
         n = self.counts[at] + weights
         self.counts[at] = n
         self.mean[at], self.m2[at] = _fold(
             x[self.columns[members]], self.mean[at], self.m2[at],
             n[:, None], weights[:, None])
-        seen = self.seen[members, leaves] + weights
+        seen = self.seen[leaves] + weights
         due = seen >= HOEFFDING_GRACE_PERIOD
         if due.any():
             seen[due] = 0.0
             for m, leaf in zip(members[due].tolist(), leaves[due].tolist()):
                 self._attempt_split(m, leaf)
-        self.seen[members, leaves] = seen
+        self.seen[leaves] = seen
 
     def learn_member(self, m, leaf, x, k, weight):
         """``learn`` for one member."""
-        at = (m, leaf, k)
+        at = (leaf, k)
         n = self.counts[at] + weight
         self.counts[at] = n
         self.mean[at], self.m2[at] = _fold(
             x[self.columns[m]], self.mean[at], self.m2[at], n, weight)
-        seen = self.seen[m, leaf] + weight
+        seen = self.seen[leaf] + weight
         if seen >= HOEFFDING_GRACE_PERIOD:
-            self.seen[m, leaf] = 0.0
+            self.seen[leaf] = 0.0
             self._attempt_split(m, leaf)
         else:
-            self.seen[m, leaf] = seen
+            self.seen[leaf] = seen
 
     def _attempt_split(self, m, node):
-        if self.depth[m, node] >= HOEFFDING_MAX_DEPTH:
+        if self.depth[node] >= HOEFFDING_MAX_DEPTH:
             return
-        counts, mean, m2 = (self.counts[m, node], self.mean[m, node],
-                            self.m2[m, node])
+        counts, mean, m2 = self.counts[node], self.mean[node], self.m2[node]
         present = [k for k in range(len(counts)) if counts[k] >= 2]
         if len(present) < 2:
             return
@@ -328,73 +322,71 @@ class TreeStore:
         if g1 > 1e-12 and (g1 - g2 > epsilon
                            or epsilon < HOEFFDING_TIE_THRESHOLD):
             children = self._split(m, node, feature, threshold)
-            self.fallback[m, children] = counts / n_total
+            self.fallback[children] = counts / n_total
 
     def _split(self, m, node, feature, threshold):
-        """Turn leaf ``node`` of member ``m`` into a split on its feature
-        ``feature`` with two fresh leaves; returns their node ids."""
-        nodes = self.nodes[m]
+        """Turn leaf ``node`` of member ``m``'s tree into a split on its
+        feature ``feature`` with two fresh leaves; returns their node
+        ids."""
+        nodes = self.nodes
         first = len(nodes)
-        while first + 2 > self.counts.shape[1]:
+        while first + 2 > len(self.counts):
             self._grow()
         nodes.extend((_LEAF, _LEAF))
         nodes[node] = (int(self.columns[m, feature]), float(threshold),
                        first, first + 1)
         children = [first, first + 1]
-        self.depth[m, children] = self.depth[m, node] + 1
+        self.depth[children] = self.depth[node] + 1
         return children
 
     def _grow(self):
-        size = self.counts.shape[1]
+        size = len(self.counts)
         for name in ("counts", "mean", "m2", "seen", "fallback", "depth"):
             old = getattr(self, name)
-            grown = np.zeros((old.shape[0], 2 * size) + old.shape[2:],
-                             dtype=old.dtype)
-            grown[:, :size] = old
+            grown = np.zeros((2 * size,) + old.shape[1:], dtype=old.dtype)
+            grown[:size] = old
             setattr(self, name, grown)
 
     def root_state(self, m):
         """Member ``m``'s tree as nested node dicts; None while it has
         learned nothing."""
-        if self.is_leaf(m, 0) and not self.counts[m, 0].any():
+        if self.is_leaf(m) and not self.counts[m].any():
             return None
-        return self._node_state(m, 0)
+        return self._node_state(m, m)
 
     def _node_state(self, m, node):
-        column, threshold, left, right = self.nodes[m][node]
+        column, threshold, left, right = self.nodes[node]
         leaf = column < 0
         return {
-            "class_counts": self.counts[m, node].tolist(),
-            "mean": self.mean[m, node].tolist(),
-            "m2": self.m2[m, node].tolist(),
-            "seen_since_attempt": float(self.seen[m, node]),
+            "class_counts": self.counts[node].tolist(),
+            "mean": self.mean[node].tolist(),
+            "m2": self.m2[node].tolist(),
+            "seen_since_attempt": float(self.seen[node]),
             "split_feature": (None if leaf else
                               self.columns[m].tolist().index(column)),
             "threshold": threshold,
-            "fallback": self.fallback[m, node].tolist(),
-            "depth": int(self.depth[m, node]),
+            "fallback": self.fallback[node].tolist(),
+            "depth": int(self.depth[node]),
             "left": None if leaf else self._node_state(m, left),
             "right": None if leaf else self._node_state(m, right),
         }
 
-    def load_root(self, m, state):
-        """Rebuild member ``m``'s tree from ``root_state`` output other
-        than None. An ``n`` field, which older checkpoints carry beside
-        the equal class counts, is ignored."""
-        self._load_node(m, 0, state)
-
-    def _load_node(self, m, node, state):
-        self.counts[m, node] = state["class_counts"]
-        self.mean[m, node] = state["mean"]
-        self.m2[m, node] = state["m2"]
-        self.seen[m, node] = state["seen_since_attempt"]
-        self.fallback[m, node] = state["fallback"]
-        self.depth[m, node] = state["depth"]
+    def load_node(self, m, node, state):
+        """Rebuild the subtree at leaf ``node`` of member ``m``'s tree
+        from ``root_state`` output other than None; ``load_node(m, m,
+        state)`` loads member m's tree. An ``n`` field, which older
+        checkpoints carry beside the equal class counts, is ignored."""
+        self.counts[node] = state["class_counts"]
+        self.mean[node] = state["mean"]
+        self.m2[node] = state["m2"]
+        self.seen[node] = state["seen_since_attempt"]
+        self.fallback[node] = state["fallback"]
+        self.depth[node] = state["depth"]
         if state["split_feature"] is not None:
             left, right = self._split(m, node, state["split_feature"],
                                       state["threshold"])
-            self._load_node(m, left, state["left"])
-            self._load_node(m, right, state["right"])
+            self.load_node(m, left, state["left"])
+            self.load_node(m, right, state["right"])
 
 
 def _tree_state(classes, n_features, root):
@@ -405,14 +397,6 @@ def _tree_state(classes, n_features, root):
         **_TREE_SETTINGS,
         "root": root,
     }
-
-
-def _member_states(classes, store, n_members):
-    """The per-member tree states of an ensemble's store."""
-    if store is None:
-        return [_tree_state(classes, None, None) for _ in range(n_members)]
-    return [_tree_state(classes, store.n_features, store.root_state(m))
-            for m in range(n_members)]
 
 
 class HoeffdingTree(OnlineClassifier):
@@ -431,7 +415,7 @@ class HoeffdingTree(OnlineClassifier):
         x = self._check_arity(x)
         self._ensure(x.shape[0])
         store = self.store
-        store.learn_member(0, store.descend(0, 0, x), x,
+        store.learn_member(0, store.descend(0, x), x,
                            self.classes.index(y), 1)
 
     def predict_proba(self, x):
@@ -439,7 +423,7 @@ class HoeffdingTree(OnlineClassifier):
         if self.store is None:
             return np.full(len(self.classes), 1.0 / len(self.classes))
         store = self.store
-        return store.distribution(0, store.descend(0, 0, x))
+        return store.distribution(store.descend(0, x))
 
     def to_state(self):
         return _tree_state(
@@ -453,7 +437,7 @@ class HoeffdingTree(OnlineClassifier):
         tree.n_features = state["n_features"]
         if state["root"] is not None:
             tree._ensure(tree.n_features)
-            tree.store.load_root(0, state["root"])
+            tree.store.load_node(0, 0, state["root"])
         return tree
 
 
@@ -493,7 +477,8 @@ class _Ensemble(OnlineClassifier):
         """``x`` checked, and the leaf it reaches in each member's tree."""
         x = self._check_arity(x)
         self._ensure(x.shape[0])
-        return x, self.store.leaves(range(self.n_members), x.tolist())
+        row = x.tolist()
+        return x, [self.store.descend(m, row) for m in range(self.n_members)]
 
     def predict_proba(self, x):
         return self._vote(self._route(x)[1])
@@ -513,6 +498,7 @@ class _Ensemble(OnlineClassifier):
     def _state(self, kind, settings):
         """The checkpoint: ``settings`` between the shared fields and
         the members."""
+        store = self.store
         return {
             "kind": kind,
             "classes": self.classes,
@@ -520,8 +506,11 @@ class _Ensemble(OnlineClassifier):
             "n_members": self.n_members,
             "seed": self.seed,
             **settings,
-            "members": _member_states(self.classes, self.store,
-                                      self.n_members),
+            "members": [
+                _tree_state(self.classes, None, None) if store is None
+                else _tree_state(self.classes, store.n_features,
+                                 store.root_state(m))
+                for m in range(self.n_members)],
             "rng_states": self._rng_states(),
         }
 
@@ -534,7 +523,7 @@ class _Ensemble(OnlineClassifier):
         for m, member in enumerate(state["members"]):
             _check_settings(member, _TREE_SETTINGS, f"members.{m}.")
             if member["root"] is not None:
-                self.store.load_root(m, member["root"])
+                self.store.load_node(m, m, member["root"])
         for rng, rng_state in zip(self._rngs, state["rng_states"]):
             rng.bit_generator.state = rng_state
 
@@ -608,9 +597,7 @@ class BaggingForest(_Ensemble):
         return states
 
     def _vote(self, leaves):
-        store = self.store
-        return (store.distributions(store.members, leaves).sum(axis=0)
-                / self.n_members)
+        return self.store.distributions(leaves).sum(axis=0) / self.n_members
 
     def _learn(self, x, leaves, y):
         k = self.classes.index(y)
@@ -671,9 +658,9 @@ class OnlineBoosting(_Ensemble):
             w = rng.poisson(lam)
             if w > 0:
                 store.learn_member(m, leaf, x, k, w)
-                if not store.is_leaf(m, leaf):  # the learn split it
-                    leaf = store.descend(m, leaf, x)
-            probs = store.distribution(m, leaf)
+                if not store.is_leaf(leaf):  # the learn split it
+                    leaf = store.descend(leaf, x)
+            probs = store.distribution(leaf)
             if int(np.argmax(probs)) == k:
                 self.lambda_correct[m] += lam
                 total = self.lambda_correct[m] + self.lambda_wrong[m]
@@ -703,8 +690,7 @@ class OnlineBoosting(_Ensemble):
         weights = self._member_weights()
         if weights.sum() == 0:
             return np.full(len(self.classes), 1.0 / len(self.classes))
-        store = self.store
-        winners = store.distributions(store.members, leaves).argmax(axis=1)
+        winners = self.store.distributions(leaves).argmax(axis=1)
         # bincount adds the weights in member order, as a loop would
         votes = np.bincount(winners, weights=weights,
                             minlength=len(self.classes))
@@ -787,7 +773,8 @@ class StackingModel:
 
     def predict(self, x):
         """Returns (user probs, final contribution probs, joint class name)."""
-        return self._run(x, _predict_only, None, None)
+        return self._run(x, lambda forest, xf, _y: forest.predict_proba(xf),
+                         None, None)
 
     def learn(self, x, y_user, y_contribution):
         """``predict_learn`` without its outputs."""
@@ -827,10 +814,6 @@ class StackingModel:
                 raise ValidationError(
                     exc.message, field=f"{name}.{exc.field}") from None
         return model
-
-
-def _predict_only(forest, x, _label):
-    return forest.predict_proba(x)
 
 
 def _substream(seed, index):

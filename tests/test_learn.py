@@ -91,7 +91,7 @@ class TestHoeffdingTree:
         tree = HoeffdingTree()
         for x, y in zip(xs, ys):
             tree.learn_one(x, int(y))
-        assert tree.store.is_leaf(0, 0)
+        assert tree.store.is_leaf(0)
 
     def test_learns_threshold_concept(self):
         xs, ys = threshold_stream(5000, seed=1)
@@ -102,7 +102,7 @@ class TestHoeffdingTree:
                 correct += 1
             tree.learn_one(x, int(y))
         assert correct / 1000 >= 0.95
-        assert not tree.store.is_leaf(0, 0)
+        assert not tree.store.is_leaf(0)
 
     def test_untrained_predicts_uniform(self):
         tree = HoeffdingTree()
