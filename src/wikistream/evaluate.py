@@ -115,9 +115,17 @@ class MetricsReport:
             json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
 
 
+def _check_window(window):
+    """Reject a sliding window of fewer than one sample."""
+    if window < 1:
+        raise ValidationError(f"must be at least 1, got {window}",
+                              field="window")
+
+
 def metrics_from_log(log, classes, classifier="", target="",
                      window=DEFAULT_WINDOW, elapsed=0.0):
     """Recompute the full report from a prediction log."""
+    _check_window(window)
     cm = ConfusionMatrix(classes)
     for record in log:
         cm.add(record.true, record.predicted)
@@ -164,6 +172,7 @@ def _prequential(stream, store, features, step, classes, classifier,
     probabilities) pair per target. Returns one report and one log per
     target; a step's latency covers the profile update to the learning.
     """
+    _check_window(window)
     store = store if store is not None else ProfileStore()
     logs = tuple([] for _ in targets)
     started = time.perf_counter()

@@ -61,8 +61,11 @@ def _entropy(counts):
 class OnlineClassifier:
     """Predict-then-learn contract over a fixed class list.
 
-    The feature arity is fixed by the first call; predictions never
-    mutate state and always return a probability vector summing to one.
+    The feature arity is fixed by the first call. Predictions always
+    return a probability vector summing to one and change no learned
+    statistic, but a first call may set the model up: a fresh
+    ``BaggingForest`` with feature subsets draws them there, which
+    advances its member RNGs and so changes its ``to_state()``.
     """
 
     def __init__(self, classes=(0, 1)):
@@ -155,13 +158,29 @@ class GaussianNaiveBayes(OnlineClassifier):
 
     @classmethod
     def from_state(cls, state):
+        """The model ``to_state`` wrote. Moments of another shape than
+        (classes, n_features) raise ValidationError naming the field."""
         clf = cls(state["classes"])
         clf.n_features = state["n_features"]
         if state["counts"] is not None:
-            clf._counts = np.array(state["counts"], dtype=float)
-            clf._mean = np.array(state["mean"], dtype=float)
-            clf._m2 = np.array(state["m2"], dtype=float)
+            c = len(clf.classes)
+            clf._counts = _array(state, "counts", (c,))
+            clf._mean = _array(state, "mean", (c, clf.n_features))
+            clf._m2 = _array(state, "m2", (c, clf.n_features))
         return clf
+
+
+def _array(state, name, shape):
+    """Checkpoint list ``name`` as a float array, which must have
+    ``shape``."""
+    try:
+        value = np.array(state[name], dtype=float)
+    except (TypeError, ValueError):  # ragged or not numeric
+        value = None
+    if value is None or value.shape != shape:
+        raise ValidationError(f"checkpoint does not hold a {shape} array",
+                              field=name)
+    return value
 
 
 def _split_gain(counts, mean, m2, feature, threshold, base_entropy):
@@ -555,13 +574,19 @@ class BaggingForest(_Ensemble):
         before the first call."""
         return None if self.store is None else list(self.store.columns)
 
+    def _subset_size(self, d):
+        """How many of ``d`` input columns each member reads."""
+        if self.max_features is None:
+            return d
+        return max(1, math.ceil(math.sqrt(d)))
+
     def _ensure(self, d):
         if self.store is not None:
             return
         if self.max_features is None:
             subsets = [np.arange(d) for _ in range(self.n_members)]
         else:
-            size = max(1, math.ceil(math.sqrt(d)))
+            size = self._subset_size(d)
             subsets = [
                 np.sort(self._rngs[m].choice(d, size=size, replace=False))
                 for m in range(self.n_members)
@@ -617,7 +642,9 @@ class BaggingForest(_Ensemble):
 
     @classmethod
     def from_state(cls, state):
-        """The forest ``to_state`` wrote, with an empty Poisson block."""
+        """The forest ``to_state`` wrote, with an empty Poisson block. A
+        subset that is not the expected number of distinct input columns
+        raises ValidationError naming it (``subsets.0``)."""
         forest = cls(
             n_members=state["n_members"], classes=state["classes"],
             seed=state["seed"], max_features=state["max_features"],
@@ -625,6 +652,14 @@ class BaggingForest(_Ensemble):
         forest.n_features = state["n_features"]
         if state["subsets"] is not None:
             _check_length(state, "subsets", forest.n_members)
+            d = forest.n_features
+            size = forest._subset_size(d)
+            for m, subset in enumerate(state["subsets"]):
+                if not (len(subset) == len(set(subset)) == size and all(
+                        type(c) is int and 0 <= c < d for c in subset)):
+                    raise ValidationError(
+                        f"checkpoint subset is not {size} distinct columns "
+                        f"of {d}", field=f"subsets.{m}")
             forest.store = TreeStore(state["subsets"], len(forest.classes))
         forest._load(state)
         return forest
@@ -707,8 +742,8 @@ class OnlineBoosting(_Ensemble):
         clf = cls(n_members=state["n_members"], classes=state["classes"],
                   seed=state["seed"])
         clf.n_features = state["n_features"]
-        clf.lambda_correct = np.array(state["lambda_correct"])
-        clf.lambda_wrong = np.array(state["lambda_wrong"])
+        clf.lambda_correct = _array(state, "lambda_correct", (clf.n_members,))
+        clf.lambda_wrong = _array(state, "lambda_wrong", (clf.n_members,))
         if clf.n_features is not None:
             clf._ensure(clf.n_features)
         clf._load(state)

@@ -4,7 +4,9 @@ exactly as the uninterrupted model does, also from inside a block of
 Poisson weights; checkpoints written by the pointer-tree implementation
 (whose nodes carried an ``n`` field equal to ``class_counts``) still
 load and continue exactly; and an ensemble checkpoint without one entry
-per member in each per-member list is rejected.
+per member in each per-member list, a feature subset that is not the
+expected number of distinct input columns, or naive Bayes moments of
+another shape is rejected.
 """
 
 import hashlib
@@ -117,7 +119,8 @@ def resized(items, change):
 @pytest.mark.parametrize("change", [-1, 1])
 @pytest.mark.parametrize("kind,field", [
     ("rf", "members"), ("rf", "rng_states"), ("rf", "subsets"),
-    ("bc", "members"), ("bc", "rng_states")])
+    ("bc", "members"), ("bc", "rng_states"), ("bc", "lambda_correct"),
+    ("bc", "lambda_wrong")])
 def test_member_list_length_checked(kind, field, change):
     xs, ys = concept_stream(20, seed=3)
     model = make_classifier(kind, seed=1)
@@ -139,6 +142,53 @@ def test_stacking_forest_list_length_checked(field, change):
     with pytest.raises(ValidationError) as exc:
         StackingModel.from_state(state)
     assert exc.value.field == f"forest_contribution.{field}"
+
+
+# Each edits a subset of three of nine columns.
+BAD_SUBSETS = [lambda s: s[:-1], lambda s: s[:-1] + [50],
+               lambda s: s[:-1] + [-1], lambda s: s[:1] + s[:-1]]
+
+
+@pytest.mark.parametrize("edit", BAD_SUBSETS)
+def test_subset_columns_checked(edit):
+    xs, ys = concept_stream(20, seed=3, d=9)
+    model = make_classifier("rf", seed=1)
+    for x, y in zip(xs, ys):
+        model.learn_one(x, int(y))
+    state = json_round_trip(model.to_state())
+    state["subsets"][0] = edit(state["subsets"][0])
+    with pytest.raises(ValidationError) as exc:
+        BaggingForest.from_state(state)
+    assert exc.value.field == "subsets.0"
+
+
+def test_stacking_forest_subset_checked():
+    model = StackingModel(seed=0)
+    model.learn(profile_vector(np.random.default_rng(0), bot=True,
+                               malign=False), 1, 0)
+    state = json_round_trip(model.to_state())
+    subsets = state["forest_user"]["subsets"]
+    subsets[0] = subsets[0][:-1]
+    with pytest.raises(ValidationError) as exc:
+        StackingModel.from_state(state)
+    assert exc.value.field == "forest_user.subsets.0"
+
+
+@pytest.mark.parametrize("field,edit", [
+    ("counts", lambda v: v[:-1]),
+    ("mean", lambda v: [row[:-1] for row in v]),
+    ("mean", lambda v: [v[0][:-1]] + v[1:]),
+    ("m2", lambda v: v + v[:1])])
+def test_naive_bayes_moment_shapes_checked(field, edit):
+    xs, ys = concept_stream(20, seed=3)
+    model = GaussianNaiveBayes()
+    for x, y in zip(xs, ys):
+        model.learn_one(x, int(y))
+    state = json_round_trip(model.to_state())
+    state[field] = edit(state[field])
+    with pytest.raises(ValidationError) as exc:
+        GaussianNaiveBayes.from_state(state)
+    assert exc.value.field == field
 
 
 POINTER_TREE_CHECKPOINTS = Path(__file__).parent / "data" / \

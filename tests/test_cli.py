@@ -193,6 +193,15 @@ class TestEvaluateCommand:
         assert "no contributor-days" in result.output
         assert not (tmp_path / "eval" / "metrics.json").exists()
 
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_window_below_one_exits_validation(self, tmp_path, window):
+        events = simulate_stream(tmp_path / "sim")
+        result = run("evaluate", events, "--classifier", "nb",
+                     "--window", window, "--out", tmp_path / "eval")
+        assert result.exit_code == 2, result.output
+        assert "field 'window'" in result.output
+        assert not (tmp_path / "eval" / "metrics.json").exists()
+
     @pytest.mark.parametrize("columns,field", INVALID_AGGREGATE_COLUMNS)
     def test_invalid_aggregate_row_exits_validation(self, tmp_path, columns,
                                                     field):

@@ -11,7 +11,8 @@ from wikistream.evaluate import (
     write_prediction_log,
 )
 from wikistream.ingest import aggregate_daily
-from wikistream.learn import GaussianNaiveBayes, make_classifier
+from wikistream.learn import GaussianNaiveBayes, StackingModel, make_classifier
+from wikistream.model import ValidationError
 from wikistream.analysis import SET1
 from wikistream.sim import SimConfig, simulate
 
@@ -119,6 +120,25 @@ class TestPrequentialRun:
                                     SET1, "user_type", window=25)
         ends = [end for end, _ in report.window_series]
         assert ends == list(range(25, len(stream) + 1, 25))
+
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_window_below_one_rejected(self, window):
+        with pytest.raises(ValidationError) as exc:
+            metrics_from_log([], [0, 1], window=window)
+        assert exc.value.field == "window"
+
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_window_below_one_rejected_before_first_sample(self, window):
+        stream = small_stream(seed=3)
+        rest = iter(stream)
+        with pytest.raises(ValidationError) as exc:
+            prequential_run(rest, GaussianNaiveBayes(), SET1, "user_type",
+                            window=window)
+        assert exc.value.field == "window"
+        with pytest.raises(ValidationError) as exc:
+            prequential_run_stacking(rest, StackingModel(), window=window)
+        assert exc.value.field == "window"
+        assert next(rest) is stream[0]
 
     def test_constant_labels_give_trivial_accuracy(self):
         cfg = SimConfig(counts={"human-benign": 6}, n_days=10, seed=0)

@@ -160,6 +160,66 @@ def test_stacking_predict_learn_is_predict_then_learn(stream):
     assert joined.to_state() == apart.to_state()
 
 
+def node_dicts(state):
+    """The number of tree node dicts nested in a checkpoint."""
+    if isinstance(state, dict):
+        return ("class_counts" in state) + sum(map(node_dicts,
+                                                   state.values()))
+    if isinstance(state, list):
+        return sum(map(node_dicts, state))
+    return 0
+
+
+def assert_node_table(forest):
+    """Each node of the forest's store hangs under exactly one member's
+    root, node m; the table holds the roots and two nodes per split, as
+    many as its checkpoint writes and ``from_state`` rebuilds."""
+    store = forest.store
+    reached = []
+    for m in range(forest.n_members):
+        todo = [m]
+        while todo:
+            node = todo.pop()
+            reached.append(node)
+            column, _, left, right = store.nodes[node]
+            if column >= 0:
+                todo += [left, right]
+    assert sorted(reached) == list(range(len(store.nodes)))
+    splits = sum(column >= 0 for column, *_ in store.nodes)
+    assert len(store.nodes) == forest.n_members + 2 * splits
+    state = forest.to_state()
+    # a member that has learned nothing writes a null root but keeps
+    # its root node
+    unlearned = sum(member["root"] is None for member in state["members"])
+    assert len(store.nodes) == node_dicts(state) + unlearned
+    restored = type(forest).from_state(state)
+    assert len(restored.store.nodes) == len(store.nodes)
+    return splits
+
+
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from(["rf", "bc", "stacking"]), stream=long_streams)
+def test_node_table_holds_each_tree_once(kind, stream):
+    seed, n, d, n_classes, pattern, noise = stream
+    if kind == "stacking":
+        xs, ys = draw_stream(seed, n, len(FEATURE_IDS), 2, pattern, noise)
+        # the informative column to column 25, which every forest reads
+        xs = np.roll(xs, 25, axis=1)
+        model = StackingModel(seed=seed % 1000)
+        for x, y in zip(xs, ys):
+            model.predict_learn(x, y, y)
+        forests = [model.forest_user, model.forest_contribution,
+                   model.forest_final]
+    else:
+        xs, ys = draw_stream(seed, n, d, n_classes, pattern, noise)
+        forests = [make_classifier(kind, seed=seed % 1000,
+                                   classes=list(range(n_classes)))]
+        for x, y in zip(xs, ys):
+            forests[0].predict_learn(x, y)
+    splits = sum(map(assert_node_table, forests))
+    event(f"{kind} splits: {splits}")
+
+
 # Profile sums of these columns add integers, so any order gives one value.
 INTEGER_SUMS = ("3", "5", "9", "13", "14")
 
