@@ -653,6 +653,9 @@ class BaggingForest(_Ensemble):
         if state["subsets"] is not None:
             _check_length(state, "subsets", forest.n_members)
             d = forest.n_features
+            if type(d) is not int:
+                raise ValidationError("checkpoint has subsets but no "
+                                      "feature count", field="n_features")
             size = forest._subset_size(d)
             for m, subset in enumerate(state["subsets"]):
                 if not (len(subset) == len(set(subset)) == size and all(

@@ -162,6 +162,16 @@ def test_subset_columns_checked(edit):
     assert exc.value.field == "subsets.0"
 
 
+def test_subsets_need_a_feature_count():
+    model = make_classifier("rf", seed=1)
+    model.learn_one(np.zeros(9), 0)
+    state = json_round_trip(model.to_state())
+    state["n_features"] = None
+    with pytest.raises(ValidationError) as exc:
+        BaggingForest.from_state(state)
+    assert exc.value.field == "n_features"
+
+
 def test_stacking_forest_subset_checked():
     model = StackingModel(seed=0)
     model.learn(profile_vector(np.random.default_rng(0), bot=True,
