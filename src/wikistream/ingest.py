@@ -10,8 +10,10 @@ Two on-disk schemas are supported:
   provenance column.
 
 Each schema is one table of (column, parser) pairs. Every line-oriented
-file of the package is written by ``write_rows`` and read through one
-CSV and one JSON-lines reader, chosen by the ``.jsonl`` suffix.
+file of the package is written by ``write_rows``. Both schemas are read
+column-wise by one row reader (CSV or JSON lines, chosen by the
+``.jsonl`` suffix): text, flag and date cells are parsed per row, float
+cells go into one float matrix whose range rules are checked in bulk.
 """
 
 from __future__ import annotations
@@ -19,21 +21,27 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from datetime import datetime
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from .model import (
     EVENT_COUNT_FIELDS,
     FEATURE_COLUMNS,
-    FEATURE_IDS,
     FEATURE_INDEX,
+    N_FEATURES,
     PROB_COLUMNS,
-    PROB_FEATURE_IDS,
     DailyAggregate,
     EditEvent,
     ValidationError,
+    check_rows,
+    event_counts,
     joint_class,
 )
 
@@ -42,23 +50,34 @@ def _is_jsonl(path):
     return Path(path).suffix == ".jsonl"
 
 
+_FLAGS = {"0": False, "false": False, "False": False,
+          "1": True, "true": True, "True": True}
+
+
+def _flag(raw):
+    return _FLAGS[str(raw)]
+
+
+def _day(raw):
+    return datetime.fromisoformat(str(raw)).date()
+
+
 def _parse_str(raw, name, line):
     return str(raw)
 
 
 def _parse_bool(raw, name, line):
-    raw = str(raw)
-    if raw in ("0", "false", "False"):
-        return False
-    if raw in ("1", "true", "True"):
-        return True
-    raise ValidationError(f"expected 0/1 boolean, got {raw!r}", field=name, line=line)
+    try:
+        return _flag(raw)
+    except KeyError:
+        raise ValidationError(f"expected 0/1 boolean, got {str(raw)!r}",
+                              field=name, line=line) from None
 
 
 def _parse_float(raw, name, line):
     try:
         value = float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # a JSON int past 1e308
         raise ValidationError(f"not a number: {raw!r}", field=name, line=line)
     if not math.isfinite(value):
         raise ValidationError(f"non-finite value {raw!r}", field=name, line=line)
@@ -67,15 +86,24 @@ def _parse_float(raw, name, line):
 
 def _parse_day(raw, name, line):
     try:
-        return datetime.fromisoformat(str(raw)).date()
+        return _day(raw)
     except ValueError:
         raise ValidationError(
             f"not an ISO-8601 date or datetime: {raw!r}", field=name, line=line)
 
 
+class _Days(dict):
+    """Dates parsed once per distinct cell: a stream spans few days."""
+
+    def __missing__(self, raw):
+        day = self[raw] = _day(raw)
+        return day
+
+
 # The file schemas: (column, parser) per column, in file order. An event
 # row's columns follow EditEvent's fields, an aggregate row's are
 # DailyAggregate's with ``synthetic`` moved ahead of the feature values.
+# In both, the float columns are counts followed by PROB_COLUMNS.
 EVENT_SCHEMA = (
     ("contributor_id", _parse_str), ("is_bot", _parse_bool),
     ("page_id", _parse_str), ("timestamp", _parse_day),
@@ -91,9 +119,6 @@ AGGREGATE_SCHEMA = (
 EVENT_COLUMNS = tuple(column for column, _ in EVENT_SCHEMA)
 
 AGGREGATE_COLUMNS = tuple(column for column, _ in AGGREGATE_SCHEMA)
-
-# Columns of an event row before its probabilities.
-_N_EVENT_SCALARS = len(EVENT_COLUMNS) - len(PROB_COLUMNS)
 
 
 def read_jsonl(path):
@@ -114,34 +139,114 @@ def read_jsonl(path):
             yield record, line
 
 
-def _read_csv(path):
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        for record in reader:
-            yield record, reader.line_num
-
-
-def _records(path):
-    """(record dict, line number) pairs of a file: JSON lines when its
-    suffix is ``.jsonl``, CSV with a header otherwise."""
+def _check_exists(path):
     if not Path(path).exists():
         raise ValidationError(f"file not found: {path}", field="path")
-    return read_jsonl(path) if _is_jsonl(path) else _read_csv(path)
 
 
-def _read_rows(path, schema):
-    """Yield (row, line number) per record of ``path``: the row lists
-    ``schema``'s columns, each parsed. A missing or unparsable cell, or
-    a CSV row with more cells than its header (filed under the key
-    None), raises ValidationError naming its line (and column)."""
-    for record, line in _records(path):
-        if None in record:
-            raise ValidationError(
-                f"{len(record[None])} cell(s) beyond the header", line=line)
-        missing = [c for c, _ in schema if record.get(c) in (None, "")]
-        if missing:
-            raise ValidationError(f"missing column(s) {missing}", line=line)
-        yield [parse(record[c], c, line) for c, parse in schema], line
+def _check_present(columns, cells, line):
+    if None in cells or "" in cells:
+        missing = [c for c, cell in zip(columns, cells) if cell in (None, "")]
+        raise ValidationError(f"missing column(s) {missing}", line=line)
+
+
+def _cells(path, columns):
+    """Yield (cells, line number) per record of ``path``: its cells of
+    ``columns``, in that order, as read. A file is JSON lines when its
+    suffix is ``.jsonl``, CSV with a header otherwise; each column's
+    header position is found once per file. A missing or empty cell, or
+    a CSV row with more cells than its header, raises ValidationError
+    naming its line."""
+    _check_exists(path)
+    if _is_jsonl(path):
+        for record, line in read_jsonl(path):
+            cells = [record.get(c) for c in columns]
+            _check_present(columns, cells, line)
+            yield cells, line
+        return
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        width = len(header)
+        # the last of repeated header names wins; a column the header
+        # lacks reads the empty cell appended to each row
+        position = {column: i for i, column in enumerate(header)}
+        take = itemgetter(*(position.get(c, width) for c in columns))
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue
+                if len(row) > width:
+                    raise ValidationError(
+                        f"{len(row) - width} cell(s) beyond the header",
+                        line=reader.line_num)
+                row += [""] * (width - len(row))
+            row.append("")
+            cells = take(row)
+            _check_present(columns, cells, reader.line_num)
+            yield cells, reader.line_num
+
+
+def _parse_row(schema, cells, line):
+    """One row's cells parsed in schema order: the first cell that does
+    not parse, or holds a non-finite float, raises ValidationError."""
+    return [parse(cell, column, line)
+            for (column, parse), cell in zip(schema, cells)]
+
+
+def _read_table(path, schema, row_check=None, rejects=None):
+    """Read and check ``path`` column-wise. Returns (rows, values): per
+    row a list of its text, flag and date cells parsed, and the (rows, k)
+    matrix of its k float cells converted by ``float``, both in schema
+    order.
+
+    The first breach in file order raises ValidationError. An error that
+    stops the read (a missing or surplus cell, a cell that does not
+    parse) is raised once the rows before it pass. The range rules
+    (``check_rows``) are checked in bulk over the rows before the first
+    one with a non-finite cell or that ``rejects(values)`` marks; that
+    row is re-read and parsed cell by cell, which raises on a non-finite
+    cell, then checked by ``row_check(parsed row, line)``."""
+    columns = [column for column, _ in schema]
+    floats_at = [i for i, (_, parse) in enumerate(schema)
+                 if parse is _parse_float]
+    fast = {_parse_str: str, _parse_bool: _flag,
+            _parse_day: _Days().__getitem__}
+    others = [(i, fast[parse]) for i, (_, parse) in enumerate(schema)
+              if parse is not _parse_float]
+    floats = itemgetter(*floats_at)
+    rows, values, lines, error = [], array("d"), [], None
+    try:
+        for cells, line in _cells(path, columns):
+            try:
+                row = [parse(cells[i]) for i, parse in others]
+                values.extend(map(float, floats(cells)))
+            except (TypeError, ValueError, OverflowError, KeyError):
+                del values[len(rows) * len(floats_at):]
+                parsed = _parse_row(schema, cells, line)
+                row = [parsed[i] for i, _ in others]
+                values.extend(parsed[i] for i in floats_at)
+            rows.append(row)
+            lines.append(line)
+    except ValidationError as exc:
+        error = exc
+    values = np.frombuffer(values).reshape(len(rows), len(floats_at))
+
+    flagged = ~np.isfinite(values).all(axis=1)
+    if rejects is not None:
+        flagged |= rejects(values)
+    stop = int(flagged.argmax()) if flagged.any() else len(rows)
+    n_counts = len(floats_at) - len(PROB_COLUMNS)
+    check_rows(values[:stop, :n_counts], values[:stop, n_counts:],
+               [columns[i] for i in floats_at[:n_counts]], lines)
+    if stop < len(rows):
+        cells, line = next(islice(_cells(path, columns), stop, None))
+        row = _parse_row(schema, cells, line)
+        if row_check is not None:
+            row_check(row, line)
+    if error is not None:
+        raise error
+    return rows, values
 
 
 def write_rows(rows, columns, path):
@@ -159,73 +264,120 @@ def write_rows(rows, columns, path):
             writer.writerows(rows)
 
 
+_N_COUNTS = len(EVENT_COUNT_FIELDS)
+_N_VALUES = _N_COUNTS + len(PROB_COLUMNS)
+_N_SCALARS = N_FEATURES - len(PROB_COLUMNS)
+
+
+@dataclass(eq=False)
+class EventTable:
+    """Edit events as columns: one list per text, flag and date field
+    and one (events, 24) float matrix ``values`` of the count fields
+    (EVENT_COUNT_FIELDS order) and then the probabilities (PROB_COLUMNS
+    order). Iterating yields EditEvents."""
+
+    contributor_ids: list
+    is_bot: list
+    page_ids: list
+    days: list
+    was_reverted: list
+    values: np.ndarray
+
+    @classmethod
+    def from_events(cls, events):
+        return cls([e.contributor_id for e in events],
+                   [e.is_bot for e in events],
+                   [e.page_id for e in events],
+                   [e.day for e in events],
+                   [e.was_reverted for e in events],
+                   np.array([(*event_counts(e), *e.probs) for e in events],
+                            dtype=float).reshape(len(events), _N_VALUES))
+
+    def __len__(self):
+        return len(self.contributor_ids)
+
+    def __iter__(self):
+        for cid, bot, page, day, reverted, values in zip(
+                self.contributor_ids, self.is_bot, self.page_ids, self.days,
+                self.was_reverted, self.values.tolist()):
+            yield EditEvent(cid, bot, page, day, *values[:_N_COUNTS],
+                            reverted, tuple(values[_N_COUNTS:]))
+
+    def check(self):
+        """Check every event's range rules in bulk (``check_rows``)."""
+        check_rows(self.values[:, :_N_COUNTS], self.values[:, _N_COUNTS:],
+                   EVENT_COUNT_FIELDS)
+
+
 def parse_events(path):
-    """Parse and validate all edit events of a file.
+    """Parse and validate all edit events of a file, as an EventTable
+    sorted by day then contributor id (file order within each).
 
-    Raises ValidationError carrying the offending line number and field.
+    Raises ValidationError carrying the line number and field of the
+    first breach in file order.
     """
-    events = [EditEvent(*row[:_N_EVENT_SCALARS],
-                        tuple(row[_N_EVENT_SCALARS:])).validate(line)
-              for row, line in _read_rows(path, EVENT_SCHEMA)]
-    events.sort(key=lambda e: (e.day, e.contributor_id))
-    return events
+    rows, values = _read_table(path, EVENT_SCHEMA)
+    # a row: contributor_id, is_bot, page_id, timestamp, was_reverted
+    order = sorted(range(len(rows)), key=lambda i: (rows[i][3], rows[i][0]))
+    return EventTable(*([rows[i][j] for i in order] for j in range(5)),
+                      values[np.array(order, dtype=np.intp)])
 
 
-def _check_bot_flags(rows):
+def _check_bot_flags(contributor_ids, flags):
     """Reject a contributor whose ``is_bot`` flag changes between rows."""
     first = {}
-    for row in rows:
-        if first.setdefault(row.contributor_id, row.is_bot) != row.is_bot:
+    for contributor_id, flag in zip(contributor_ids, flags):
+        if first.setdefault(contributor_id, flag) != flag:
             raise ValidationError(
-                f"contributor {row.contributor_id!r} changes its is_bot "
+                f"contributor {contributor_id!r} changes its is_bot "
                 "flag between rows", field="is_bot")
 
 
 def aggregate_daily(events):
-    """Fold validated events into one DailyAggregate per (contributor, day).
+    """Fold events, an EventTable or a list of EditEvents, into one
+    DailyAggregate per (contributor, day).
 
     Counts are summed, probabilities averaged; the link ratios divide the
-    day's total links by the day's total review characters. Output sorted
-    by day then contributor id. A contributor whose ``is_bot`` flag
-    changes between events is rejected.
+    day's total links by the day's total review characters. Each sum adds
+    the day's events one by one in input order (``np.add.at``), as a
+    Python loop would. Output sorted by day then contributor id. A
+    contributor whose ``is_bot`` flag changes between events is
+    rejected.
     """
-    _check_bot_flags(events)
-    groups = defaultdict(list)
-    for event in events:
-        groups[(event.contributor_id, event.day)].append(event)
+    table = events if isinstance(events, EventTable) \
+        else EventTable.from_events(events)
+    _check_bot_flags(table.contributor_ids, table.is_bot)
+    index = {}
+    keys = zip(table.contributor_ids, table.days)
+    group = np.fromiter((index.setdefault(key, len(index)) for key in keys),
+                        dtype=np.intp, count=len(table))
+    size = len(index)
+    n = np.bincount(group, minlength=size).astype(float)
+    sums = np.zeros((size, table.values.shape[1]))
+    np.add.at(sums, group, table.values)
+    pages = set(zip(group.tolist(), table.page_ids))
+    n_pages = np.bincount(np.fromiter((g for g, _ in pages), dtype=np.intp,
+                                      count=len(pages)),
+                          minlength=size).astype(float)
+    n_reverts = np.bincount(group, weights=table.was_reverted,
+                            minlength=size)
+    chars, links, repeated, inserted, deleted = sums[:, :_N_COUNTS].T
+    has_chars = chars != 0
 
-    aggregates = []
-    for (contributor_id, day), members in groups.items():
-        n = len(members)
-        total_chars = sum(e.review_length for e in members)
-        n_pages = len({e.page_id for e in members})
-        n_reverts = sum(1 for e in members if e.was_reverted)
-        values = [0.0] * len(FEATURE_IDS)
-        values[FEATURE_INDEX["3"]] = float(n)
-        values[FEATURE_INDEX["4"]] = total_chars / n
-        values[FEATURE_INDEX["5"]] = float(n_pages)
-        values[FEATURE_INDEX["6"]] = n / n_pages
-        # One calendar day spans a single week, so the weekly rates
-        # coincide with the day's counts.
-        values[FEATURE_INDEX["7"]] = float(n)
-        values[FEATURE_INDEX["8"]] = float(n_pages)
-        values[FEATURE_INDEX["9"]] = float(n_reverts)
-        values[FEATURE_INDEX["10"]] = n_reverts / n
-        links = sum(e.links for e in members)
-        repeated = sum(e.repeated_links for e in members)
-        values[FEATURE_INDEX["11"]] = links / total_chars if total_chars else 0.0
-        values[FEATURE_INDEX["12"]] = repeated / total_chars if total_chars else 0.0
-        values[FEATURE_INDEX["13"]] = sum(e.chars_inserted for e in members)
-        values[FEATURE_INDEX["14"]] = sum(e.chars_deleted for e in members)
-        columns = zip(*(e.probs for e in members))
-        for feature_id, column in zip(PROB_FEATURE_IDS, columns):
-            values[FEATURE_INDEX[feature_id]] = sum(column) / n
-        aggregates.append(DailyAggregate(
-            contributor_id=contributor_id,
-            day=day,
-            is_bot=members[0].is_bot,
-            values=tuple(values),
-        ))
+    # Features 3 to 14 come first in the catalogue, the probabilities
+    # after them. One calendar day spans a single week, so the weekly
+    # rates (7, 8) coincide with the day's counts.
+    values = np.empty((size, N_FEATURES))
+    values[:, :_N_SCALARS] = np.column_stack([
+        n, chars / n, n_pages, n / n_pages, n, n_pages, n_reverts,
+        n_reverts / n,
+        np.divide(links, chars, out=np.zeros(size), where=has_chars),
+        np.divide(repeated, chars, out=np.zeros(size), where=has_chars),
+        inserted, deleted])
+    values[:, _N_SCALARS:] = sums[:, _N_COUNTS:] / n[:, None]
+    bot = dict(zip(table.contributor_ids, table.is_bot))
+    aggregates = [DailyAggregate(cid, day, bot[cid], tuple(row))
+                  for (cid, day), row in zip(index, values.tolist())]
     aggregates.sort(key=lambda a: (a.day, a.contributor_id))
     return aggregates
 
@@ -278,23 +430,31 @@ def summarize(aggregates, events=None):
     )
 
 
+def _aggregate(row, line):
+    """The DailyAggregate of a parsed aggregate row from file ``line``."""
+    contributor_id, day, is_bot, synthetic = row[:4]
+    try:
+        return DailyAggregate(contributor_id, day, is_bot, tuple(row[4:]),
+                              synthetic)
+    except ValidationError as exc:
+        raise exc.at(line) from None
+
+
 def read_aggregates(path):
     """Read and validate a stream persisted in the aggregate schema.
 
     Rows are checked as event rows are: every non-probability column
-    finite and >= 0, every probability group in [0, 1] summing to 1.
-    A contributor whose ``is_bot`` flag changes between rows is rejected.
+    finite and >= 0, every probability group in [0, 1] summing to 1, and
+    ``f3`` at least 1; the first breach in file order is named. A
+    contributor whose ``is_bot`` flag changes between rows is rejected.
     """
-    aggregates = []
-    for row, line in _read_rows(path, AGGREGATE_SCHEMA):
-        contributor_id, day, is_bot, synthetic = row[:4]
-        try:
-            agg = DailyAggregate(contributor_id, day, is_bot,
-                                 tuple(row[4:]), synthetic)
-        except ValidationError as exc:
-            raise exc.at(line) from None
-        aggregates.append(agg.validate(line))
-    _check_bot_flags(aggregates)
+    f3 = FEATURE_INDEX["3"]
+    rows, values = _read_table(path, AGGREGATE_SCHEMA, _aggregate,
+                               lambda values: values[:, f3] < 1)
+    _check_bot_flags([row[0] for row in rows], [row[2] for row in rows])
+    aggregates = [DailyAggregate(cid, day, is_bot, tuple(row), synthetic)
+                  for (cid, day, is_bot, synthetic), row
+                  in zip(rows, values.tolist())]
     aggregates.sort(key=lambda a: (a.day, a.contributor_id))
     return aggregates
 
@@ -310,9 +470,14 @@ def write_aggregates(aggregates, path):
 def is_aggregate_file(path):
     """Sniff whether a file uses the aggregate schema (vs raw events):
     its first record has an ``f3`` column."""
-    for record, _ in _records(path):
-        return "f3" in record
-    return False
+    _check_exists(path)
+    if _is_jsonl(path):
+        for record, _ in read_jsonl(path):
+            return "f3" in record
+        return False
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        return "f3" in next(reader, []) and any(reader)
 
 
 def load_stream(path):

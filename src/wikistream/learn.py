@@ -170,17 +170,28 @@ class GaussianNaiveBayes(OnlineClassifier):
         return clf
 
 
-def _array(state, name, shape):
+def _array(state, name, shape, where=""):
     """Checkpoint list ``name`` as a float array, which must have
-    ``shape``."""
+    ``shape`` and finite entries (null reads as NaN)."""
     try:
         value = np.array(state[name], dtype=float)
     except (TypeError, ValueError):  # ragged or not numeric
         value = None
-    if value is None or value.shape != shape:
-        raise ValidationError(f"checkpoint does not hold a {shape} array",
-                              field=name)
+    if value is None or value.shape != shape or not np.isfinite(value).all():
+        raise ValidationError(
+            f"checkpoint does not hold a finite {shape} array",
+            field=where + name)
     return value
+
+
+def _feature_count(state):
+    """The checkpoint's ``n_features``, which its learned trees need."""
+    d = state["n_features"]
+    if type(d) is not int or d < 1:
+        raise ValidationError(
+            f"checkpoint feature count {d!r} is not a positive integer",
+            field="n_features")
+    return d
 
 
 def _split_gain(counts, mean, m2, feature, threshold, base_entropy):
@@ -390,22 +401,40 @@ class TreeStore:
             "right": None if leaf else self._node_state(m, right),
         }
 
-    def load_node(self, m, node, state):
+    def load_node(self, m, node, state, where):
         """Rebuild the subtree at leaf ``node`` of member ``m``'s tree
         from ``root_state`` output other than None; ``load_node(m, m,
-        state)`` loads member m's tree. An ``n`` field, which older
-        checkpoints carry beside the equal class counts, is ignored."""
-        self.counts[node] = state["class_counts"]
-        self.mean[node] = state["mean"]
-        self.m2[node] = state["m2"]
-        self.seen[node] = state["seen_since_attempt"]
-        self.fallback[node] = state["fallback"]
-        self.depth[node] = state["depth"]
-        if state["split_feature"] is not None:
-            left, right = self._split(m, node, state["split_feature"],
-                                      state["threshold"])
-            self.load_node(m, left, state["left"])
-            self.load_node(m, right, state["right"])
+        state, "root")`` loads member m's tree. A node whose statistics
+        have another shape than (classes(, features)) or are not finite,
+        whose depth is not a count, whose split feature is out of range
+        or whose split lacks a child raises ValidationError naming its
+        path (``root.left.mean``). An ``n``
+        field, which older checkpoints carry beside the equal class
+        counts, is ignored."""
+        if not isinstance(state, dict):
+            raise ValidationError("checkpoint has no tree node here",
+                                  field=where)
+        where += "."
+        c, d = self.counts.shape[1], self.n_features
+        self.counts[node] = _array(state, "class_counts", (c,), where)
+        self.fallback[node] = _array(state, "fallback", (c,), where)
+        self.mean[node] = _array(state, "mean", (c, d), where)
+        self.m2[node] = _array(state, "m2", (c, d), where)
+        self.seen[node] = _array(state, "seen_since_attempt", (), where)
+        feature, depth = state["split_feature"], state["depth"]
+        if type(depth) is not int or depth < 0:
+            raise ValidationError(f"depth {depth!r} is not a count",
+                                  field=where + "depth")
+        self.depth[node] = depth
+        if feature is not None:
+            if type(feature) is not int or not 0 <= feature < d:
+                raise ValidationError(
+                    f"split feature {feature!r} is not one of {d}",
+                    field=where + "split_feature")
+            threshold = _array(state, "threshold", (), where)
+            left, right = self._split(m, node, feature, threshold)
+            self.load_node(m, left, state["left"], where + "left")
+            self.load_node(m, right, state["right"], where + "right")
 
 
 def _tree_state(classes, n_features, root):
@@ -455,8 +484,8 @@ class HoeffdingTree(OnlineClassifier):
         tree = cls(state["classes"])
         tree.n_features = state["n_features"]
         if state["root"] is not None:
-            tree._ensure(tree.n_features)
-            tree.store.load_node(0, 0, state["root"])
+            tree._ensure(_feature_count(state))
+            tree.store.load_node(0, 0, state["root"], "root")
         return tree
 
 
@@ -535,14 +564,20 @@ class _Ensemble(OnlineClassifier):
 
     def _load(self, state):
         """Load the member trees and RNG states of checkpoint ``state``
-        into the store. A list without one entry per member raises
-        ValidationError naming it."""
+        into the store. A list without one entry per member, or a
+        learned tree without a feature count, raises ValidationError
+        naming it."""
         _check_length(state, "members", self.n_members)
         _check_length(state, "rng_states", self.n_members)
         for m, member in enumerate(state["members"]):
             _check_settings(member, _TREE_SETTINGS, f"members.{m}.")
             if member["root"] is not None:
-                self.store.load_node(m, m, member["root"])
+                if self.store is None:  # no feature count or subsets
+                    _feature_count(state)
+                    raise ValidationError("checkpoint has learned trees "
+                                          "but no subsets", field="subsets")
+                self.store.load_node(m, m, member["root"],
+                                     f"members.{m}.root")
         for rng, rng_state in zip(self._rngs, state["rng_states"]):
             rng.bit_generator.state = rng_state
 
@@ -652,10 +687,7 @@ class BaggingForest(_Ensemble):
         forest.n_features = state["n_features"]
         if state["subsets"] is not None:
             _check_length(state, "subsets", forest.n_members)
-            d = forest.n_features
-            if type(d) is not int:
-                raise ValidationError("checkpoint has subsets but no "
-                                      "feature count", field="n_features")
+            d = _feature_count(state)
             size = forest._subset_size(d)
             for m, subset in enumerate(state["subsets"]):
                 if not (len(subset) == len(set(subset)) == size and all(
@@ -748,7 +780,7 @@ class OnlineBoosting(_Ensemble):
         clf.lambda_correct = _array(state, "lambda_correct", (clf.n_members,))
         clf.lambda_wrong = _array(state, "lambda_wrong", (clf.n_members,))
         if clf.n_features is not None:
-            clf._ensure(clf.n_features)
+            clf._ensure(_feature_count(state))
         clf._load(state)
         return clf
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from datetime import date
 from functools import lru_cache
 from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -64,9 +65,11 @@ N_FEATURES = len(FEATURE_IDS)
 
 FEATURE_COLUMNS = tuple(column for _, column, _ in CATALOGUE)
 
-# The count fields of an edit event, in event-schema order.
+# The count fields of an edit event, in event-schema order, and a
+# function that returns an event's values of them as a tuple.
 EVENT_COUNT_FIELDS = ("review_length", "links", "repeated_links",
                       "chars_inserted", "chars_deleted")
+event_counts = attrgetter(*EVENT_COUNT_FIELDS)
 
 # The probability features and their columns: the order of EditEvent.probs.
 PROB_FEATURE_IDS = tuple(fid for fid, _, group in CATALOGUE if group)
@@ -115,29 +118,45 @@ class ValidationError(ValueError):
         return ValidationError(self.message, self.field, line)
 
 
-def check_row(counts, probs, line):
-    """Check one event or aggregate row: each (name, value) of ``counts``
-    finite and >= 0, and ``probs``, in PROB_COLUMNS order, one
-    probability vector per group. Raises ValidationError with the line
-    and field of the first breach."""
-    for name, value in counts:
-        if not math.isfinite(value) or value < 0:
+def check_rows(counts, probs, count_names, lines=None):
+    """Check event or aggregate rows in bulk: each column of the (rows,
+    c) float matrix ``counts``, named by ``count_names``, finite and
+    >= 0, and each row of the (rows, 19) matrix ``probs``, in
+    PROB_COLUMNS order, one probability vector per group: values in
+    [0, 1] summing to 1 within PROB_TOL. A group's sum adds its columns
+    one by one, left to right, as Python's ``sum`` does. Raises
+    ValidationError with the line (``lines[i]`` of row i) and field of
+    the first breach in row order; within a row, the counts in column
+    order, then each group's values and its sum."""
+    bad_counts = ~(np.isfinite(counts) & (counts >= 0.0))
+    bad_probs = ~((probs >= 0.0) & (probs <= 1.0))  # NaN fails both
+    sums = []
+    with np.errstate(invalid="ignore"):  # inf + -inf in a bad group
+        for _, span in _PROB_GROUP_SLICES:
+            total = probs[:, span.start]
+            for column in range(span.start + 1, span.stop):
+                total = total + probs[:, column]
+            sums.append(total)
+    bad_sums = np.abs(np.column_stack(sums) - 1.0) > PROB_TOL
+    bad = bad_counts.any(axis=1) | bad_probs.any(axis=1) | bad_sums.any(axis=1)
+    if not bad.any():
+        return
+    i = int(bad.argmax())
+    line = None if lines is None else lines[i]
+    for name, value, breach in zip(count_names, counts[i].tolist(),
+                                   bad_counts[i]):
+        if breach:
             raise ValidationError(f"count {value!r} must be finite and >= 0",
                                   field=name, line=line)
-    if len(probs) != len(PROB_COLUMNS):
-        raise ValidationError(
-            f"expected {len(PROB_COLUMNS)} probabilities, got {len(probs)}",
-            field="probs", line=line)
-    for name, span in _PROB_GROUP_SLICES:
-        group = probs[span]
-        for v in group:
-            if not math.isfinite(v) or v < 0.0 or v > 1.0:
-                raise ValidationError(f"probability {v!r} outside [0, 1]",
+    for g, (name, span) in enumerate(_PROB_GROUP_SLICES):
+        for value, breach in zip(probs[i, span].tolist(), bad_probs[i, span]):
+            if breach:
+                raise ValidationError(f"probability {value!r} outside [0, 1]",
                                       field=name, line=line)
-        total = sum(group)
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValidationError(f"probability group sum {total:.8f} != 1",
-                                  field=name, line=line)
+        if bad_sums[i, g]:
+            raise ValidationError(
+                f"probability group sum {float(sums[g][i]):.8f} != 1",
+                field=name, line=line)
 
 
 @dataclass(frozen=True)
@@ -158,8 +177,13 @@ class EditEvent:
 
     def validate(self, line=None):
         """Check all invariants; raises ValidationError on the first breach."""
-        check_row(((name, getattr(self, name)) for name in EVENT_COUNT_FIELDS),
-                  self.probs, line)
+        if len(self.probs) != len(PROB_COLUMNS):
+            raise ValidationError(
+                f"expected {len(PROB_COLUMNS)} probabilities, "
+                f"got {len(self.probs)}", field="probs", line=line)
+        check_rows(np.array([event_counts(self)], dtype=float),
+                   np.array([self.probs], dtype=float), EVENT_COUNT_FIELDS,
+                   [line])
         return self
 
     @property
@@ -220,18 +244,6 @@ class DailyAggregate:
     @property
     def contribution_type(self):
         return derive_contribution_type(self.value("17.ok"))
-
-    def validate(self, line):
-        """Check all invariants of an aggregate read from file ``line``:
-        every column that is not a probability is a count, mean or ratio,
-        so finite and >= 0. Raises ValidationError on the first breach."""
-        values = self.values
-        check_row(((column, values[i])
-                   for i, (_, column, group) in enumerate(CATALOGUE)
-                   if not group),
-                  tuple(values[FEATURE_INDEX[f]] for f in PROB_FEATURE_IDS),
-                  line)
-        return self
 
 
 @lru_cache(maxsize=64)

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .ingest import EVENT_COLUMNS, write_rows
-from .model import EVENT_COUNT_FIELDS, EditEvent, ValidationError
+from .ingest import EVENT_COLUMNS, EventTable, write_rows
+from .model import EditEvent, ValidationError, event_counts
 
 ARCHETYPE_NAMES = ("human-benign", "human-malign", "bot-benign", "bot-malign")
 
@@ -204,7 +203,7 @@ def _contributor_events(contributor_id, archetype, n_events, config, rng):
                 archetype.chars_deleted_log_mean, 0.7))),
             was_reverted=bool(rng.random() < archetype.revert_probability),
             probs=probs,
-        ).validate())
+        ))
     return events
 
 
@@ -271,17 +270,15 @@ def simulate(config):
         events.extend(_contributor_events(
             contributor_id, archetype, allocation[i], config, rng))
     events.sort(key=lambda e: (e.day, e.contributor_id))
+    EventTable.from_events(events).check()
     return events, labels
-
-
-_event_counts = attrgetter(*EVENT_COUNT_FIELDS)
 
 
 def write_events(events, path):
     """Write events in the event schema: JSON lines when the suffix is
     ``.jsonl``, CSV otherwise."""
     write_rows(((e.contributor_id, int(e.is_bot), e.page_id,
-                 e.timestamp.isoformat(), *_event_counts(e),
+                 e.timestamp.isoformat(), *event_counts(e),
                  int(e.was_reverted), *e.probs) for e in events),
                EVENT_COLUMNS, path)
 

@@ -5,8 +5,10 @@ Poisson weights; checkpoints written by the pointer-tree implementation
 (whose nodes carried an ``n`` field equal to ``class_counts``) still
 load and continue exactly; and an ensemble checkpoint without one entry
 per member in each per-member list, a feature subset that is not the
-expected number of distinct input columns, or naive Bayes moments of
-another shape is rejected.
+expected number of distinct input columns, naive Bayes moments of
+another shape, a tree node with statistics of another shape, a split
+feature out of range or a missing child, or a learned tree without a
+feature count is rejected.
 """
 
 import hashlib
@@ -199,6 +201,88 @@ def test_naive_bayes_moment_shapes_checked(field, edit):
     with pytest.raises(ValidationError) as exc:
         GaussianNaiveBayes.from_state(state)
     assert exc.value.field == field
+
+
+def learned_state(kind, n):
+    xs, ys = concept_stream(n, seed=3)
+    model = make_classifier(kind, seed=1)
+    for x, y in zip(xs, ys):
+        model.learn_one(x, int(y))
+    return json_round_trip(model.to_state())
+
+
+def drop_column(rows):
+    return [row[:-1] for row in rows]
+
+
+# Edits of a node dict, and the field under the node that they name.
+BAD_NODES = [
+    ("class_counts", lambda node: node.update(
+        class_counts=node["class_counts"][:1])),
+    ("fallback", lambda node: node.update(fallback=node["fallback"] * 2)),
+    ("mean", lambda node: node.update(mean=drop_column(node["mean"]))),
+    ("m2", lambda node: node.update(m2=node["m2"][:1])),
+    ("split_feature", lambda node: node.update(split_feature=7)),
+    ("split_feature", lambda node: node.update(split_feature=-1)),
+    ("threshold", lambda node: node.update(threshold=None)),
+    ("seen_since_attempt", lambda node: node.update(seen_since_attempt=[1])),
+    ("depth", lambda node: node.update(depth=None)),
+    ("depth", lambda node: node.update(depth=-1)),
+    ("right", lambda node: node.update(right=None)),
+    ("left", lambda node: node.update(left=[])),
+]
+
+
+@pytest.mark.parametrize("field,edit", BAD_NODES)
+def test_tree_nodes_checked(field, edit):
+    state = learned_state("dt", 400)
+    assert state["root"]["split_feature"] is not None
+    edit(state["root"])
+    with pytest.raises(ValidationError) as exc:
+        HoeffdingTree.from_state(state)
+    assert exc.value.field == f"root.{field}"
+
+
+def test_child_nodes_checked():
+    state = learned_state("dt", 400)
+    left = state["root"]["left"]
+    left["mean"] = drop_column(left["mean"])
+    with pytest.raises(ValidationError) as exc:
+        HoeffdingTree.from_state(state)
+    assert exc.value.field == "root.left.mean"
+
+
+@pytest.mark.parametrize("kind", ["rf", "bc"])
+def test_member_tree_nodes_checked(kind):
+    state = learned_state(kind, 40)
+    root = state["members"][3]["root"]
+    root["class_counts"] = root["class_counts"][:1]
+    with pytest.raises(ValidationError) as exc:
+        KINDS[kind].from_state(state)
+    assert exc.value.field == "members.3.root.class_counts"
+
+
+def test_stacking_tree_nodes_checked():
+    model = StackingModel(seed=0)
+    model.learn(profile_vector(np.random.default_rng(0), bot=True,
+                               malign=False), 1, 0)
+    state = json_round_trip(model.to_state())
+    m, root = next((m, member["root"]) for m, member in
+                   enumerate(state["forest_user"]["members"])
+                   if member["root"] is not None)
+    root["class_counts"] = root["class_counts"][:1]
+    with pytest.raises(ValidationError) as exc:
+        StackingModel.from_state(state)
+    assert exc.value.field == f"forest_user.members.{m}.root.class_counts"
+
+
+@pytest.mark.parametrize("kind", ["dt", "bc"])
+def test_learned_trees_need_a_feature_count(kind):
+    state = learned_state(kind, 40)
+    state["n_features"] = None
+    with pytest.raises(ValidationError) as exc:
+        KINDS[kind].from_state(state)
+    assert exc.value.field == "n_features"
 
 
 POINTER_TREE_CHECKPOINTS = Path(__file__).parent / "data" / \

@@ -4,6 +4,7 @@ from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wikistream.ingest import (
@@ -17,7 +18,13 @@ from wikistream.ingest import (
     write_aggregates,
     write_rows,
 )
-from wikistream.model import ValidationError
+from wikistream.model import (
+    EVENT_COUNT_FIELDS,
+    PROB_COLUMNS,
+    PROBABILITY_GROUPS,
+    EditEvent,
+    ValidationError,
+)
 from wikistream.sim import write_events
 from tests.test_model import make_event
 
@@ -66,7 +73,7 @@ class TestParseEvents:
     def test_empty_file_yields_empty_sequence(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text("", encoding="utf-8")
-        assert parse_events(path) == []
+        assert len(parse_events(path)) == 0
 
     def test_malformed_number_reports_field(self, tmp_path):
         path = tmp_path / "events.csv"
@@ -95,6 +102,15 @@ class TestParseEvents:
         write_events([make_event(contributor_id=f"c{i}") for i in range(2)],
                      path)
         assert len(parse_events(path)) == 2
+
+    def test_integer_beyond_float_range_names_field(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        write_events([make_event(contributor_id=f"c{i}") for i in range(2)],
+                     path)
+        rewrite_cells(path, 1, links=10 ** 400)
+        with pytest.raises(ValidationError) as exc:
+            parse_events(path)
+        assert (exc.value.line, exc.value.field) == (2, "links")
 
 
 class TestAggregateDaily:
@@ -163,6 +179,48 @@ class TestAggregateDaily:
         total = sum(agg.value(f) for f in
                     ("17.ok", "17.attack", "17.spam", "17.vandalism"))
         assert total == pytest.approx(1.0, abs=1e-6)
+
+    def test_long_days_fold_left_to_right(self):
+        # Above 8 values numpy sums pairwise; the fold must still add
+        # each day's events one by one in input order.
+        rng = np.random.default_rng(5)
+        events = []
+        for i, size in enumerate((9, 10, 17, 64, 129, 300)):
+            for _ in range(size):
+                magnitudes = 10.0 ** rng.uniform(-3, 12, size=5)
+                probs = [p for n in map(len, PROBABILITY_GROUPS)
+                         for p in rng.dirichlet([0.05] * n).tolist()]
+                events.append(EditEvent(
+                    f"c{i % 2}", False, f"p{rng.integers(40)}",
+                    date(2020, 1, 1 + i), *(magnitudes * (i != 1)).tolist(),
+                    bool(rng.random() < 0.3), tuple(probs)))
+        order = rng.permutation(len(events))
+        events = [events[k] for k in order]
+        for agg in aggregate_daily(events):
+            members = [e for e in events if (e.contributor_id, e.day)
+                       == (agg.contributor_id, agg.day)]
+            assert agg.values == left_to_right_fold(members)
+
+
+def left_to_right_fold(members):
+    """A contributor-day's feature values, each sum a plain Python fold
+    over ``members`` in order."""
+    sums = {}
+    for name in (*EVENT_COUNT_FIELDS, *range(len(PROB_COLUMNS))):
+        total = 0.0
+        for e in members:
+            total += e.probs[name] if isinstance(name, int) \
+                else getattr(e, name)
+        sums[name] = total
+    n = len(members)
+    pages = len({e.page_id for e in members})
+    reverts = sum(e.was_reverted for e in members)
+    chars = sums["review_length"]
+    return (n, chars / n, pages, n / pages, n, pages, reverts, reverts / n,
+            sums["links"] / chars if chars else 0.0,
+            sums["repeated_links"] / chars if chars else 0.0,
+            sums["chars_inserted"], sums["chars_deleted"],
+            *(sums[k] / n for k in range(len(PROB_COLUMNS))))
 
 
 class TestSummarize:

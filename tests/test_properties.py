@@ -7,6 +7,8 @@ length, class count, value pattern, seed); numpy draws the values from
 that seed, which keeps long streams cheap to generate.
 """
 
+import csv
+import json
 import math
 import sys
 import tempfile
@@ -15,10 +17,19 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from wikistream.ingest import parse_events, read_aggregates, write_aggregates
+from wikistream.ingest import (
+    AGGREGATE_COLUMNS,
+    EVENT_COLUMNS,
+    load_stream,
+    parse_events,
+    read_aggregates,
+    write_aggregates,
+    write_rows,
+)
 from wikistream.learn import (
     POISSON_BLOCK,
     BaggingForest,
@@ -34,6 +45,7 @@ from wikistream.model import (
     PROBABILITY_GROUPS,
     DailyAggregate,
     EditEvent,
+    ValidationError,
 )
 from wikistream.profiling import ProfileStore
 from wikistream.sim import write_events
@@ -299,7 +311,72 @@ def test_event_file_round_trip_is_exact(events, suffix):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"events{suffix}"
         write_events(events, path)
-        assert parse_events(path) == events
+        assert list(parse_events(path)) == events
+
+
+GROUP_OF = {column: group for _, column, group in CATALOGUE if group}
+COUNT_COLUMNS = set(EVENT_COUNT_FIELDS) | {
+    column for _, column, group in CATALOGUE if not group}
+
+
+def corruptions(column):
+    """(new cell from the old one, field the error names) per corruption
+    that applies to ``column``; an empty cell names no field."""
+    kinds = [(lambda old: "", None)]
+    if column in ("is_bot", "was_reverted", "synthetic"):
+        kinds.append((lambda old: "yes", column))
+    elif column in ("timestamp", "day"):
+        kinds.append((lambda old: "2020-13-45", column))
+    elif column in COUNT_COLUMNS:
+        kinds += [(lambda old: "many", column), (lambda old: "nan", column),
+                  (lambda old: "-1.5", column)]
+    elif column in GROUP_OF:
+        group = GROUP_OF[column]
+        kinds += [(lambda old: "many", column), (lambda old: "nan", column),
+                  (lambda old: "1.5", group),
+                  (lambda old: repr(float(old) + 1e-3), group)]
+    return kinds
+
+
+def corrupt(path, index, column, rewrite):
+    """Rewrite one cell of data row ``index`` of a written file."""
+    path = Path(path)
+    if path.suffix == ".jsonl":
+        records = [json.loads(raw) for raw in
+                   path.read_text(encoding="utf-8").splitlines()]
+    else:
+        with open(path, newline="", encoding="utf-8") as handle:
+            records = list(csv.DictReader(handle))
+    records[index][column] = rewrite(records[index][column])
+    write_rows([list(r.values()) for r in records], list(records[0]), path)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), aggregates=st.booleans(),
+       suffix=st.sampled_from([".csv", ".jsonl"]))
+def test_first_breach_in_file_order_is_named(data, aggregates, suffix):
+    if aggregates:
+        rows = data.draw(aggregate_rows().filter(lambda rows: len(rows) > 1))
+        columns, write = AGGREGATE_COLUMNS, write_aggregates
+    else:
+        rows = data.draw(st.lists(edit_events, min_size=2, max_size=12))
+        columns, write = EVENT_COLUMNS, write_events
+    first, second = sorted(data.draw(st.lists(
+        st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"stream{suffix}"
+        write(rows, path)
+        for index in (second, first):
+            column = data.draw(st.sampled_from(columns))
+            rewrite, field = data.draw(st.sampled_from(corruptions(column)))
+            corrupt(path, index, column, rewrite)
+        with pytest.raises(ValidationError) as exc:
+            load_stream(path)
+    header = 1 if suffix == ".csv" else 0
+    assert exc.value.line == first + 1 + header
+    assert exc.value.field == field
+    if field is None:
+        assert repr(column) in exc.value.message
 
 
 @settings(max_examples=60, deadline=None)

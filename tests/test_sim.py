@@ -150,7 +150,7 @@ class TestOutputFiles:
         cfg = SimConfig(counts={"human-benign": 3, "bot-malign": 3},
                         n_days=4, seed=0)
         events_path, labels_path = write_simulation(cfg, tmp_path)
-        events = parse_events(events_path)
+        events = list(parse_events(events_path))
         reference, _ = simulate(cfg)
         assert events == reference
         text = labels_path.read_text(encoding="utf-8")
