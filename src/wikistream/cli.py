@@ -90,7 +90,8 @@ def main():
 @click.option("--bot-benign", default=10, show_default=True, type=int)
 @click.option("--bot-malign", default=10, show_default=True, type=int)
 @click.option("--days", default=30, show_default=True, type=int)
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True,
+              type=click.IntRange(min=0))
 @click.option("--noise", default=0.0, show_default=True, type=float)
 @click.option("--events", default=0, show_default=True, type=int,
               help="Exact total event count (0 = rate-driven).")
@@ -162,7 +163,8 @@ def select(input, target, count, step, out):
 @click.argument("input", type=click.Path())
 @click.option("--count", default=0, show_default=True, type=int,
               help="Samples to generate (0 = human/bot contributor gap).")
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True,
+              type=click.IntRange(min=0))
 @click.option("--out", default=".", show_default=True, type=click.Path())
 @_guarded
 def synthesize(input, count, seed, out):
@@ -194,7 +196,8 @@ def synthesize(input, count, seed, out):
 
 @main.command()
 @click.argument("input", type=click.Path())
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True,
+              type=click.IntRange(min=0))
 @click.option("--out", default="balanced.csv", show_default=True,
               type=click.Path())
 @_guarded
@@ -233,7 +236,8 @@ def profile_cmd(input, out):
               type=click.Choice(sorted(analysis.FEATURE_SETS)))
 @click.option("--target", default="user_type", show_default=True,
               type=click.Choice(["user_type", "contribution_type"]))
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True,
+              type=click.IntRange(min=0))
 @click.option("--balance", "do_balance", is_flag=True,
               help="Balance the stream before evaluating.")
 @click.option("--window", default=evaluate.DEFAULT_WINDOW,

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from array import array
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from datetime import datetime
-from itertools import islice
+from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
 
@@ -34,12 +33,12 @@ import numpy as np
 from .model import (
     EVENT_COUNT_FIELDS,
     FEATURE_COLUMNS,
-    FEATURE_INDEX,
     N_FEATURES,
     PROB_COLUMNS,
     DailyAggregate,
     EditEvent,
     ValidationError,
+    check_finite,
     check_rows,
     event_counts,
     joint_class,
@@ -58,46 +57,9 @@ def _flag(raw):
     return _FLAGS[str(raw)]
 
 
+@lru_cache(maxsize=1024)  # a stream spans few distinct days
 def _day(raw):
     return datetime.fromisoformat(str(raw)).date()
-
-
-def _parse_str(raw, name, line):
-    return str(raw)
-
-
-def _parse_bool(raw, name, line):
-    try:
-        return _flag(raw)
-    except KeyError:
-        raise ValidationError(f"expected 0/1 boolean, got {str(raw)!r}",
-                              field=name, line=line) from None
-
-
-def _parse_float(raw, name, line):
-    try:
-        value = float(raw)
-    except (TypeError, ValueError, OverflowError):  # a JSON int past 1e308
-        raise ValidationError(f"not a number: {raw!r}", field=name, line=line)
-    if not math.isfinite(value):
-        raise ValidationError(f"non-finite value {raw!r}", field=name, line=line)
-    return value
-
-
-def _parse_day(raw, name, line):
-    try:
-        return _day(raw)
-    except ValueError:
-        raise ValidationError(
-            f"not an ISO-8601 date or datetime: {raw!r}", field=name, line=line)
-
-
-class _Days(dict):
-    """Dates parsed once per distinct cell: a stream spans few days."""
-
-    def __missing__(self, raw):
-        day = self[raw] = _day(raw)
-        return day
 
 
 # The file schemas: (column, parser) per column, in file order. An event
@@ -105,16 +67,24 @@ class _Days(dict):
 # DailyAggregate's with ``synthetic`` moved ahead of the feature values.
 # In both, the float columns are counts followed by PROB_COLUMNS.
 EVENT_SCHEMA = (
-    ("contributor_id", _parse_str), ("is_bot", _parse_bool),
-    ("page_id", _parse_str), ("timestamp", _parse_day),
-    *((name, _parse_float) for name in EVENT_COUNT_FIELDS),
-    ("was_reverted", _parse_bool),
-    *((column, _parse_float) for column in PROB_COLUMNS))
+    ("contributor_id", str), ("is_bot", _flag),
+    ("page_id", str), ("timestamp", _day),
+    *((name, float) for name in EVENT_COUNT_FIELDS),
+    ("was_reverted", _flag),
+    *((column, float) for column in PROB_COLUMNS))
 
 AGGREGATE_SCHEMA = (
-    ("contributor_id", _parse_str), ("day", _parse_day),
-    ("is_bot", _parse_bool), ("synthetic", _parse_bool),
-    *((column, _parse_float) for column in FEATURE_COLUMNS))
+    ("contributor_id", str), ("day", _day),
+    ("is_bot", _flag), ("synthetic", _flag),
+    *((column, float) for column in FEATURE_COLUMNS))
+
+# The message for a cell its column's parser rejects; {0} is the cell,
+# {1} the cell as text.
+_REJECTED = {
+    _flag: "expected 0/1 boolean, got {1!r}",
+    _day: "not an ISO-8601 date or datetime: {0!r}",
+    float: "not a number: {0!r}",
+}
 
 EVENT_COLUMNS = tuple(column for column, _ in EVENT_SCHEMA)
 
@@ -150,18 +120,30 @@ def _check_present(columns, cells, line):
         raise ValidationError(f"missing column(s) {missing}", line=line)
 
 
-def _cells(path, columns):
+def _check_json_types(schema, cells, line):
+    """Reject a JSON array or object in any column, and a JSON boolean
+    outside the flag columns, naming the first such cell."""
+    for (column, parse), cell in zip(schema, cells):
+        if isinstance(cell, (list, dict)) or (
+                isinstance(cell, bool) and parse is not _flag):
+            raise ValidationError(f"unexpected JSON value {json.dumps(cell)}",
+                                  field=column, line=line)
+
+
+def _cells(path, schema):
     """Yield (cells, line number) per record of ``path``: its cells of
-    ``columns``, in that order, as read. A file is JSON lines when its
-    suffix is ``.jsonl``, CSV with a header otherwise; each column's
-    header position is found once per file. A missing or empty cell, or
-    a CSV row with more cells than its header, raises ValidationError
-    naming its line."""
+    the ``schema`` columns, in that order, as read. A file is JSON lines
+    when its suffix is ``.jsonl``, CSV with a header otherwise; each
+    column's header position is found once per file. A missing or empty
+    cell, a CSV row with more cells than its header, or a JSON value of
+    the wrong type raises ValidationError naming its line."""
     _check_exists(path)
+    columns = [column for column, _ in schema]
     if _is_jsonl(path):
         for record, line in read_jsonl(path):
             cells = [record.get(c) for c in columns]
             _check_present(columns, cells, line)
+            _check_json_types(schema, cells, line)
             yield cells, line
         return
     with open(path, newline="", encoding="utf-8") as handle:
@@ -187,63 +169,53 @@ def _cells(path, columns):
             yield cells, reader.line_num
 
 
-def _parse_row(schema, cells, line):
-    """One row's cells parsed in schema order: the first cell that does
-    not parse, or holds a non-finite float, raises ValidationError."""
-    return [parse(cell, column, line)
-            for (column, parse), cell in zip(schema, cells)]
+def _reject(schema, cells, line):
+    """Raise ValidationError for a row with a cell its parser rejects:
+    the first such cell in schema order, unless a float cell before it
+    is not finite (``check_finite``)."""
+    values, names = [], []
+    for (column, parse), cell in zip(schema, cells):
+        try:
+            value = parse(cell)
+        except (TypeError, ValueError, OverflowError, KeyError):
+            check_finite(values, names, line)
+            raise ValidationError(_REJECTED[parse].format(cell, str(cell)),
+                                  field=column, line=line) from None
+        if parse is float:
+            values.append(value)
+            names.append(column)
 
 
-def _read_table(path, schema, row_check=None, rejects=None):
+def _read_table(path, schema):
     """Read and check ``path`` column-wise. Returns (rows, values): per
     row a list of its text, flag and date cells parsed, and the (rows, k)
-    matrix of its k float cells converted by ``float``, both in schema
-    order.
+    matrix of its k float cells, both in schema order.
 
-    The first breach in file order raises ValidationError. An error that
-    stops the read (a missing or surplus cell, a cell that does not
-    parse) is raised once the rows before it pass. The range rules
-    (``check_rows``) are checked in bulk over the rows before the first
-    one with a non-finite cell or that ``rejects(values)`` marks; that
-    row is re-read and parsed cell by cell, which raises on a non-finite
-    cell, then checked by ``row_check(parsed row, line)``."""
-    columns = [column for column, _ in schema]
-    floats_at = [i for i, (_, parse) in enumerate(schema)
-                 if parse is _parse_float]
-    fast = {_parse_str: str, _parse_bool: _flag,
-            _parse_day: _Days().__getitem__}
-    others = [(i, fast[parse]) for i, (_, parse) in enumerate(schema)
-              if parse is not _parse_float]
+    The first breach in file order raises ValidationError. A missing or
+    surplus cell, or a cell its parser rejects, stops the read, and is
+    raised once the rows before it pass ``check_rows``, which checks the
+    range rules of every row read in bulk."""
+    floats_at = [i for i, (_, parse) in enumerate(schema) if parse is float]
+    others = [(i, parse) for i, (_, parse) in enumerate(schema)
+              if parse is not float]
     floats = itemgetter(*floats_at)
     rows, values, lines, error = [], array("d"), [], None
     try:
-        for cells, line in _cells(path, columns):
+        for cells, line in _cells(path, schema):
             try:
                 row = [parse(cells[i]) for i, parse in others]
                 values.extend(map(float, floats(cells)))
             except (TypeError, ValueError, OverflowError, KeyError):
-                del values[len(rows) * len(floats_at):]
-                parsed = _parse_row(schema, cells, line)
-                row = [parsed[i] for i, _ in others]
-                values.extend(parsed[i] for i in floats_at)
+                _reject(schema, cells, line)  # raises
             rows.append(row)
             lines.append(line)
     except ValidationError as exc:
         error = exc
+    del values[len(rows) * len(floats_at):]  # a rejected row's cells
     values = np.frombuffer(values).reshape(len(rows), len(floats_at))
-
-    flagged = ~np.isfinite(values).all(axis=1)
-    if rejects is not None:
-        flagged |= rejects(values)
-    stop = int(flagged.argmax()) if flagged.any() else len(rows)
     n_counts = len(floats_at) - len(PROB_COLUMNS)
-    check_rows(values[:stop, :n_counts], values[:stop, n_counts:],
-               [columns[i] for i in floats_at[:n_counts]], lines)
-    if stop < len(rows):
-        cells, line = next(islice(_cells(path, columns), stop, None))
-        row = _parse_row(schema, cells, line)
-        if row_check is not None:
-            row_check(row, line)
+    check_rows(values[:, :n_counts], values[:, n_counts:],
+               [schema[i][0] for i in floats_at[:n_counts]], lines)
     if error is not None:
         raise error
     return rows, values
@@ -430,27 +402,16 @@ def summarize(aggregates, events=None):
     )
 
 
-def _aggregate(row, line):
-    """The DailyAggregate of a parsed aggregate row from file ``line``."""
-    contributor_id, day, is_bot, synthetic = row[:4]
-    try:
-        return DailyAggregate(contributor_id, day, is_bot, tuple(row[4:]),
-                              synthetic)
-    except ValidationError as exc:
-        raise exc.at(line) from None
-
-
 def read_aggregates(path):
     """Read and validate a stream persisted in the aggregate schema.
 
-    Rows are checked as event rows are: every non-probability column
-    finite and >= 0, every probability group in [0, 1] summing to 1, and
-    ``f3`` at least 1; the first breach in file order is named. A
-    contributor whose ``is_bot`` flag changes between rows is rejected.
+    Rows are checked as event rows are (``check_rows``): every
+    non-probability column finite and >= 0, ``f3`` at least 1, every
+    probability group in [0, 1] summing to 1; the first breach in file
+    order is named. A contributor whose ``is_bot`` flag changes between
+    rows is rejected.
     """
-    f3 = FEATURE_INDEX["3"]
-    rows, values = _read_table(path, AGGREGATE_SCHEMA, _aggregate,
-                               lambda values: values[:, f3] < 1)
+    rows, values = _read_table(path, AGGREGATE_SCHEMA)
     _check_bot_flags([row[0] for row in rows], [row[2] for row in rows])
     aggregates = [DailyAggregate(cid, day, is_bot, tuple(row), synthetic)
                   for (cid, day, is_bot, synthetic), row

@@ -50,6 +50,13 @@ def _check_settings(state, settings, where=""):
                 field=where + name)
 
 
+def _check_integer(value, least, field):
+    """Reject ``value`` unless it is an integer of at least ``least``."""
+    if type(value) is not int or value < least:
+        raise ValidationError(f"{value!r} is not an integer >= {least}",
+                              field=field)
+
+
 def _entropy(counts):
     total = counts.sum()
     if total <= 0:
@@ -69,6 +76,11 @@ class OnlineClassifier:
     """
 
     def __init__(self, classes=(0, 1)):
+        if not isinstance(classes, (list, tuple)) or not classes or any(
+                classes.index(c) != i for i, c in enumerate(classes)):
+            raise ValidationError(
+                f"classes {classes!r} are not a list of distinct labels",
+                field="classes")
         self.classes = list(classes)
         self.n_features = None
 
@@ -186,12 +198,8 @@ def _array(state, name, shape, where=""):
 
 def _feature_count(state):
     """The checkpoint's ``n_features``, which its learned trees need."""
-    d = state["n_features"]
-    if type(d) is not int or d < 1:
-        raise ValidationError(
-            f"checkpoint feature count {d!r} is not a positive integer",
-            field="n_features")
-    return d
+    _check_integer(state["n_features"], 1, "n_features")
+    return state["n_features"]
 
 
 def _split_gain(counts, mean, m2, feature, threshold, base_entropy):
@@ -515,6 +523,8 @@ class _Ensemble(OnlineClassifier):
 
     def __init__(self, n_members, classes, seed):
         super().__init__(classes)
+        _check_integer(n_members, 1, "n_members")
+        _check_integer(seed, 0, "seed")
         self.n_members = n_members
         self.seed = seed
         self._rngs = [np.random.default_rng([seed, m])
@@ -597,6 +607,13 @@ class BaggingForest(_Ensemble):
     def __init__(self, n_members=10, classes=(0, 1), seed=0,
                  max_features="sqrt", use_poisson=True):
         super().__init__(n_members, classes, seed)
+        if max_features not in (None, "sqrt"):
+            raise ValidationError(
+                f"{max_features!r} is not None or 'sqrt'",
+                field="max_features")
+        if type(use_poisson) is not bool:
+            raise ValidationError(f"{use_poisson!r} is not a boolean",
+                                  field="use_poisson")
         self.max_features = max_features
         self.use_poisson = use_poisson
         self._block = None         # (n_members, POISSON_BLOCK) weights
@@ -818,6 +835,7 @@ class StackingModel:
     features = SET2
 
     def __init__(self, seed=0):
+        _check_integer(seed, 0, "seed")
         self.seed = seed
         self.forest_user, self.forest_contribution, self.forest_final = (
             BaggingForest(STACKING_ENSEMBLE_SIZE, seed=_substream(seed, i),

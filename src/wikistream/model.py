@@ -113,22 +113,35 @@ class ValidationError(ValueError):
             prefix += f"field '{field}': "
         super().__init__(prefix + message)
 
-    def at(self, line):
-        """This error, located at file line ``line``."""
-        return ValidationError(self.message, self.field, line)
+
+# The least value of a count column with a floor other than 0, by file
+# column: an aggregate covers at least one review.
+COUNT_FLOORS = {"f3": 1}
+
+
+def check_finite(values, names, line):
+    """Raise ValidationError naming the first of a row's float cells
+    ``values``, named by ``names``, that is not finite."""
+    for name, value in zip(names, values):
+        if not math.isfinite(value):
+            raise ValidationError(f"non-finite value {value!r}", field=name,
+                                  line=line)
 
 
 def check_rows(counts, probs, count_names, lines=None):
-    """Check event or aggregate rows in bulk: each column of the (rows,
-    c) float matrix ``counts``, named by ``count_names``, finite and
-    >= 0, and each row of the (rows, 19) matrix ``probs``, in
-    PROB_COLUMNS order, one probability vector per group: values in
-    [0, 1] summing to 1 within PROB_TOL. A group's sum adds its columns
-    one by one, left to right, as Python's ``sum`` does. Raises
-    ValidationError with the line (``lines[i]`` of row i) and field of
-    the first breach in row order; within a row, the counts in column
-    order, then each group's values and its sum."""
-    bad_counts = ~(np.isfinite(counts) & (counts >= 0.0))
+    """Check event or aggregate rows in bulk: every cell of the (rows, c)
+    matrix ``counts``, with columns ``count_names``, and of the (rows,
+    19) matrix ``probs``, in PROB_COLUMNS order, finite; each count at
+    least its floor (COUNT_FLOORS, else 0); and each row of ``probs`` one
+    probability vector per group: values in [0, 1] summing to 1 within
+    PROB_TOL, each group's columns added left to right, as Python's
+    ``sum`` does. Raises ValidationError with the line (``lines[i]`` of
+    row i) and field of the first breach in row order; within a row, the
+    first non-finite cell, then the counts in column order (``f3``, the
+    one floor above 0, leads the aggregate columns), then each group's
+    values and its sum."""
+    floors = [COUNT_FLOORS.get(name, 0) for name in count_names]
+    bad_counts = ~(np.isfinite(counts) & (counts >= np.array(floors)))
     bad_probs = ~((probs >= 0.0) & (probs <= 1.0))  # NaN fails both
     sums = []
     with np.errstate(invalid="ignore"):  # inf + -inf in a bad group
@@ -143,11 +156,14 @@ def check_rows(counts, probs, count_names, lines=None):
         return
     i = int(bad.argmax())
     line = None if lines is None else lines[i]
-    for name, value, breach in zip(count_names, counts[i].tolist(),
-                                   bad_counts[i]):
+    check_finite(counts[i].tolist() + probs[i].tolist(),
+                 (*count_names, *PROB_COLUMNS), line)
+    for name, value, floor, breach in zip(count_names, counts[i].tolist(),
+                                          floors, bad_counts[i]):
         if breach:
-            raise ValidationError(f"count {value!r} must be finite and >= 0",
-                                  field=name, line=line)
+            raise ValidationError(
+                f"count {value!r} must be finite and >= {floor}",
+                field=name, line=line)
     for g, (name, span) in enumerate(_PROB_GROUP_SLICES):
         for value, breach in zip(probs[i, span].tolist(), bad_probs[i, span]):
             if breach:
@@ -230,9 +246,10 @@ class DailyAggregate:
         if len(self.values) != N_FEATURES:
             raise ValidationError(
                 f"expected {N_FEATURES} feature values, got {len(self.values)}")
-        if self.value("3") < 1:
-            raise ValidationError(
-                "aggregate must cover at least one review", field="f3")
+        reviews, floor = self.value("3"), COUNT_FLOORS["f3"]
+        if reviews < floor:
+            raise ValidationError(f"count {reviews!r} must be >= {floor}",
+                                  field="f3")
 
     def value(self, feature_id):
         return self.values[FEATURE_INDEX[feature_id]]

@@ -121,6 +121,10 @@ class SimConfig:
             raise ValidationError("zero total population")
         if self.n_days < 1:
             raise ValidationError("span must be at least one day")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValidationError(
+                f"seed {self.seed!r} is not a non-negative integer",
+                field="seed")
         if not 0.0 <= self.noise <= 1.0:
             raise ValidationError("noise must be in [0, 1]")
         population = sum(self.counts.values())

@@ -7,8 +7,10 @@ load and continue exactly; and an ensemble checkpoint without one entry
 per member in each per-member list, a feature subset that is not the
 expected number of distinct input columns, naive Bayes moments of
 another shape, a tree node with statistics of another shape, a split
-feature out of range or a missing child, or a learned tree without a
-feature count is rejected.
+feature out of range or a missing child, a learned tree without a
+feature count, or a setting or scalar of the wrong type or range
+(``classes``, ``n_members``, ``seed``, ``max_features``,
+``use_poisson``) is rejected.
 """
 
 import hashlib
@@ -313,3 +315,44 @@ def test_pointer_tree_checkpoint_loads_and_continues(kind):
         model.learn_one(x, int(y))
     digest = hashlib.sha256(json.dumps(probs).encode()).hexdigest()
     assert digest == fixture["continuation_sha256"][kind]
+
+
+# Checkpoint fields with a value of the wrong type or range, per kind.
+BAD_SCALARS = [
+    *((kind, "classes", value) for kind in sorted(KINDS)
+      for value in (None, 5, [0, 0], [])),
+    *((kind, "n_members", value) for kind in ("rf", "bc")
+      for value in (2.0, "10", 0, -1)),
+    *((kind, "seed", value) for kind in ("rf", "bc")
+      for value in ("x", None, 1.5, -1)),
+    *(("rf", "max_features", value) for value in ("log2", 5, 0.5)),
+    *(("rf", "use_poisson", value) for value in ("no", 0, None)),
+]
+
+
+@pytest.mark.parametrize("kind,field,value", BAD_SCALARS)
+def test_checkpoint_scalars_checked(kind, field, value):
+    state = learned_state(kind, 40)
+    state[field] = value
+    with pytest.raises(ValidationError) as exc:
+        KINDS[kind].from_state(state)
+    assert exc.value.field == field
+
+
+@pytest.mark.parametrize("kind,field,value", BAD_SCALARS)
+def test_constructor_settings_checked(kind, field, value):
+    with pytest.raises(ValidationError) as exc:
+        KINDS[kind](**{field: value})
+    assert exc.value.field == field
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seed", "x"), ("seed", -1), ("forest_user.use_poisson", "no"),
+    ("forest_final.max_features", "log2"), ("forest_contribution.seed", 1.5)])
+def test_stacking_checkpoint_scalars_checked(field, value):
+    state = json_round_trip(StackingModel(seed=0).to_state())
+    *forest, name = field.split(".")
+    (state[forest[0]] if forest else state)[name] = value
+    with pytest.raises(ValidationError) as exc:
+        StackingModel.from_state(state)
+    assert exc.value.field == field

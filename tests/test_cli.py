@@ -289,3 +289,27 @@ def test_surplus_csv_cells_exit_validation(tmp_path, command, out):
     assert result.exit_code == 2, result.output
     assert "error: line 2: 2 cell(s) beyond the header" in result.output
     assert not (tmp_path / out).exists()
+
+
+# Every command with a --seed option, with the arguments before it.
+SEEDED_COMMANDS = [
+    ("simulate",),
+    ("evaluate", "--classifier", "rf"),
+    ("evaluate", "--classifier", "bc"),
+    ("evaluate", "--classifier", "stacking"),
+    ("balance",),
+    ("synthesize", "--count", 3),
+]
+
+
+@pytest.mark.parametrize("command", SEEDED_COMMANDS,
+                         ids=lambda command: "-".join(
+                             str(arg) for arg in command[::2]))
+def test_negative_seed_exits_validation(tmp_path, command):
+    events = simulate_stream(tmp_path / "sim")
+    stream = () if command[0] == "simulate" else (events,)
+    result = run(command[0], *stream, *command[1:], "--seed", -1,
+                 "--out", tmp_path / "out")
+    assert result.exit_code == 2, result.output
+    assert "--seed" in result.output
+    assert not (tmp_path / "out").exists()

@@ -343,3 +343,77 @@ class TestSchemas:
             "f3", "f4", "f5", "f6", "f7", "f8", "f9", "f10",
             "f11", "f12", "f13", "f14",
         ) + PROBABILITY_COLUMNS
+
+
+def write_stream(path, schema):
+    """Write two valid events, or their aggregates, to ``path``."""
+    events = [make_event(contributor_id=f"c{i}") for i in range(2)]
+    if schema == "events":
+        write_events(events, path)
+    else:
+        write_aggregates(aggregate_daily(events), path)
+
+
+# Rows holding two breaches, and the field named: within a row, a
+# non-finite or malformed cell in schema order comes first, then the
+# f3 floor, then the counts, then the probability groups.
+NAN = float("nan")
+TWO_BREACH_ROWS = [
+    ("events", {"links": NAN, "was_reverted": "yes"}, "links"),
+    ("events", {"chars_deleted": NAN, "links": -1.0}, "chars_deleted"),
+    ("events", {"dmg_t": 0.7, "art_ok": NAN}, "art_ok"),
+    ("aggregates", {"f4": NAN, "f5": "many"}, "f4"),
+    ("aggregates", {"f10": NAN, "f3": 0.5}, "f10"),
+    ("aggregates", {"f3": -1.5, "f4": -1.0}, "f3"),
+    ("aggregates", {"dmg_t": 0.7, "art_ok": NAN}, "art_ok"),
+]
+
+
+@pytest.mark.parametrize("suffix,line", [(".csv", 3), (".jsonl", 2)])
+@pytest.mark.parametrize("schema,cells,field", TWO_BREACH_ROWS)
+def test_first_breach_within_row_is_named(tmp_path, suffix, line, schema,
+                                          cells, field):
+    path = tmp_path / f"stream{suffix}"
+    write_stream(path, schema)
+    rewrite_cells(path, 1, **cells)
+    with pytest.raises(ValidationError) as exc:
+        load_stream(path)
+    assert (exc.value.line, exc.value.field) == (line, field)
+
+
+# JSON values of the wrong type for their column: a boolean outside the
+# flag columns, an array or object in any column.
+WRONG_JSON_TYPES = [
+    ("events", "links", True),
+    ("events", "dmg_t", False),
+    ("events", "contributor_id", [1, 2]),
+    ("events", "page_id", {"id": 1}),
+    ("events", "timestamp", True),
+    ("events", "was_reverted", [0]),
+    ("aggregates", "f4", True),
+    ("aggregates", "contributor_id", [1, 2]),
+    ("aggregates", "synthetic", {"value": 0}),
+    ("aggregates", "art_ok", [0.25]),
+]
+
+
+@pytest.mark.parametrize("schema,column,value", WRONG_JSON_TYPES)
+def test_wrong_json_type_names_line_and_field(tmp_path, schema, column,
+                                              value):
+    path = tmp_path / "stream.jsonl"
+    write_stream(path, schema)
+    rewrite_cells(path, 1, **{column: value})
+    with pytest.raises(ValidationError) as exc:
+        load_stream(path)
+    assert (exc.value.line, exc.value.field) == (2, column)
+    assert json.dumps(value) in exc.value.message
+
+
+@pytest.mark.parametrize("schema", ["events", "aggregates"])
+def test_json_booleans_read_in_flag_columns(tmp_path, schema):
+    path = tmp_path / "stream.jsonl"
+    write_stream(path, schema)
+    expected = load_stream(path)
+    rewrite_cells(path, 0, is_bot=False)
+    rewrite_cells(path, 1, is_bot=False)
+    assert load_stream(path) == expected

@@ -38,6 +38,12 @@ class TestConfigValidation:
             SimConfig(counts={"human-benign": 40}, target_events=events)
         assert exc.value.field == "events"
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None, True])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ValidationError) as exc:
+            SimConfig(counts={"human-benign": 1}, seed=seed)
+        assert exc.value.field == "seed"
+
     def test_event_count_of_one_per_contributor_accepted(self):
         cfg = SimConfig(counts={"human-benign": 40}, target_events=40)
         events, _ = simulate(cfg)
