@@ -119,8 +119,12 @@ def correlation_report(aggregates, target,
     """Correlate every feature with the chosen target.
 
     Constant features are listed separately as undefined instead of
-    appearing in the report body.
+    appearing in the report body. A ``threshold`` outside [0, 1], NaN
+    included, raises ValidationError.
     """
+    if not 0.0 <= threshold <= 1.0:
+        raise ValidationError(f"threshold {threshold!r} is not in [0, 1]",
+                              field="threshold")
     if len(aggregates) < 2:
         raise ValidationError("need at least two aggregates")
     X = feature_matrix(aggregates)

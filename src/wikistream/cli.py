@@ -161,7 +161,8 @@ def select(input, target, count, step, out):
 
 @main.command()
 @click.argument("input", type=click.Path())
-@click.option("--count", default=0, show_default=True, type=int,
+@click.option("--count", default=0, show_default=True,
+              type=click.IntRange(min=0),
               help="Samples to generate (0 = human/bot contributor gap).")
 @click.option("--seed", default=0, show_default=True,
               type=click.IntRange(min=0))

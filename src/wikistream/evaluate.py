@@ -189,8 +189,8 @@ def _prequential(stream, store, features, step, classes, classifier,
                 index=index,
                 contributor_id=agg.contributor_id,
                 true=true,
-                predicted=classes[int(np.argmax(probs))],
-                probabilities=tuple(float(p) for p in probs),
+                predicted=classes[probs.argmax()],
+                probabilities=tuple(probs.tolist()),
                 latency_us=latency,
             ))
     elapsed = time.perf_counter() - started

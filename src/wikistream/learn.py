@@ -275,10 +275,23 @@ class TreeStore:
             column, threshold, left, right = nodes[node]
         return node
 
-    def distributions(self, leaves):
-        """One class distribution per leaf: its normalised class counts,
-        or its fallback while it has none."""
-        counts = self.counts[leaves]
+    def route(self, row):
+        """``descend`` from every member's root: the leaf input row
+        ``row`` reaches in each member's tree."""
+        nodes = self.nodes
+        leaves = []
+        for node in range(len(self.columns)):
+            column, threshold, left, right = nodes[node]
+            while column >= 0:
+                node = left if row[column] <= threshold else right
+                column, threshold, left, right = nodes[node]
+            leaves.append(node)
+        return leaves
+
+    def distributions(self, leaves, counts):
+        """One class distribution per leaf, ``counts`` being the leaves'
+        rows of ``self.counts``: its normalised class counts, or its
+        fallback while it has none."""
         total = counts.sum(axis=1, keepdims=True)
         out = self.fallback[leaves]
         np.divide(counts, total, out=out, where=total > 0)
@@ -292,14 +305,31 @@ class TreeStore:
             return counts / total
         return self.fallback[leaf].copy()
 
-    def learn(self, members, leaves, x, k, weights):
+    def winner(self, leaf):
+        """``int(np.argmax(self.distribution(leaf)))`` on plain floats:
+        the first most likely class. The total is numpy's: below 8
+        classes numpy sums a row in order, from 8 on pairwise."""
+        counts = self.counts[leaf].tolist()
+        if len(counts) < 8:
+            total = 0.0
+            for c in counts:
+                total += c
+        else:
+            total = float(self.counts[leaf].sum())
+        if total > 0:
+            probs = [c / total for c in counts]
+        else:
+            probs = self.fallback[leaf].tolist()
+        return probs.index(max(probs))
+
+    def learn(self, members, leaves, x, k, weights, counts):
         """Fold input row ``x`` of class ``k`` into one leaf per member
         of the index array ``members``, with the members' positive
-        ``weights``. A leaf that has seen a grace period's weight since
-        its last attempt tries to split."""
-        leaves = np.asarray(leaves, dtype=np.intp)
+        ``weights``; ``counts`` are the leaves' class-k counts before
+        the fold. A leaf that has seen a grace period's weight since its
+        last attempt tries to split."""
         at = (leaves, k)
-        n = self.counts[at] + weights
+        n = counts + weights
         self.counts[at] = n
         self.mean[at], self.m2[at] = _fold(
             x[self.columns[members]], self.mean[at], self.m2[at],
@@ -518,7 +548,8 @@ class _Ensemble(OnlineClassifier):
 
     An example is routed once through every member's tree: the ensemble
     predicts from those leaves and, in ``predict_learn``, learns at them.
-    Only member m's own learn changes member m's tree.
+    ``_route`` returns the checked row and then what ``_vote`` and
+    ``_learn`` take. Only member m's own learn changes member m's tree.
     """
 
     def __init__(self, n_members, classes, seed):
@@ -535,19 +566,19 @@ class _Ensemble(OnlineClassifier):
         """``x`` checked, and the leaf it reaches in each member's tree."""
         x = self._check_arity(x)
         self._ensure(x.shape[0])
-        row = x.tolist()
-        return x, [self.store.descend(m, row) for m in range(self.n_members)]
+        return x, self.store.route(x.tolist())
 
     def predict_proba(self, x):
-        return self._vote(self._route(x)[1])
+        _, *routed = self._route(x)
+        return self._vote(*routed)
 
     def learn_one(self, x, y):
         self._learn(*self._route(x), y)
 
     def predict_learn(self, x, y):
-        x, leaves = self._route(x)
-        probs = self._vote(leaves)
-        self._learn(x, leaves, y)
+        x, *routed = self._route(x)
+        probs = self._vote(*routed)
+        self._learn(x, *routed, y)
         return probs
 
     def _rng_states(self):
@@ -673,15 +704,23 @@ class BaggingForest(_Ensemble):
             states.append(replay.bit_generator.state)
         return states
 
-    def _vote(self, leaves):
-        return self.store.distributions(leaves).sum(axis=0) / self.n_members
+    def _route(self, x):
+        """``x`` checked, the index array of the leaf it reaches in each
+        member's tree, and their class counts, gathered once for the
+        vote and the learn."""
+        x, leaves = super()._route(x)
+        leaves = np.array(leaves, dtype=np.intp)
+        return x, leaves, self.store.counts[leaves]
 
-    def _learn(self, x, leaves, y):
+    def _vote(self, leaves, counts):
+        return (self.store.distributions(leaves, counts).sum(axis=0)
+                / self.n_members)
+
+    def _learn(self, x, leaves, counts, y):
         k = self.classes.index(y)
         weights = self._weights()
         hit = np.flatnonzero(weights > 0)
-        self.store.learn(hit, np.asarray(leaves, dtype=np.intp)[hit], x, k,
-                         weights[hit])
+        self.store.learn(hit, leaves[hit], x, k, weights[hit], counts[hit, k])
 
     def to_state(self):
         subsets = self.subsets
@@ -740,6 +779,8 @@ class OnlineBoosting(_Ensemble):
     def _learn(self, x, leaves, y):
         store = self.store
         k = self.classes.index(y)
+        correct = self.lambda_correct.tolist()
+        wrong = self.lambda_wrong.tolist()
         lam = 1.0
         for m, (rng, leaf) in enumerate(zip(self._rngs, leaves)):
             w = rng.poisson(lam)
@@ -747,24 +788,25 @@ class OnlineBoosting(_Ensemble):
                 store.learn_member(m, leaf, x, k, w)
                 if not store.is_leaf(leaf):  # the learn split it
                     leaf = store.descend(leaf, x)
-            probs = store.distribution(leaf)
-            if int(np.argmax(probs)) == k:
-                self.lambda_correct[m] += lam
-                total = self.lambda_correct[m] + self.lambda_wrong[m]
-                lam *= total / (2.0 * self.lambda_correct[m])
+            if store.winner(leaf) == k:
+                correct[m] += lam
+                lam *= (correct[m] + wrong[m]) / (2.0 * correct[m])
             else:
-                self.lambda_wrong[m] += lam
-                total = self.lambda_correct[m] + self.lambda_wrong[m]
-                lam *= total / (2.0 * self.lambda_wrong[m])
+                wrong[m] += lam
+                lam *= (correct[m] + wrong[m]) / (2.0 * wrong[m])
+        self.lambda_correct[:] = correct
+        self.lambda_wrong[:] = wrong
 
     def _member_weights(self):
-        weights = np.zeros(self.n_members)
-        for m in range(self.n_members):
-            total = self.lambda_correct[m] + self.lambda_wrong[m]
+        weights = []
+        for correct, wrong in zip(self.lambda_correct.tolist(),
+                                  self.lambda_wrong.tolist()):
+            total = correct + wrong
             if total == 0:
+                weights.append(0.0)
                 continue
-            error = min(max(self.lambda_wrong[m] / total, 1e-10), 1.0 - 1e-10)
-            weights[m] = max(0.0, math.log((1.0 - error) / error))
+            error = min(max(wrong / total, 1e-10), 1.0 - 1e-10)
+            weights.append(max(0.0, math.log((1.0 - error) / error)))
         return weights
 
     def predict_proba(self, x):
@@ -775,9 +817,11 @@ class OnlineBoosting(_Ensemble):
 
     def _vote(self, leaves):
         weights = self._member_weights()
-        if weights.sum() == 0:
+        if not any(weights):  # none is negative
             return np.full(len(self.classes), 1.0 / len(self.classes))
-        winners = self.store.distributions(leaves).argmax(axis=1)
+        store = self.store
+        winners = store.distributions(leaves, store.counts[leaves]).argmax(
+            axis=1)
         # bincount adds the weights in member order, as a loop would
         votes = np.bincount(winners, weights=weights,
                             minlength=len(self.classes))

@@ -168,19 +168,24 @@ def _beta_pair(rng, mean, concentration):
     return float(p), float(1.0 - p)
 
 
-def _dirichlet(rng, means, concentration):
-    alpha = np.array(means) * concentration
+def _dirichlet(rng, alpha):
     draw = rng.dirichlet(alpha)
-    return tuple(float(v) for v in draw / draw.sum())
+    return (draw / draw.sum()).tolist()
 
 
 def _contributor_events(contributor_id, archetype, n_events, config, rng):
     days = rng.integers(0, config.n_days, size=n_events)
+    item_alpha, art_alpha, wp10_alpha = (
+        np.array(means) * archetype.concentration
+        for means in (archetype.item_means, archetype.art_means,
+                      archetype.wp10_means))
     events = []
+    # round(v, 0) rounds half to even as np.round does, and keeps a
+    # non-finite draw a float for the event table's check to reject
     for day_offset in sorted(days.tolist()):
-        length = max(1.0, float(np.round(rng.lognormal(
+        length = max(1.0, round(rng.lognormal(
             archetype.review_length_log_mean,
-            archetype.review_length_log_sigma))))
+            archetype.review_length_log_sigma), 0))
         links = float(rng.poisson(archetype.links_rate))
         repeated = float(rng.binomial(int(links),
                                       archetype.repeated_link_fraction))
@@ -189,9 +194,9 @@ def _contributor_events(contributor_id, archetype, n_events, config, rng):
         probs = (
             *_beta_pair(rng, archetype.damaging_mean, archetype.concentration),
             *_beta_pair(rng, archetype.goodfaith_mean, archetype.concentration),
-            *_dirichlet(rng, archetype.item_means, archetype.concentration),
-            *_dirichlet(rng, archetype.art_means, archetype.concentration),
-            *_dirichlet(rng, archetype.wp10_means, archetype.concentration),
+            *_dirichlet(rng, item_alpha),
+            *_dirichlet(rng, art_alpha),
+            *_dirichlet(rng, wp10_alpha),
         )
         events.append(EditEvent(
             contributor_id=contributor_id,
@@ -201,10 +206,10 @@ def _contributor_events(contributor_id, archetype, n_events, config, rng):
             review_length=length,
             links=links,
             repeated_links=repeated,
-            chars_inserted=float(np.round(rng.lognormal(
-                archetype.chars_inserted_log_mean, 0.7))),
-            chars_deleted=float(np.round(rng.lognormal(
-                archetype.chars_deleted_log_mean, 0.7))),
+            chars_inserted=round(rng.lognormal(
+                archetype.chars_inserted_log_mean, 0.7), 0),
+            chars_deleted=round(rng.lognormal(
+                archetype.chars_deleted_log_mean, 0.7), 0),
             was_reverted=bool(rng.random() < archetype.revert_probability),
             probs=probs,
         ))

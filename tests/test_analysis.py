@@ -102,6 +102,19 @@ class TestCorrelationReport:
         diag = np.diag(m)
         assert np.all((np.isnan(diag)) | (diag == 1.0))
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"),
+                                           -5.0, -1e-9, 1.5])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ValidationError) as exc:
+            correlation_report(self._aggregates(), "user_type", threshold)
+        assert exc.value.field == "threshold"
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_threshold_bounds_accepted(self, threshold):
+        report = correlation_report(self._aggregates(), "user_type",
+                                    threshold)
+        assert report.threshold == threshold
+
     def test_output_files(self, tmp_path):
         report = correlation_report(self._aggregates(), "user_type")
         report.write_csv(tmp_path / "report.csv")

@@ -89,6 +89,16 @@ class TestAnalyzeCommand:
         assert result.exit_code == 2
         assert "error:" in result.output
 
+    @pytest.mark.parametrize("threshold", ["nan", "-5", "1.5"])
+    def test_threshold_outside_unit_interval_exits_validation(
+            self, tmp_path, threshold):
+        events = simulate_stream(tmp_path / "sim")
+        result = run("analyze", events, "--threshold", threshold,
+                     "--out", tmp_path / "analysis")
+        assert result.exit_code == 2, result.output
+        assert "threshold" in result.output
+        assert not (tmp_path / "analysis").exists()
+
 
 class TestSelectCommand:
     def test_selected_features_json(self, tmp_path):
@@ -116,6 +126,14 @@ class TestSynthesizeCommand:
         assert result.exit_code == 0, result.output
         assert "0 samples" in result.output
         assert not (tmp_path / "syn" / "synthetic.csv").exists()
+
+    def test_negative_count_exits_validation(self, tmp_path):
+        events = simulate_stream(tmp_path / "sim", humans=8, bots=4)
+        result = run("synthesize", events, "--count", -3,
+                     "--out", tmp_path / "syn")
+        assert result.exit_code == 2, result.output
+        assert "--count" in result.output
+        assert not (tmp_path / "syn").exists()
 
     def test_same_seed_identical_output(self, tmp_path):
         events = simulate_stream(tmp_path / "sim", humans=8, bots=4)

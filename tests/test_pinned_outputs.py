@@ -7,7 +7,8 @@ log, without its wall-clock ``latency_us`` column, must hash to the
 digest recorded for it. The stacking model's log and the pipeline's
 other outputs are pinned in ``test_acceptance.test_determinism``. The
 JSON checkpoints of the forests and the stacking model are pinned after
-a prefix of the stream that ends inside a block of Poisson weights.
+a prefix of the stream that ends inside a block of Poisson weights, and
+the ensembles' logs and checkpoints once more over three classes.
 """
 
 import csv
@@ -19,12 +20,14 @@ import pytest
 
 from wikistream.analysis import FEATURE_SETS
 from wikistream.evaluate import (
+    PredictionRecord,
     prequential_run,
     prequential_run_stacking,
     write_prediction_log,
 )
 from wikistream.ingest import aggregate_daily, write_aggregates
 from wikistream.learn import POISSON_BLOCK, StackingModel, make_classifier
+from wikistream.profiling import ProfileStore, to_feature_vector
 from wikistream.sim import SimConfig, simulate
 
 
@@ -112,3 +115,44 @@ def test_mid_block_checkpoint_pinned(stream, kind):
     state = json.dumps(model.to_state(), sort_keys=True)
     assert hashlib.sha256(state.encode()).hexdigest() == \
         PINNED_CHECKPOINTS[kind]
+
+
+def three_class_run(stream, kind):
+    """The ensemble ``kind`` over the stream's ``set1`` profiles, labelled
+    with the number of malign and bot flags (0, 1 or 2); returns its
+    prediction log and final model."""
+    model = make_classifier(kind, seed=3, classes=[0, 1, 2])
+    store = ProfileStore()
+    log = []
+    for index, agg in enumerate(stream):
+        x = to_feature_vector(store.update(agg), FEATURE_SETS["set1"])
+        true = agg.user_type + agg.contribution_type
+        probs = model.predict_learn(x, true)
+        log.append(PredictionRecord(index, agg.contributor_id, true,
+                                    int(probs.argmax()),
+                                    tuple(probs.tolist()), 0.0))
+    return log, model
+
+
+# Recorded with numpy 2.4.6 on Python 3.11.7, from the implementation
+# that took each boosting member's vote through ``np.argmax`` of its
+# leaf distribution: the SHA-256 of the prediction log (as in PINNED)
+# and of ``json.dumps(model.to_state(), sort_keys=True)`` after the
+# whole stream.
+PINNED_THREE_CLASS = {
+    "rf": ("d162ce738beadf232e12aad562bc6ae76d4f490318ea833df4af7d87a0f25361",
+           "4edde214a532bffe5883372dff33102fbd6d17b91c2ef9869e955cbdb00d452a"),
+    "bc": ("ae596cdc22b2b8c2ce1ceb563d0e9343f325674161c73394bdac8bb567a164ee",
+           "072a4832b358cf525c8758faf8220e6c51f699c2a02e7ab6def2ac34f611b699"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_THREE_CLASS))
+def test_three_class_ensemble_pinned(stream, tmp_path, kind):
+    log, model = three_class_run(stream, kind)
+    assert {record.true for record in log} == {0, 1, 2}
+    assert any(column >= 0 for column, *_ in model.store.nodes)
+    state = json.dumps(model.to_state(), sort_keys=True)
+    assert (log_digest(log, tmp_path / "predictions.csv"),
+            hashlib.sha256(state.encode()).hexdigest()) == \
+        PINNED_THREE_CLASS[kind]

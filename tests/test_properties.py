@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from wikistream.ingest import (
@@ -35,6 +35,7 @@ from wikistream.learn import (
     BaggingForest,
     HoeffdingTree,
     StackingModel,
+    TreeStore,
     make_classifier,
 )
 from wikistream.model import (
@@ -230,6 +231,37 @@ def test_node_table_holds_each_tree_once(kind, stream):
             forests[0].predict_learn(x, y)
     splits = sum(map(assert_node_table, forests))
     event(f"{kind} splits: {splits}")
+
+
+# Class counts that tie, cancel to a zero total, or sum to another
+# value in another order.
+count_entries = st.sampled_from(
+    [0.0, 1.0, 2.0, 3.0, 0.5, -1.0, 1e16, -1e16]) | st.floats(-10.0, 10.0)
+
+
+@st.composite
+def leaf_rows(draw):
+    """A leaf's class counts and fallback, of 2 to 9 classes."""
+    n = draw(st.integers(2, 9))
+    row = st.lists(count_entries, min_size=n, max_size=n)
+    return draw(row), draw(row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=leaf_rows())
+# in order this sums to 0 (fallback), pairwise, as numpy sums 8 values,
+# to 2
+@example(rows=([0.5, 0.5, 1e16, -1.0, 0.5, 1.0, 1.0, -1e16], [0.0] * 8))
+def test_leaf_winner_is_the_argmax_of_its_distribution(rows):
+    counts, fallback = rows
+    store = TreeStore([[0]], len(counts))
+    store.counts[0], store.fallback[0] = counts, fallback
+    expected = int(np.argmax(store.distribution(0)))
+    assert store.winner(0) == expected
+    if not store.counts[0].sum() > 0:
+        event("fallback")
+    elif (store.distribution(0) == store.distribution(0)[expected]).sum() > 1:
+        event("tie")
 
 
 # Profile sums of these columns add integers, so any order gives one value.

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from wikistream.model import FEATURE_IDS, ValidationError
 from wikistream.profiling import ProfileStore
 from wikistream.sim import (
     ARCHETYPE_NAMES,
+    DEFAULT_ARCHETYPES,
     SimConfig,
     simulate,
     write_simulation,
@@ -48,6 +50,21 @@ class TestConfigValidation:
         cfg = SimConfig(counts={"human-benign": 40}, target_events=40)
         events, _ = simulate(cfg)
         assert len(events) == 40
+
+
+    @pytest.mark.parametrize("parameter,field", [
+        ("review_length_log_mean", "review_length"),
+        ("chars_inserted_log_mean", "chars_inserted"),
+        ("chars_deleted_log_mean", "chars_deleted"),
+    ])
+    def test_non_finite_draw_rejected(self, parameter, field):
+        archetypes = dict(DEFAULT_ARCHETYPES)
+        archetypes["human-benign"] = replace(archetypes["human-benign"],
+                                             **{parameter: 1000.0})
+        cfg = SimConfig(counts={"human-benign": 2}, archetypes=archetypes)
+        with pytest.raises(ValidationError) as exc:
+            simulate(cfg)
+        assert exc.value.field == field
 
 
 class TestSimulate:
