@@ -171,12 +171,13 @@ class GaussianNaiveBayes(OnlineClassifier):
     @classmethod
     def from_state(cls, state):
         """The model ``to_state`` wrote. Moments of another shape than
-        (classes, n_features) raise ValidationError naming the field."""
+        (classes, n_features), or negative counts, raise ValidationError
+        naming the field."""
         clf = cls(state["classes"])
         clf.n_features = state["n_features"]
         if state["counts"] is not None:
             c = len(clf.classes)
-            clf._counts = _array(state, "counts", (c,))
+            clf._counts = _counts(state, "counts", (c,))
             clf._mean = _array(state, "mean", (c, clf.n_features))
             clf._m2 = _array(state, "m2", (c, clf.n_features))
         return clf
@@ -193,6 +194,16 @@ def _array(state, name, shape, where=""):
         raise ValidationError(
             f"checkpoint does not hold a finite {shape} array",
             field=where + name)
+    return value
+
+
+def _counts(state, name, shape, where=""):
+    """``_array`` of counts, weights or probabilities, whose entries
+    must be >= 0."""
+    value = _array(state, name, shape, where)
+    if (value < 0).any():
+        raise ValidationError("checkpoint holds a negative entry",
+                              field=where + name)
     return value
 
 
@@ -234,17 +245,21 @@ _LEAF = (-1, None, None, None)
 class TreeStore:
     """Hoeffding trees packed into one node table, one tree per member.
 
-    Member m's tree reads the input columns ``columns[m]``; its feature
-    f is input column ``columns[m][f]``. Node ids run over the whole
-    store: node m is member m's root, and a split appends its two
-    children. The structure changes only at a split and is kept as one
-    plain list of node tuples (input column, threshold, left, right),
-    with column -1 at a leaf: plain lists route one row faster than
-    numpy does. Node statistics are arrays indexed [node, class(,
-    feature)]: class counts, per-class Gaussian moments per feature
-    (mean and m2), the weight seen since the last split attempt, the
-    fallback distribution (the parent's at split time) and depth. Their
-    node capacity doubles when the table outgrows it.
+    Member m's tree reads the input columns ``columns[m]``, its
+    ``width[m]`` features; its feature f is input column
+    ``columns[m][f]``. Members may read different numbers of columns:
+    the moment arrays are as wide as the widest member, and a narrower
+    member's padded slots fold a copy of its first column but never
+    reach a split or a checkpoint. Node ids run over the whole store:
+    node m is member m's root, and a split appends its two children.
+    The structure changes only at a split and is kept as one plain list
+    of node tuples (input column, threshold, left, right), with column
+    -1 at a leaf: plain lists route one row faster than numpy does. Node
+    statistics are arrays indexed [node, class(, feature)]: class
+    counts, per-class Gaussian moments per feature (mean and m2), the
+    weight seen since the last split attempt, the fallback distribution
+    (the parent's at split time) and depth. Their node capacity doubles
+    when the table outgrows it.
 
     Candidate thresholds are midpoints between class means. A leaf
     splits when the best info gain beats the runner-up by the Hoeffding
@@ -252,12 +267,16 @@ class TreeStore:
     """
 
     def __init__(self, columns, n_classes):
-        self.columns = np.asarray(columns)
-        n_members, self.n_features = self.columns.shape
+        columns = [np.asarray(c, dtype=np.intp) for c in columns]
+        self.width = [len(c) for c in columns]
+        n_members, width = len(columns), max(self.width)
+        self.columns = np.array([
+            np.concatenate((c, c[:1].repeat(width - len(c))))
+            for c in columns])
         self.nodes = [_LEAF] * n_members
         self.counts = np.zeros((n_members, n_classes))
-        self.mean = np.zeros((n_members, n_classes, self.n_features))
-        self.m2 = np.zeros((n_members, n_classes, self.n_features))
+        self.mean = np.zeros((n_members, n_classes, width))
+        self.m2 = np.zeros((n_members, n_classes, width))
         self.seen = np.zeros(n_members)
         self.fallback = np.full((n_members, n_classes), 1.0 / n_classes)
         self.depth = np.zeros(n_members, dtype=np.int64)
@@ -275,12 +294,12 @@ class TreeStore:
             column, threshold, left, right = nodes[node]
         return node
 
-    def route(self, row):
-        """``descend`` from every member's root: the leaf input row
-        ``row`` reaches in each member's tree."""
+    def route(self, row, start, stop):
+        """``descend`` from the roots of members ``start`` to ``stop``:
+        the leaf input row ``row`` reaches in each of their trees."""
         nodes = self.nodes
         leaves = []
-        for node in range(len(self.columns)):
+        for node in range(start, stop):
             column, threshold, left, right = nodes[node]
             while column >= 0:
                 node = left if row[column] <= threshold else right
@@ -305,17 +324,20 @@ class TreeStore:
             return counts / total
         return self.fallback[leaf].copy()
 
-    def winner(self, leaf):
+    def winner(self, leaf, k=0, weight=0.0):
         """``int(np.argmax(self.distribution(leaf)))`` on plain floats:
-        the first most likely class. The total is numpy's: below 8
-        classes numpy sums a row in order, from 8 on pairwise."""
+        the first most likely class, with ``weight`` added to the leaf's
+        class-``k`` count as ``learn`` would add it. The total is
+        numpy's: below 8 classes numpy sums a row in order, from 8 on
+        pairwise."""
         counts = self.counts[leaf].tolist()
+        counts[k] += weight
         if len(counts) < 8:
             total = 0.0
             for c in counts:
                 total += c
         else:
-            total = float(self.counts[leaf].sum())
+            total = float(np.sum(counts))
         if total > 0:
             probs = [c / total for c in counts]
         else:
@@ -323,11 +345,12 @@ class TreeStore:
         return probs.index(max(probs))
 
     def learn(self, members, leaves, x, k, weights, counts):
-        """Fold input row ``x`` of class ``k`` into one leaf per member
-        of the index array ``members``, with the members' positive
-        ``weights``; ``counts`` are the leaves' class-k counts before
-        the fold. A leaf that has seen a grace period's weight since its
-        last attempt tries to split."""
+        """Fold input row ``x`` into one leaf per member of the index
+        array ``members``, with the members' positive ``weights``; ``k``
+        is the class, one for all or an index array with one per member,
+        and ``counts`` are the leaves' class-k counts before the fold. A
+        leaf that has seen a grace period's weight since its last
+        attempt tries to split, in member order."""
         at = (leaves, k)
         n = counts + weights
         self.counts[at] = n
@@ -342,20 +365,6 @@ class TreeStore:
                 self._attempt_split(m, leaf)
         self.seen[leaves] = seen
 
-    def learn_member(self, m, leaf, x, k, weight):
-        """``learn`` for one member."""
-        at = (leaf, k)
-        n = self.counts[at] + weight
-        self.counts[at] = n
-        self.mean[at], self.m2[at] = _fold(
-            x[self.columns[m]], self.mean[at], self.m2[at], n, weight)
-        seen = self.seen[leaf] + weight
-        if seen >= HOEFFDING_GRACE_PERIOD:
-            self.seen[leaf] = 0.0
-            self._attempt_split(m, leaf)
-        else:
-            self.seen[leaf] = seen
-
     def _attempt_split(self, m, node):
         if self.depth[node] >= HOEFFDING_MAX_DEPTH:
             return
@@ -368,7 +377,7 @@ class TreeStore:
             return
 
         best = []  # per-feature best (gain, feature, threshold)
-        for f in range(self.n_features):
+        for f in range(self.width[m]):
             gain, threshold = 0.0, None
             for i, a in enumerate(present):
                 for b in present[i + 1:]:
@@ -425,13 +434,14 @@ class TreeStore:
     def _node_state(self, m, node):
         column, threshold, left, right = self.nodes[node]
         leaf = column < 0
+        d = self.width[m]
         return {
             "class_counts": self.counts[node].tolist(),
-            "mean": self.mean[node].tolist(),
-            "m2": self.m2[node].tolist(),
+            "mean": self.mean[node, :, :d].tolist(),
+            "m2": self.m2[node, :, :d].tolist(),
             "seen_since_attempt": float(self.seen[node]),
             "split_feature": (None if leaf else
-                              self.columns[m].tolist().index(column)),
+                              self.columns[m, :d].tolist().index(column)),
             "threshold": threshold,
             "fallback": self.fallback[node].tolist(),
             "depth": int(self.depth[node]),
@@ -444,21 +454,22 @@ class TreeStore:
         from ``root_state`` output other than None; ``load_node(m, m,
         state, "root")`` loads member m's tree. A node whose statistics
         have another shape than (classes(, features)) or are not finite,
-        whose depth is not a count, whose split feature is out of range
-        or whose split lacks a child raises ValidationError naming its
-        path (``root.left.mean``). An ``n``
+        whose class counts, fallback or weight seen are negative, whose
+        depth is not a count, whose split feature is out of range or
+        whose split lacks a child raises ValidationError naming its path
+        (``root.left.mean``). An ``n``
         field, which older checkpoints carry beside the equal class
         counts, is ignored."""
         if not isinstance(state, dict):
             raise ValidationError("checkpoint has no tree node here",
                                   field=where)
         where += "."
-        c, d = self.counts.shape[1], self.n_features
-        self.counts[node] = _array(state, "class_counts", (c,), where)
-        self.fallback[node] = _array(state, "fallback", (c,), where)
-        self.mean[node] = _array(state, "mean", (c, d), where)
-        self.m2[node] = _array(state, "m2", (c, d), where)
-        self.seen[node] = _array(state, "seen_since_attempt", (), where)
+        c, d = self.counts.shape[1], self.width[m]
+        self.counts[node] = _counts(state, "class_counts", (c,), where)
+        self.fallback[node] = _counts(state, "fallback", (c,), where)
+        self.mean[node, :, :d] = _array(state, "mean", (c, d), where)
+        self.m2[node, :, :d] = _array(state, "m2", (c, d), where)
+        self.seen[node] = _counts(state, "seen_since_attempt", (), where)
         feature, depth = state["split_feature"], state["depth"]
         if type(depth) is not int or depth < 0:
             raise ValidationError(f"depth {depth!r} is not a count",
@@ -501,8 +512,10 @@ class HoeffdingTree(OnlineClassifier):
         x = self._check_arity(x)
         self._ensure(x.shape[0])
         store = self.store
-        store.learn_member(0, store.descend(0, x), x,
-                           self.classes.index(y), 1)
+        leaves = np.array([store.descend(0, x)])
+        k = self.classes.index(y)
+        store.learn(np.zeros(1, dtype=np.intp), leaves, x, k, np.ones(1),
+                    store.counts[leaves, k])
 
     def predict_proba(self, x):
         x = self._check_arity(x)
@@ -543,11 +556,15 @@ POISSON_BLOCK = 64
 
 
 class _Ensemble(OnlineClassifier):
-    """Member trees held in one ``TreeStore``, each member with its own
+    """Member trees held in a ``TreeStore``, each member with its own
     RNG substream derived from (seed, member index).
 
-    An example is routed once through every member's tree: the ensemble
-    predicts from those leaves and, in ``predict_learn``, learns at them.
+    Member m's tree is store member ``offset + m``. The offset is 0 for
+    a forest with a store of its own. ``StackingModel``'s forests share
+    one store, each with its own member range; the model steps them, and
+    their checkpoints read and write their range. An example is routed
+    once through every member's tree: the ensemble predicts from those
+    leaves and, in ``predict_learn``, learns at them.
     ``_route`` returns the checked row and then what ``_vote`` and
     ``_learn`` take. Only member m's own learn changes member m's tree.
     """
@@ -561,12 +578,13 @@ class _Ensemble(OnlineClassifier):
         self._rngs = [np.random.default_rng([seed, m])
                       for m in range(n_members)]
         self.store = None
+        self.offset = 0
 
     def _route(self, x):
         """``x`` checked, and the leaf it reaches in each member's tree."""
         x = self._check_arity(x)
         self._ensure(x.shape[0])
-        return x, self.store.route(x.tolist())
+        return x, self.store.route(x.tolist(), 0, self.n_members)
 
     def predict_proba(self, x):
         _, *routed = self._route(x)
@@ -588,6 +606,7 @@ class _Ensemble(OnlineClassifier):
         """The checkpoint: ``settings`` between the shared fields and
         the members."""
         store = self.store
+        members = range(self.offset, self.offset + self.n_members)
         return {
             "kind": kind,
             "classes": self.classes,
@@ -597,9 +616,9 @@ class _Ensemble(OnlineClassifier):
             **settings,
             "members": [
                 _tree_state(self.classes, None, None) if store is None
-                else _tree_state(self.classes, store.n_features,
+                else _tree_state(self.classes, store.width[m],
                                  store.root_state(m))
-                for m in range(self.n_members)],
+                for m in members],
             "rng_states": self._rng_states(),
         }
 
@@ -617,7 +636,8 @@ class _Ensemble(OnlineClassifier):
                     _feature_count(state)
                     raise ValidationError("checkpoint has learned trees "
                                           "but no subsets", field="subsets")
-                self.store.load_node(m, m, member["root"],
+                root = self.offset + m
+                self.store.load_node(root, root, member["root"],
                                      f"members.{m}.root")
         for rng, rng_state in zip(self._rngs, state["rng_states"]):
             rng.bit_generator.state = rng_state
@@ -647,15 +667,12 @@ class BaggingForest(_Ensemble):
                                   field="use_poisson")
         self.max_features = max_features
         self.use_poisson = use_poisson
+        # each member's feature subset (sorted input columns), or None
+        # before the first call
+        self.subsets = None
         self._block = None         # (n_members, POISSON_BLOCK) weights
         self._block_states = None  # each member's RNG state before it
         self._drawn = 0            # block columns used
-
-    @property
-    def subsets(self):
-        """Each member's feature subset (sorted column indices), or None
-        before the first call."""
-        return None if self.store is None else list(self.store.columns)
 
     def _subset_size(self, d):
         """How many of ``d`` input columns each member reads."""
@@ -667,14 +684,14 @@ class BaggingForest(_Ensemble):
         if self.store is not None:
             return
         if self.max_features is None:
-            subsets = [np.arange(d) for _ in range(self.n_members)]
+            self.subsets = [np.arange(d) for _ in range(self.n_members)]
         else:
             size = self._subset_size(d)
-            subsets = [
+            self.subsets = [
                 np.sort(self._rngs[m].choice(d, size=size, replace=False))
                 for m in range(self.n_members)
             ]
-        self.store = TreeStore(subsets, len(self.classes))
+        self.store = TreeStore(self.subsets, len(self.classes))
 
     def _weights(self):
         """Each member's weight for the next example: its next Poisson(1)
@@ -723,12 +740,11 @@ class BaggingForest(_Ensemble):
         self.store.learn(hit, leaves[hit], x, k, weights[hit], counts[hit, k])
 
     def to_state(self):
-        subsets = self.subsets
         return self._state("bagging_forest", {
             "max_features": self.max_features,
             "use_poisson": self.use_poisson,
-            "subsets": (None if subsets is None
-                        else [s.tolist() for s in subsets]),
+            "subsets": (None if self.subsets is None
+                        else [s.tolist() for s in self.subsets]),
         })
 
     @classmethod
@@ -736,6 +752,16 @@ class BaggingForest(_Ensemble):
         """The forest ``to_state`` wrote, with an empty Poisson block. A
         subset that is not the expected number of distinct input columns
         raises ValidationError naming it (``subsets.0``)."""
+        forest = cls._settings_from_state(state)
+        if forest.subsets is not None:
+            forest.store = TreeStore(forest.subsets, len(forest.classes))
+        forest._load(state)
+        return forest
+
+    @classmethod
+    def _settings_from_state(cls, state):
+        """The forest of checkpoint ``state`` with its checked subsets
+        but without a store or member trees."""
         forest = cls(
             n_members=state["n_members"], classes=state["classes"],
             seed=state["seed"], max_features=state["max_features"],
@@ -751,8 +777,7 @@ class BaggingForest(_Ensemble):
                     raise ValidationError(
                         f"checkpoint subset is not {size} distinct columns "
                         f"of {d}", field=f"subsets.{m}")
-            forest.store = TreeStore(state["subsets"], len(forest.classes))
-        forest._load(state)
+            forest.subsets = [np.array(s) for s in state["subsets"]]
         return forest
 
 
@@ -777,23 +802,42 @@ class OnlineBoosting(_Ensemble):
                                    len(self.classes))
 
     def _learn(self, x, leaves, y):
+        """Each member's draw, fold and vote in member order. A member's
+        vote after its fold is its leaf's winner with the drawn weight
+        added, so the folds wait and run in one ``TreeStore.learn`` at
+        the end; members' leaves are disjoint, so their order does not
+        matter. A fold due a split attempt runs at once, so the vote
+        sees the split."""
         store = self.store
         k = self.classes.index(y)
         correct = self.lambda_correct.tolist()
         wrong = self.lambda_wrong.tolist()
+        seen = store.seen
+        folds = []  # (member, leaf, weight) of the waiting folds
         lam = 1.0
         for m, (rng, leaf) in enumerate(zip(self._rngs, leaves)):
             w = rng.poisson(lam)
-            if w > 0:
-                store.learn_member(m, leaf, x, k, w)
+            if w and seen[leaf] + w >= HOEFFDING_GRACE_PERIOD:
+                at = np.array([leaf])
+                store.learn(np.array([m]), at, x, k, np.array([float(w)]),
+                            store.counts[at, k])
+                seen = store.seen  # the split may have grown the arrays
                 if not store.is_leaf(leaf):  # the learn split it
                     leaf = store.descend(leaf, x)
-            if store.winner(leaf) == k:
+                w = 0  # folded
+            elif w:
+                folds.append((m, leaf, w))
+            if store.winner(leaf, k, w) == k:
                 correct[m] += lam
                 lam *= (correct[m] + wrong[m]) / (2.0 * correct[m])
             else:
                 wrong[m] += lam
                 lam *= (correct[m] + wrong[m]) / (2.0 * wrong[m])
+        if folds:
+            members, at, weights = zip(*folds)
+            at = np.array(at)
+            store.learn(np.array(members), at, x, k,
+                        np.array(weights, dtype=float), store.counts[at, k])
         self.lambda_correct[:] = correct
         self.lambda_wrong[:] = wrong
 
@@ -835,11 +879,14 @@ class OnlineBoosting(_Ensemble):
 
     @classmethod
     def from_state(cls, state):
+        """The model ``to_state`` wrote. Negative λ entries raise
+        ValidationError naming the list."""
         clf = cls(n_members=state["n_members"], classes=state["classes"],
                   seed=state["seed"])
         clf.n_features = state["n_features"]
-        clf.lambda_correct = _array(state, "lambda_correct", (clf.n_members,))
-        clf.lambda_wrong = _array(state, "lambda_wrong", (clf.n_members,))
+        clf.lambda_correct = _counts(state, "lambda_correct",
+                                     (clf.n_members,))
+        clf.lambda_wrong = _counts(state, "lambda_wrong", (clf.n_members,))
         if clf.n_features is not None:
             clf._ensure(_feature_count(state))
         clf._load(state)
@@ -850,6 +897,14 @@ STACKING_ENSEMBLE_SIZE = 15
 
 _USER_COLUMNS = feature_columns(SET3_TARGET1.feature_ids)
 _CONTRIBUTION_COLUMNS = feature_columns(SET3_TARGET2.feature_ids)
+# Level 2 reads [P(bot), P(malign)], appended to the catalogue row, and
+# the level-1b columns.
+_FINAL_COLUMNS = np.concatenate((
+    [len(SET2.feature_ids), len(SET2.feature_ids) + 1],
+    _CONTRIBUTION_COLUMNS))
+_FORESTS = {"forest_user": _USER_COLUMNS,
+            "forest_contribution": _CONTRIBUTION_COLUMNS,
+            "forest_final": _FINAL_COLUMNS}
 
 
 def _stacking_settings():
@@ -859,6 +914,16 @@ def _stacking_settings():
         "contribution_features": list(SET3_TARGET2.feature_ids),
         "include_base_features": True,
     }
+
+
+def _in_forest(name, load, state):
+    """``load(state)``, a ValidationError's field prefixed with the
+    forest's ``name``."""
+    try:
+        return load(state)
+    except ValidationError as exc:
+        raise ValidationError(exc.message,
+                              field=f"{name}.{exc.field}") from None
 
 
 class StackingModel:
@@ -872,8 +937,12 @@ class StackingModel:
     computed before the level-1 update, keeping them out-of-sample.
 
     ``predict`` and ``learn`` take a profile's feature array in the order
-    of ``features``, the full catalogue; each level-1 forest reads its
-    own columns of it.
+    of ``features``, the full catalogue. The three forests share one
+    ``TreeStore`` of 45 members, set up by the first call, and the model
+    steps them: their members read the columns of the catalogue row with
+    [P(bot), P(malign)] appended, so the forests' own ``predict_proba``
+    and ``learn_one`` do not apply. Each forest keeps its own RNGs,
+    Poisson block and checkpoint.
     """
 
     features = SET2
@@ -885,66 +954,117 @@ class StackingModel:
             BaggingForest(STACKING_ENSEMBLE_SIZE, seed=_substream(seed, i),
                           max_features=None)
             for i in (1, 2, 3))
+        self.store = None
 
-    def _run(self, x, step, y_user, y_contribution):
-        """One pass through the levels, ``step(forest, input, label)``
-        giving each forest's probabilities; returns (user probs, final
-        contribution probs, joint class name)."""
+    def _forests(self):
+        return self.forest_user, self.forest_contribution, self.forest_final
+
+    def _share(self):
+        """Put the forests' members into one store, forest i's as members
+        i * STACKING_ENSEMBLE_SIZE onwards; each member reads its subset
+        of its forest's input columns. A forest without subsets yet gets
+        its full input."""
+        forests = self._forests()
+        for forest, columns in zip(forests, _FORESTS.values()):
+            if forest.subsets is None:
+                forest.n_features = len(columns)
+                forest.subsets = [np.arange(len(columns))] * forest.n_members
+        self.store = TreeStore(
+            [columns[s] for forest, columns in zip(forests, _FORESTS.values())
+             for s in forest.subsets], 2)
+        for i, forest in enumerate(forests):
+            forest.store = self.store
+            forest.offset = i * STACKING_ENSEMBLE_SIZE
+
+    def _run(self, x, labels=None):
+        """One pass through the levels, learning (y_user, y_contribution)
+        ``labels`` unless None; returns (user probs, final contribution
+        probs, joint class name).
+
+        Level 1a and 1b route together, gather their leaves' counts once
+        and take their distributions in one call. Level 2 then routes
+        the row with their probabilities, and all 45 members learn in
+        one ``TreeStore.learn``."""
         x = np.asarray(x, dtype=float)
         if x.shape != (len(self.features),):
             raise ValidationError(
                 f"expected {len(self.features)} features, got shape {x.shape}")
-        xc = x[_CONTRIBUTION_COLUMNS]
-        user_probs = step(self.forest_user, x[_USER_COLUMNS], y_user)
-        contrib_probs = step(self.forest_contribution, xc, y_contribution)
-        x2 = np.concatenate(((user_probs[1], contrib_probs[1]), xc))
-        final_probs = step(self.forest_final, x2, y_contribution)
-        joint = joint_class(int(np.argmax(user_probs)),
-                            int(np.argmax(final_probs)))
+        if self.store is None:
+            self._share()
+        store, size = self.store, STACKING_ENSEMBLE_SIZE
+        row = x.tolist()
+        first = np.array(store.route(row, 0, 2 * size), dtype=np.intp)
+        first_counts = store.counts[first]
+        level_one = store.distributions(first, first_counts).reshape(
+            2, size, -1).sum(axis=1) / size
+        user_probs = level_one[0]
+        row += level_one[:, 1].tolist()
+        final = np.array(store.route(row, 2 * size, 3 * size), dtype=np.intp)
+        final_counts = store.counts[final]
+        final_probs = store.distributions(final, final_counts).sum(
+            axis=0) / size
+        if labels is not None:
+            self._learn(row, np.concatenate((first, final)),
+                        np.concatenate((first_counts, final_counts)), *labels)
+        joint = joint_class(int(user_probs.argmax()),
+                            int(final_probs.argmax()))
         return user_probs, final_probs, joint
+
+    def _learn(self, row, leaves, counts, y_user, y_contribution):
+        """Fold ``row`` into the 45 members' ``leaves``, whose class
+        ``counts`` were gathered before the fold: level 1a learns the
+        user label, level 1b and level 2 the contribution label."""
+        forests = self._forests()
+        k = np.array([forest.classes.index(y) for forest, y in zip(
+            forests, (y_user, y_contribution, y_contribution))]).repeat(
+                STACKING_ENSEMBLE_SIZE)
+        weights = np.concatenate([forest._weights() for forest in forests])
+        hit = np.flatnonzero(weights > 0)
+        k = k[hit]
+        self.store.learn(hit, leaves[hit], np.array(row), k, weights[hit],
+                         counts[hit, k])
 
     def predict(self, x):
         """Returns (user probs, final contribution probs, joint class name)."""
-        return self._run(x, lambda forest, xf, _y: forest.predict_proba(xf),
-                         None, None)
+        return self._run(x)
 
     def learn(self, x, y_user, y_contribution):
         """``predict_learn`` without its outputs."""
         self.predict_learn(x, y_user, y_contribution)
 
     def predict_learn(self, x, y_user, y_contribution):
-        """``predict(x)`` then ``learn(x, y_user, y_contribution)``: each
-        forest predicts and learns in one ``predict_learn``, in the order
-        user, contribution, final. The forests share no state, so the
-        level-1 forests may learn before level 2 predicts."""
-        return self._run(x, BaggingForest.predict_learn, y_user,
-                         y_contribution)
+        """``predict(x)`` then ``learn(x, y_user, y_contribution)``: every
+        level predicts from the leaves it learns at."""
+        return self._run(x, (y_user, y_contribution))
 
     def to_state(self):
         return {
             "kind": "stacking",
             "seed": self.seed,
             **_stacking_settings(),
-            "forest_user": self.forest_user.to_state(),
-            "forest_contribution": self.forest_contribution.to_state(),
-            "forest_final": self.forest_final.to_state(),
+            **{name: getattr(self, name).to_state() for name in _FORESTS},
         }
 
     @classmethod
     def from_state(cls, state):
-        """The model ``to_state`` wrote. A checkpoint whose fixed settings
-        or forest sizes differ, or whose forest does not load, raises
-        ValidationError naming the field."""
+        """The model ``to_state`` wrote. A checkpoint whose fixed settings,
+        forest sizes, classes or feature counts differ, or whose forest
+        does not load, raises ValidationError naming the field."""
         _check_settings(state, _stacking_settings())
         model = cls(seed=state["seed"])
-        for name in ("forest_user", "forest_contribution", "forest_final"):
-            _check_settings(state[name],
-                            {"n_members": STACKING_ENSEMBLE_SIZE}, name + ".")
-            try:
-                setattr(model, name, BaggingForest.from_state(state[name]))
-            except ValidationError as exc:
-                raise ValidationError(
-                    exc.message, field=f"{name}.{exc.field}") from None
+        for name, columns in _FORESTS.items():
+            settings = {"classes": [0, 1],
+                        "n_members": STACKING_ENSEMBLE_SIZE,
+                        "max_features": None}
+            if state[name].get("n_features") is not None:
+                settings["n_features"] = len(columns)
+            _check_settings(state[name], settings, name + ".")
+            setattr(model, name, _in_forest(
+                name, BaggingForest._settings_from_state, state[name]))
+        if any(forest.subsets is not None for forest in model._forests()):
+            model._share()
+        for name, forest in zip(_FORESTS, model._forests()):
+            _in_forest(name, forest._load, state[name])
         return model
 
 

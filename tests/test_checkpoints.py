@@ -8,9 +8,9 @@ per member in each per-member list, a feature subset that is not the
 expected number of distinct input columns, naive Bayes moments of
 another shape, a tree node with statistics of another shape, a split
 feature out of range or a missing child, a learned tree without a
-feature count, or a setting or scalar of the wrong type or range
-(``classes``, ``n_members``, ``seed``, ``max_features``,
-``use_poisson``) is rejected.
+feature count, a negative count, fallback, weight seen or λ, or a
+setting or scalar of the wrong type or range (``classes``,
+``n_members``, ``seed``, ``max_features``, ``use_poisson``) is rejected.
 """
 
 import hashlib
@@ -245,6 +245,17 @@ def test_tree_nodes_checked(field, edit):
     assert exc.value.field == f"root.{field}"
 
 
+@pytest.mark.parametrize("field,value", [
+    ("class_counts", [-3.0, 5.0]), ("fallback", [-0.5, 1.5]),
+    ("seen_since_attempt", -1.0)])
+def test_negative_node_values_rejected(field, value):
+    state = learned_state("dt", 400)
+    state["root"][field] = value
+    with pytest.raises(ValidationError) as exc:
+        HoeffdingTree.from_state(state)
+    assert exc.value.field == f"root.{field}"
+
+
 def test_child_nodes_checked():
     state = learned_state("dt", 400)
     left = state["root"]["left"]
@@ -262,6 +273,40 @@ def test_member_tree_nodes_checked(kind):
     with pytest.raises(ValidationError) as exc:
         KINDS[kind].from_state(state)
     assert exc.value.field == "members.3.root.class_counts"
+
+
+@pytest.mark.parametrize("field", ["lambda_correct", "lambda_wrong"])
+def test_negative_lambdas_rejected(field):
+    state = learned_state("bc", 50)
+    state[field] = [-value for value in state[field]]
+    with pytest.raises(ValidationError) as exc:
+        OnlineBoosting.from_state(state)
+    assert exc.value.field == field
+
+
+def test_negative_naive_bayes_counts_rejected():
+    state = learned_state("nb", 20)
+    state["counts"][0] = -1.0
+    with pytest.raises(ValidationError) as exc:
+        GaussianNaiveBayes.from_state(state)
+    assert exc.value.field == "counts"
+
+
+def test_negative_stacking_child_fallback_rejected():
+    rng = np.random.default_rng(8)
+    model = StackingModel(seed=4)
+    for i in range(500):
+        model.learn(profile_vector(rng, bot=i % 2 == 0, malign=i % 3 == 0),
+                    i % 2, int(i % 3 == 0))
+    state = json_round_trip(model.to_state())
+    m, root = next((m, member["root"]) for m, member in
+                   enumerate(state["forest_user"]["members"])
+                   if member["root"]["left"] is not None)
+    root["left"]["fallback"][0] = -0.25
+    with pytest.raises(ValidationError) as exc:
+        StackingModel.from_state(state)
+    assert exc.value.field == \
+        f"forest_user.members.{m}.root.left.fallback"
 
 
 def test_stacking_tree_nodes_checked():
@@ -348,7 +393,11 @@ def test_constructor_settings_checked(kind, field, value):
 
 @pytest.mark.parametrize("field,value", [
     ("seed", "x"), ("seed", -1), ("forest_user.use_poisson", "no"),
-    ("forest_final.max_features", "log2"), ("forest_contribution.seed", 1.5)])
+    ("forest_final.max_features", "log2"), ("forest_contribution.seed", 1.5),
+    # a stacking forest is binary, full-feature and reads its level's
+    # columns
+    ("forest_final.max_features", "sqrt"), ("forest_user.classes", [0, 1, 2]),
+    ("forest_contribution.n_features", 7)])
 def test_stacking_checkpoint_scalars_checked(field, value):
     state = json_round_trip(StackingModel(seed=0).to_state())
     *forest, name = field.split(".")

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from wikistream.analysis import SET3_TARGET1, SET3_TARGET2
 from wikistream.ingest import (
     AGGREGATE_COLUMNS,
     EVENT_COLUMNS,
@@ -31,11 +32,16 @@ from wikistream.ingest import (
     write_rows,
 )
 from wikistream.learn import (
+    HOEFFDING_GRACE_PERIOD,
     POISSON_BLOCK,
+    STACKING_ENSEMBLE_SIZE,
     BaggingForest,
     HoeffdingTree,
+    OnlineBoosting,
     StackingModel,
     TreeStore,
+    _fold,
+    _substream,
     make_classifier,
 )
 from wikistream.model import (
@@ -47,6 +53,7 @@ from wikistream.model import (
     DailyAggregate,
     EditEvent,
     ValidationError,
+    feature_columns,
 )
 from wikistream.profiling import ProfileStore
 from wikistream.sim import write_events
@@ -183,13 +190,25 @@ def node_dicts(state):
     return 0
 
 
-def assert_node_table(forest):
-    """Each node of the forest's store hangs under exactly one member's
-    root, node m; the table holds the roots and two nodes per split, as
-    many as its checkpoint writes and ``from_state`` rebuilds."""
-    store = forest.store
+def null_roots(state):
+    """The number of members in a checkpoint that have learned nothing:
+    they write a null root but keep their root node."""
+    if isinstance(state, dict):
+        return (state.get("root", 0) is None) + sum(map(null_roots,
+                                                        state.values()))
+    if isinstance(state, list):
+        return sum(map(null_roots, state))
+    return 0
+
+
+def assert_node_table(model, n_members):
+    """Each node of the model's store hangs under exactly one of its
+    ``n_members`` roots, node m being member m's; the table holds the
+    roots and two nodes per split, as many as the model's checkpoint
+    writes and ``from_state`` rebuilds."""
+    store = model.store
     reached = []
-    for m in range(forest.n_members):
+    for m in range(n_members):
         todo = [m]
         while todo:
             node = todo.pop()
@@ -199,13 +218,10 @@ def assert_node_table(forest):
                 todo += [left, right]
     assert sorted(reached) == list(range(len(store.nodes)))
     splits = sum(column >= 0 for column, *_ in store.nodes)
-    assert len(store.nodes) == forest.n_members + 2 * splits
-    state = forest.to_state()
-    # a member that has learned nothing writes a null root but keeps
-    # its root node
-    unlearned = sum(member["root"] is None for member in state["members"])
-    assert len(store.nodes) == node_dicts(state) + unlearned
-    restored = type(forest).from_state(state)
+    assert len(store.nodes) == n_members + 2 * splits
+    state = model.to_state()
+    assert len(store.nodes) == node_dicts(state) + null_roots(state)
+    restored = type(model).from_state(state)
     assert len(restored.store.nodes) == len(store.nodes)
     return splits
 
@@ -221,16 +237,159 @@ def test_node_table_holds_each_tree_once(kind, stream):
         model = StackingModel(seed=seed % 1000)
         for x, y in zip(xs, ys):
             model.predict_learn(x, y, y)
-        forests = [model.forest_user, model.forest_contribution,
-                   model.forest_final]
+        # the three forests share one store
+        n_members = 3 * STACKING_ENSEMBLE_SIZE
     else:
         xs, ys = draw_stream(seed, n, d, n_classes, pattern, noise)
-        forests = [make_classifier(kind, seed=seed % 1000,
-                                   classes=list(range(n_classes)))]
+        model = make_classifier(kind, seed=seed % 1000,
+                                classes=list(range(n_classes)))
         for x, y in zip(xs, ys):
-            forests[0].predict_learn(x, y)
-    splits = sum(map(assert_node_table, forests))
+            model.predict_learn(x, y)
+        n_members = model.n_members
+    splits = assert_node_table(model, n_members)
     event(f"{kind} splits: {splits}")
+
+
+def forest_steps(forests, x, y_user, y_contribution):
+    """The stacking levels as three stand-alone forests: (user probs,
+    final contribution probs) of one ``predict_learn`` each."""
+    user, contribution, final = forests
+    xc = x[feature_columns(SET3_TARGET2.feature_ids)]
+    user_probs = user.predict_learn(
+        x[feature_columns(SET3_TARGET1.feature_ids)], y_user)
+    contribution_probs = contribution.predict_learn(xc, y_contribution)
+    final_probs = final.predict_learn(
+        np.concatenate(((user_probs[1], contribution_probs[1]), xc)),
+        y_contribution)
+    return user_probs, final_probs
+
+
+@settings(max_examples=6, deadline=None)
+@given(stream=long_streams)
+def test_stacking_is_three_forests(stream):
+    seed, n, _, _, pattern, noise = stream
+    seed %= 1000
+    xs, ys = draw_stream(seed, n, len(FEATURE_IDS), 2, pattern, noise)
+    xs = np.roll(xs, 25, axis=1)  # so that every level can split
+    labels = np.random.default_rng(seed).integers(0, 2, size=n).tolist()
+    model = StackingModel(seed=seed)
+    forests = [BaggingForest(STACKING_ENSEMBLE_SIZE,
+                             seed=_substream(seed, i), max_features=None)
+               for i in (1, 2, 3)]
+    for i, (x, y_user, y_contribution) in enumerate(zip(xs, labels, ys)):
+        if i % 97 == 1:  # a prediction alone changes no state
+            before = json.dumps(model.to_state())
+            predicted = model.predict(x)
+            assert json.dumps(model.to_state()) == before
+        user_probs, final_probs, _ = model.predict_learn(
+            x, y_user, y_contribution)
+        expected = forest_steps(forests, x, y_user, y_contribution)
+        assert (user_probs.tolist(), final_probs.tolist()) == \
+            (expected[0].tolist(), expected[1].tolist())
+        if i % 97 == 1:
+            assert (predicted[0].tolist(), predicted[1].tolist()) == \
+                (user_probs.tolist(), final_probs.tolist())
+    state = model.to_state()
+    assert json.dumps([state["forest_user"], state["forest_contribution"],
+                       state["forest_final"]]) == \
+        json.dumps([forest.to_state() for forest in forests])
+    event(f"stacking nodes: {len(model.store.nodes)}")
+
+
+class ReferenceBoosting(OnlineBoosting):
+    """Online boosting whose drawn members fold one at a time, before
+    the next member draws."""
+
+    def _learn(self, x, leaves, y):
+        store = self.store
+        k = self.classes.index(y)
+        correct = self.lambda_correct.tolist()
+        wrong = self.lambda_wrong.tolist()
+        lam = 1.0
+        for m, (rng, leaf) in enumerate(zip(self._rngs, leaves)):
+            w = rng.poisson(lam)
+            if w > 0:
+                n = store.counts[leaf, k] + w
+                store.counts[leaf, k] = n
+                store.mean[leaf, k], store.m2[leaf, k] = _fold(
+                    x[store.columns[m]], store.mean[leaf, k],
+                    store.m2[leaf, k], n, w)
+                seen = store.seen[leaf] + w
+                if seen >= HOEFFDING_GRACE_PERIOD:
+                    store.seen[leaf] = 0.0
+                    store._attempt_split(m, leaf)
+                else:
+                    store.seen[leaf] = seen
+                if not store.is_leaf(leaf):
+                    leaf = store.descend(leaf, x)
+            if int(np.argmax(store.distribution(leaf))) == k:
+                correct[m] += lam
+                lam *= (correct[m] + wrong[m]) / (2.0 * correct[m])
+            else:
+                wrong[m] += lam
+                lam *= (correct[m] + wrong[m]) / (2.0 * wrong[m])
+        self.lambda_correct[:] = correct
+        self.lambda_wrong[:] = wrong
+
+
+# 2 to 9 classes: from 8 on, numpy sums a row of counts pairwise.
+many_class_streams = st.tuples(st.integers(0, 2 ** 32 - 1),
+                               st.integers(250, 700), st.integers(1, 4),
+                               st.integers(2, 9), st.sampled_from(PATTERNS),
+                               st.sampled_from([0.0, 0.1, 0.5]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(stream=many_class_streams)
+def test_deferred_boosting_is_the_member_loop(stream):
+    seed, n, d, n_classes, pattern, noise = stream
+    xs, ys = draw_stream(seed, n, d, n_classes, pattern, noise)
+    # every class, not only the two a threshold gives
+    ys = [(y + i) % n_classes if i % 3 == 0 else y
+          for i, y in enumerate(ys)]
+    classes = list(range(n_classes))
+    deferred = OnlineBoosting(n_members=10, classes=classes, seed=seed % 1000)
+    reference = ReferenceBoosting(n_members=10, classes=classes,
+                                  seed=seed % 1000)
+    for x, y in zip(xs, ys):
+        assert deferred.predict_learn(x, y).tolist() == \
+            reference.predict_learn(x, y).tolist()
+    assert json.dumps(deferred.to_state()) == \
+        json.dumps(reference.to_state())
+    event(f"bc nodes: {len(deferred.store.nodes)}")
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(200, 700),
+       n_classes=st.integers(2, 3), pattern=st.sampled_from(PATTERNS))
+def test_ragged_members_are_their_own_trees(seed, n, n_classes, pattern):
+    """Members of another width than the widest never split on, or
+    write, a padded slot: each grows the tree a store of its own grows."""
+    # each narrower member pads with its first column, its best one
+    columns = [[2, 3, 4], [0], [1, 4], [0, 3]]
+    xs, ys = draw_stream(seed, n, 5, n_classes, pattern, 0.1)
+    # every column follows the label's column 0, the later ones less
+    xs = xs[:, :1] + xs * np.arange(5.0)
+    weights = np.random.default_rng(seed).poisson(1.0, (n, len(columns)))
+    ragged = TreeStore(columns, n_classes)
+    alone = [TreeStore([c], n_classes) for c in columns]
+    members = np.arange(len(columns))
+    for x, y, w in zip(xs, ys, weights.astype(float)):
+        leaves = np.array(ragged.route(x.tolist(), 0, len(columns)))
+        hit = np.flatnonzero(w > 0)
+        ragged.learn(members[hit], leaves[hit], x, y, w[hit],
+                     ragged.counts[leaves[hit], y])
+        for m in hit.tolist():
+            store = alone[m]
+            leaf = np.array(store.route(x.tolist(), 0, 1))
+            store.learn(np.zeros(1, dtype=np.intp), leaf, x, y, w[[m]],
+                        store.counts[leaf, y])
+    for m, store in enumerate(alone):
+        assert ragged.root_state(m) == store.root_state(0)
+        assert ragged.width[m] == len(columns[m])
+        assert {column for column, *_ in ragged.nodes} <= \
+            set(sum(columns, [-1]))
+    event(f"ragged splits: {sum(c >= 0 for c, *_ in ragged.nodes)}")
 
 
 # Class counts that tie, cancel to a zero total, or sum to another
@@ -258,6 +417,13 @@ def test_leaf_winner_is_the_argmax_of_its_distribution(rows):
     store.counts[0], store.fallback[0] = counts, fallback
     expected = int(np.argmax(store.distribution(0)))
     assert store.winner(0) == expected
+    # the winner after a fold, before it: the counts as learn adds to them
+    k, weight = len(counts) - 1, 3.0
+    folded = TreeStore([[0]], len(counts))
+    folded.counts[0], folded.fallback[0] = counts, fallback
+    folded.counts[0, k] += weight
+    assert store.winner(0, k, weight) == \
+        int(np.argmax(folded.distribution(0)))
     if not store.counts[0].sum() > 0:
         event("fallback")
     elif (store.distribution(0) == store.distribution(0)[expected]).sum() > 1:
