@@ -324,12 +324,11 @@ class TreeStore:
             return counts / total
         return self.fallback[leaf].copy()
 
-    def winner(self, leaf, k=0, weight=0.0):
-        """``int(np.argmax(self.distribution(leaf)))`` on plain floats:
-        the first most likely class, with ``weight`` added to the leaf's
-        class-``k`` count as ``learn`` would add it. The total is
-        numpy's: below 8 classes numpy sums a row in order, from 8 on
-        pairwise."""
+    def winner(self, leaf, k, weight):
+        """``int(np.argmax(self.distribution(leaf)))`` on plain floats,
+        with ``weight`` added to the leaf's class-``k`` count as ``learn``
+        would add it: the first most likely class. The total is numpy's:
+        below 8 classes numpy sums a row in order, from 8 on pairwise."""
         counts = self.counts[leaf].tolist()
         counts[k] += weight
         if len(counts) < 8:
@@ -560,9 +559,10 @@ class _Ensemble(OnlineClassifier):
     RNG substream derived from (seed, member index).
 
     Member m's tree is store member ``offset + m``. The offset is 0 for
-    a forest with a store of its own. ``StackingModel``'s forests share
-    one store, each with its own member range; the model steps them, and
-    their checkpoints read and write their range. An example is routed
+    a forest with a store of its own. ``StackingModel``'s forests are
+    ``shared``: they share one store, each with its own member range,
+    the model steps them and their own steps raise; their checkpoints
+    read and write their range. An example is routed
     once through every member's tree: the ensemble predicts from those
     leaves and, in ``predict_learn``, learns at them.
     ``_route`` returns the checked row and then what ``_vote`` and
@@ -579,9 +579,13 @@ class _Ensemble(OnlineClassifier):
                       for m in range(n_members)]
         self.store = None
         self.offset = 0
+        self.shared = False
 
     def _route(self, x):
         """``x`` checked, and the leaf it reaches in each member's tree."""
+        if self.shared:
+            raise ValidationError("a stacking model's forest is stepped by "
+                                  "the model, not on its own")
         x = self._check_arity(x)
         self._ensure(x.shape[0])
         return x, self.store.route(x.tolist(), 0, self.n_members)
@@ -812,16 +816,14 @@ class OnlineBoosting(_Ensemble):
         k = self.classes.index(y)
         correct = self.lambda_correct.tolist()
         wrong = self.lambda_wrong.tolist()
-        seen = store.seen
         folds = []  # (member, leaf, weight) of the waiting folds
         lam = 1.0
         for m, (rng, leaf) in enumerate(zip(self._rngs, leaves)):
             w = rng.poisson(lam)
-            if w and seen[leaf] + w >= HOEFFDING_GRACE_PERIOD:
+            if w and store.seen[leaf] + w >= HOEFFDING_GRACE_PERIOD:
                 at = np.array([leaf])
                 store.learn(np.array([m]), at, x, k, np.array([float(w)]),
                             store.counts[at, k])
-                seen = store.seen  # the split may have grown the arrays
                 if not store.is_leaf(leaf):  # the learn split it
                     leaf = store.descend(leaf, x)
                 w = 0  # folded
@@ -954,6 +956,8 @@ class StackingModel:
             BaggingForest(STACKING_ENSEMBLE_SIZE, seed=_substream(seed, i),
                           max_features=None)
             for i in (1, 2, 3))
+        for forest in self._forests():
+            forest.shared = True
         self.store = None
 
     def _forests(self):
@@ -1059,12 +1063,22 @@ class StackingModel:
             if state[name].get("n_features") is not None:
                 settings["n_features"] = len(columns)
             _check_settings(state[name], settings, name + ".")
-            setattr(model, name, _in_forest(
-                name, BaggingForest._settings_from_state, state[name]))
-        if any(forest.subsets is not None for forest in model._forests()):
+            forest = _in_forest(name, BaggingForest._settings_from_state,
+                                state[name])
+            forest.shared = True
+            setattr(model, name, forest)
+        forests = dict(zip(_FORESTS, model._forests()))
+        # a forest without subsets loads before the shared store exists,
+        # so learned trees in it raise as in a stand-alone forest
+        bare = [name for name, forest in forests.items()
+                if forest.subsets is None]
+        for name in bare:
+            _in_forest(name, forests[name]._load, state[name])
+        if len(bare) < len(forests):
             model._share()
-        for name, forest in zip(_FORESTS, model._forests()):
-            _in_forest(name, forest._load, state[name])
+        for name, forest in forests.items():
+            if name not in bare:
+                _in_forest(name, forest._load, state[name])
         return model
 
 

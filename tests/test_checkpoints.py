@@ -188,6 +188,20 @@ def test_stacking_forest_subset_checked():
     assert exc.value.field == "forest_user.subsets.0"
 
 
+@pytest.mark.parametrize("n_features,field", [
+    (None, "forest_final.n_features"), (7, "forest_final.subsets")])
+def test_stacking_learned_trees_need_subsets(n_features, field):
+    model = StackingModel(seed=0)
+    model.learn(profile_vector(np.random.default_rng(0), bot=True,
+                               malign=False), 1, 0)
+    state = json_round_trip(model.to_state())
+    state["forest_final"]["subsets"] = None
+    state["forest_final"]["n_features"] = n_features
+    with pytest.raises(ValidationError) as exc:
+        StackingModel.from_state(state)
+    assert exc.value.field == field
+
+
 @pytest.mark.parametrize("field,edit", [
     ("counts", lambda v: v[:-1]),
     ("mean", lambda v: [row[:-1] for row in v]),

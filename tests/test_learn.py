@@ -330,6 +330,26 @@ class TestStackingModel:
         assert model.forest_user.n_features == len(SET3_TARGET1)
         assert model.forest_contribution.n_features == len(SET3_TARGET2)
 
+    @pytest.mark.parametrize("learned", [False, True])
+    @pytest.mark.parametrize("restored", [False, True])
+    def test_forests_do_not_step_on_their_own(self, learned, restored):
+        """The model steps its forests; the shared store's members read
+        catalogue columns, so a forest's own step would read the wrong
+        ones."""
+        model = StackingModel(seed=0)
+        if learned:
+            model.learn(profile_vector(), 1, 1)
+        if restored:
+            model = StackingModel.from_state(model.to_state())
+        before = model.to_state()
+        forest = model.forest_contribution
+        x = np.zeros(len(SET3_TARGET2))
+        for step in (forest.predict_proba, lambda x: forest.learn_one(x, 0),
+                     lambda x: forest.predict_learn(x, 0)):
+            with pytest.raises(ValidationError):
+                step(x)
+        assert model.to_state() == before
+
     def test_replay_determinism(self):
         rng = np.random.default_rng(3)
         stream = [(profile_vector(rng, bot=b, malign=m), int(b), int(m))

@@ -416,7 +416,7 @@ def test_leaf_winner_is_the_argmax_of_its_distribution(rows):
     store = TreeStore([[0]], len(counts))
     store.counts[0], store.fallback[0] = counts, fallback
     expected = int(np.argmax(store.distribution(0)))
-    assert store.winner(0) == expected
+    assert store.winner(0, 0, 0.0) == expected
     # the winner after a fold, before it: the counts as learn adds to them
     k, weight = len(counts) - 1, 3.0
     folded = TreeStore([[0]], len(counts))
