@@ -30,6 +30,7 @@ _TREE_SETTINGS = {
     "grace_period": HOEFFDING_GRACE_PERIOD,
     "max_depth": HOEFFDING_MAX_DEPTH,
 }
+_TREE_CHECKS = {"kind": "hoeffding_tree", **_TREE_SETTINGS}
 
 
 def hoeffding_bound(value_range, delta, n):
@@ -42,12 +43,22 @@ def _normal_cdf(z):
 
 
 def _check_settings(state, settings, where=""):
-    """Reject a checkpoint whose fixed settings differ from ``settings``."""
+    """Reject a checkpoint that is not an object, or whose fixed settings
+    differ from ``settings``."""
+    if not isinstance(state, dict):
+        raise ValidationError("not an object", field=where[:-1] or None)
     for name, value in settings.items():
         if state.get(name) != value:
             raise ValidationError(
                 f"checkpoint has {state.get(name)!r}, expected {value!r}",
                 field=where + name)
+
+
+def _field(state, name, where=""):
+    """Field ``name`` of checkpoint object ``state``, which must have it."""
+    if name not in state:
+        raise ValidationError("not in the checkpoint", field=where + name)
+    return state[name]
 
 
 def _check_integer(value, least, field):
@@ -70,9 +81,9 @@ class OnlineClassifier:
 
     The feature arity is fixed by the first call. Predictions always
     return a probability vector summing to one and change no learned
-    statistic, but a first call may set the model up: a fresh
-    ``BaggingForest`` with feature subsets draws them there, which
-    advances its member RNGs and so changes its ``to_state()``.
+    statistic, but a first call may set an ensemble up, which changes
+    its ``to_state()``: a fresh ``BaggingForest`` with feature subsets
+    draws them there, advancing its member RNGs.
     """
 
     def __init__(self, classes=(0, 1)):
@@ -173,9 +184,10 @@ class GaussianNaiveBayes(OnlineClassifier):
         """The model ``to_state`` wrote. Moments of another shape than
         (classes, n_features), or negative counts, raise ValidationError
         naming the field."""
-        clf = cls(state["classes"])
-        clf.n_features = state["n_features"]
-        if state["counts"] is not None:
+        _check_settings(state, {"kind": "nb"})
+        clf = cls(_field(state, "classes"))
+        clf.n_features = _field(state, "n_features")
+        if _field(state, "counts") is not None:
             c = len(clf.classes)
             clf._counts = _counts(state, "counts", (c,))
             clf._mean = _array(state, "mean", (c, clf.n_features))
@@ -188,7 +200,7 @@ def _array(state, name, shape, where=""):
     ``shape`` and finite entries (null reads as NaN)."""
     try:
         value = np.array(state[name], dtype=float)
-    except (TypeError, ValueError):  # ragged or not numeric
+    except (KeyError, TypeError, ValueError):  # missing, ragged, not numeric
         value = None
     if value is None or value.shape != shape or not np.isfinite(value).all():
         raise ValidationError(
@@ -209,7 +221,7 @@ def _counts(state, name, shape, where=""):
 
 def _feature_count(state):
     """The checkpoint's ``n_features``, which its learned trees need."""
-    _check_integer(state["n_features"], 1, "n_features")
+    _check_integer(_field(state, "n_features"), 1, "n_features")
     return state["n_features"]
 
 
@@ -259,7 +271,9 @@ class TreeStore:
     counts, per-class Gaussian moments per feature (mean and m2), the
     weight seen since the last split attempt, the fallback distribution
     (the parent's at split time) and depth. Their node capacity doubles
-    when the table outgrows it.
+    when the table outgrows it. ``learn`` folds a row into many members'
+    leaves at once (bagging, stacking); ``learn_member`` folds it into
+    one member's leaf on scalars (boosting's loop, the lone tree).
 
     Candidate thresholds are midpoints between class means. A leaf
     splits when the best info gain beats the runner-up by the Hoeffding
@@ -316,27 +330,17 @@ class TreeStore:
         np.divide(counts, total, out=out, where=total > 0)
         return out
 
-    def distribution(self, leaf):
-        """One leaf's ``distributions``."""
-        counts = self.counts[leaf]
-        total = counts.sum()
-        if total > 0:
-            return counts / total
-        return self.fallback[leaf].copy()
-
-    def winner(self, leaf, k, weight):
-        """``int(np.argmax(self.distribution(leaf)))`` on plain floats,
-        with ``weight`` added to the leaf's class-``k`` count as ``learn``
-        would add it: the first most likely class. The total is numpy's:
-        below 8 classes numpy sums a row in order, from 8 on pairwise."""
+    def winner(self, leaf):
+        """``distributions``' argmax for one leaf, on plain floats:
+        the first most likely class. The total is numpy's: below 8
+        classes numpy sums a row in order, from 8 on pairwise."""
         counts = self.counts[leaf].tolist()
-        counts[k] += weight
         if len(counts) < 8:
             total = 0.0
             for c in counts:
                 total += c
         else:
-            total = float(np.sum(counts))
+            total = float(self.counts[leaf].sum())
         if total > 0:
             probs = [c / total for c in counts]
         else:
@@ -363,6 +367,20 @@ class TreeStore:
             for m, leaf in zip(members[due].tolist(), leaves[due].tolist()):
                 self._attempt_split(m, leaf)
         self.seen[leaves] = seen
+
+    def learn_member(self, m, leaf, x, k, weight):
+        """``learn`` for member ``m`` alone, on scalars."""
+        at = (leaf, k)
+        n = self.counts[at] + weight
+        self.counts[at] = n
+        self.mean[at], self.m2[at] = _fold(
+            x[self.columns[m]], self.mean[at], self.m2[at], n, weight)
+        seen = self.seen[leaf] + weight
+        if seen >= HOEFFDING_GRACE_PERIOD:
+            self.seen[leaf] = 0.0
+            self._attempt_split(m, leaf)
+        else:
+            self.seen[leaf] = seen
 
     def _attempt_split(self, m, node):
         if self.depth[node] >= HOEFFDING_MAX_DEPTH:
@@ -451,25 +469,21 @@ class TreeStore:
     def load_node(self, m, node, state, where):
         """Rebuild the subtree at leaf ``node`` of member ``m``'s tree
         from ``root_state`` output other than None; ``load_node(m, m,
-        state, "root")`` loads member m's tree. A node whose statistics
-        have another shape than (classes(, features)) or are not finite,
-        whose class counts, fallback or weight seen are negative, whose
-        depth is not a count, whose split feature is out of range or
-        whose split lacks a child raises ValidationError naming its path
-        (``root.left.mean``). An ``n``
-        field, which older checkpoints carry beside the equal class
-        counts, is ignored."""
-        if not isinstance(state, dict):
-            raise ValidationError("checkpoint has no tree node here",
-                                  field=where)
+        state, "root")`` loads member m's tree. A node field that is
+        missing, of another shape, not finite, negative or out of range,
+        or a split without a child, raises ValidationError naming its
+        path (``root.left.mean``). The ``n`` field of older checkpoints,
+        equal to the class counts, is ignored."""
         where += "."
+        _check_settings(state, {}, where)
         c, d = self.counts.shape[1], self.width[m]
         self.counts[node] = _counts(state, "class_counts", (c,), where)
         self.fallback[node] = _counts(state, "fallback", (c,), where)
         self.mean[node, :, :d] = _array(state, "mean", (c, d), where)
         self.m2[node, :, :d] = _array(state, "m2", (c, d), where)
         self.seen[node] = _counts(state, "seen_since_attempt", (), where)
-        feature, depth = state["split_feature"], state["depth"]
+        feature = _field(state, "split_feature", where)
+        depth = _field(state, "depth", where)
         if type(depth) is not int or depth < 0:
             raise ValidationError(f"depth {depth!r} is not a count",
                                   field=where + "depth")
@@ -481,8 +495,8 @@ class TreeStore:
                     field=where + "split_feature")
             threshold = _array(state, "threshold", (), where)
             left, right = self._split(m, node, feature, threshold)
-            self.load_node(m, left, state["left"], where + "left")
-            self.load_node(m, right, state["right"], where + "right")
+            self.load_node(m, left, state.get("left"), where + "left")
+            self.load_node(m, right, state.get("right"), where + "right")
 
 
 def _tree_state(classes, n_features, root):
@@ -497,7 +511,7 @@ def _tree_state(classes, n_features, root):
 
 class HoeffdingTree(OnlineClassifier):
     """Incremental decision tree split-guarded by the Hoeffding bound:
-    a one-member ``TreeStore``."""
+    a one-member ``TreeStore`` learning through ``learn_member``."""
 
     def __init__(self, classes=(0, 1)):
         super().__init__(classes)
@@ -511,17 +525,15 @@ class HoeffdingTree(OnlineClassifier):
         x = self._check_arity(x)
         self._ensure(x.shape[0])
         store = self.store
-        leaves = np.array([store.descend(0, x)])
-        k = self.classes.index(y)
-        store.learn(np.zeros(1, dtype=np.intp), leaves, x, k, np.ones(1),
-                    store.counts[leaves, k])
+        store.learn_member(0, store.descend(0, x), x,
+                           self.classes.index(y), 1)
 
     def predict_proba(self, x):
         x = self._check_arity(x)
         if self.store is None:
             return np.full(len(self.classes), 1.0 / len(self.classes))
-        store = self.store
-        return store.distribution(store.descend(0, x))
+        leaves = [self.store.descend(0, x)]
+        return self.store.distributions(leaves, self.store.counts[leaves])[0]
 
     def to_state(self):
         return _tree_state(
@@ -530,22 +542,23 @@ class HoeffdingTree(OnlineClassifier):
 
     @classmethod
     def from_state(cls, state):
-        _check_settings(state, _TREE_SETTINGS)
-        tree = cls(state["classes"])
-        tree.n_features = state["n_features"]
-        if state["root"] is not None:
+        _check_settings(state, _TREE_CHECKS)
+        tree = cls(_field(state, "classes"))
+        tree.n_features = _field(state, "n_features")
+        if _field(state, "root") is not None:
             tree._ensure(_feature_count(state))
             tree.store.load_node(0, 0, state["root"], "root")
         return tree
 
 
 def _check_length(state, name, n_members):
-    """Reject a checkpoint whose list ``name`` has other than one entry
-    per member."""
-    if len(state[name]) != n_members:
+    """Checkpoint list ``name``, which must hold one entry per member."""
+    value = _field(state, name)
+    if not isinstance(value, list) or len(value) != n_members:
         raise ValidationError(
-            f"checkpoint lists {len(state[name])} entries for "
-            f"{n_members} members", field=name)
+            f"checkpoint does not list one entry for each of {n_members} "
+            "members", field=name)
+    return value
 
 
 # Online bagging draws each member's Poisson(1) weights this many
@@ -631,20 +644,25 @@ class _Ensemble(OnlineClassifier):
         into the store. A list without one entry per member, or a
         learned tree without a feature count, raises ValidationError
         naming it."""
-        _check_length(state, "members", self.n_members)
-        _check_length(state, "rng_states", self.n_members)
-        for m, member in enumerate(state["members"]):
-            _check_settings(member, _TREE_SETTINGS, f"members.{m}.")
-            if member["root"] is not None:
+        members = _check_length(state, "members", self.n_members)
+        rng_states = _check_length(state, "rng_states", self.n_members)
+        for m, member in enumerate(members):
+            where = f"members.{m}."
+            _check_settings(member, _TREE_CHECKS, where)
+            if _field(member, "root", where) is not None:
                 if self.store is None:  # no feature count or subsets
                     _feature_count(state)
                     raise ValidationError("checkpoint has learned trees "
                                           "but no subsets", field="subsets")
                 root = self.offset + m
                 self.store.load_node(root, root, member["root"],
-                                     f"members.{m}.root")
-        for rng, rng_state in zip(self._rngs, state["rng_states"]):
-            rng.bit_generator.state = rng_state
+                                     where + "root")
+        for m, (rng, rng_state) in enumerate(zip(self._rngs, rng_states)):
+            try:
+                rng.bit_generator.state = rng_state
+            except (TypeError, ValueError, KeyError):
+                raise ValidationError("checkpoint has no generator state",
+                                      field=f"rng_states.{m}") from None
 
 
 class BaggingForest(_Ensemble):
@@ -766,22 +784,22 @@ class BaggingForest(_Ensemble):
     def _settings_from_state(cls, state):
         """The forest of checkpoint ``state`` with its checked subsets
         but without a store or member trees."""
-        forest = cls(
-            n_members=state["n_members"], classes=state["classes"],
-            seed=state["seed"], max_features=state["max_features"],
-            use_poisson=state["use_poisson"])
-        forest.n_features = state["n_features"]
-        if state["subsets"] is not None:
-            _check_length(state, "subsets", forest.n_members)
+        _check_settings(state, {"kind": "bagging_forest"})
+        forest = cls(**{name: _field(state, name) for name in (
+            "n_members", "classes", "seed", "max_features", "use_poisson")})
+        forest.n_features = _field(state, "n_features")
+        if _field(state, "subsets") is not None:
+            subsets = _check_length(state, "subsets", forest.n_members)
             d = _feature_count(state)
             size = forest._subset_size(d)
-            for m, subset in enumerate(state["subsets"]):
-                if not (len(subset) == len(set(subset)) == size and all(
-                        type(c) is int and 0 <= c < d for c in subset)):
+            for m, subset in enumerate(subsets):
+                if not (isinstance(subset, list) and all(
+                        type(c) is int and 0 <= c < d for c in subset)
+                        and len(subset) == len(set(subset)) == size):
                     raise ValidationError(
                         f"checkpoint subset is not {size} distinct columns "
                         f"of {d}", field=f"subsets.{m}")
-            forest.subsets = [np.array(s) for s in state["subsets"]]
+            forest.subsets = [np.array(s) for s in subsets]
         return forest
 
 
@@ -792,7 +810,8 @@ class OnlineBoosting(_Ensemble):
     Each member draws Poisson(lambda) replications; lambda is raised on
     members' mistakes and lowered on their successes, concentrating
     later members on the hard examples. Lambda changes per member and
-    per example, so the draws are scalar.
+    per example, so the draws are scalar. Each member in turn draws,
+    folds (``TreeStore.learn_member``) and votes after its fold.
     """
 
     def __init__(self, n_members=10, classes=(0, 1), seed=0):
@@ -806,40 +825,23 @@ class OnlineBoosting(_Ensemble):
                                    len(self.classes))
 
     def _learn(self, x, leaves, y):
-        """Each member's draw, fold and vote in member order. A member's
-        vote after its fold is its leaf's winner with the drawn weight
-        added, so the folds wait and run in one ``TreeStore.learn`` at
-        the end; members' leaves are disjoint, so their order does not
-        matter. A fold due a split attempt runs at once, so the vote
-        sees the split."""
         store = self.store
         k = self.classes.index(y)
         correct = self.lambda_correct.tolist()
         wrong = self.lambda_wrong.tolist()
-        folds = []  # (member, leaf, weight) of the waiting folds
         lam = 1.0
         for m, (rng, leaf) in enumerate(zip(self._rngs, leaves)):
             w = rng.poisson(lam)
-            if w and store.seen[leaf] + w >= HOEFFDING_GRACE_PERIOD:
-                at = np.array([leaf])
-                store.learn(np.array([m]), at, x, k, np.array([float(w)]),
-                            store.counts[at, k])
+            if w > 0:
+                store.learn_member(m, leaf, x, k, w)
                 if not store.is_leaf(leaf):  # the learn split it
                     leaf = store.descend(leaf, x)
-                w = 0  # folded
-            elif w:
-                folds.append((m, leaf, w))
-            if store.winner(leaf, k, w) == k:
+            if store.winner(leaf) == k:
                 correct[m] += lam
                 lam *= (correct[m] + wrong[m]) / (2.0 * correct[m])
             else:
                 wrong[m] += lam
                 lam *= (correct[m] + wrong[m]) / (2.0 * wrong[m])
-        if folds:
-            members, at, weights = zip(*folds)
-            at = np.array(at)
-            store.learn(np.array(members), at, x, k,
-                        np.array(weights, dtype=float), store.counts[at, k])
         self.lambda_correct[:] = correct
         self.lambda_wrong[:] = wrong
 
@@ -854,12 +856,6 @@ class OnlineBoosting(_Ensemble):
             error = min(max(wrong / total, 1e-10), 1.0 - 1e-10)
             weights.append(max(0.0, math.log((1.0 - error) / error)))
         return weights
-
-    def predict_proba(self, x):
-        if self.store is None:  # nothing learned yet
-            self._check_arity(x)
-            return np.full(len(self.classes), 1.0 / len(self.classes))
-        return super().predict_proba(x)
 
     def _vote(self, leaves):
         weights = self._member_weights()
@@ -883,9 +879,10 @@ class OnlineBoosting(_Ensemble):
     def from_state(cls, state):
         """The model ``to_state`` wrote. Negative λ entries raise
         ValidationError naming the list."""
-        clf = cls(n_members=state["n_members"], classes=state["classes"],
-                  seed=state["seed"])
-        clf.n_features = state["n_features"]
+        _check_settings(state, {"kind": "online_boosting"})
+        clf = cls(**{name: _field(state, name)
+                     for name in ("n_members", "classes", "seed")})
+        clf.n_features = _field(state, "n_features")
         clf.lambda_correct = _counts(state, "lambda_correct",
                                      (clf.n_members,))
         clf.lambda_wrong = _counts(state, "lambda_wrong", (clf.n_members,))
@@ -1054,31 +1051,29 @@ class StackingModel:
         """The model ``to_state`` wrote. A checkpoint whose fixed settings,
         forest sizes, classes or feature counts differ, or whose forest
         does not load, raises ValidationError naming the field."""
-        _check_settings(state, _stacking_settings())
-        model = cls(seed=state["seed"])
+        _check_settings(state, {"kind": "stacking", **_stacking_settings()})
+        model = cls(seed=_field(state, "seed"))
         for name, columns in _FORESTS.items():
-            settings = {"classes": [0, 1],
-                        "n_members": STACKING_ENSEMBLE_SIZE,
-                        "max_features": None}
-            if state[name].get("n_features") is not None:
-                settings["n_features"] = len(columns)
-            _check_settings(state[name], settings, name + ".")
+            forest_state = _field(state, name)
+            _check_settings(forest_state, {
+                "kind": "bagging_forest", "classes": [0, 1],
+                "n_members": STACKING_ENSEMBLE_SIZE, "max_features": None},
+                name + ".")
+            if forest_state.get("n_features") is not None:
+                _check_settings(forest_state, {"n_features": len(columns)},
+                                name + ".")
             forest = _in_forest(name, BaggingForest._settings_from_state,
-                                state[name])
+                                forest_state)
             forest.shared = True
             setattr(model, name, forest)
-        forests = dict(zip(_FORESTS, model._forests()))
-        # a forest without subsets loads before the shared store exists,
-        # so learned trees in it raise as in a stand-alone forest
-        bare = [name for name, forest in forests.items()
-                if forest.subsets is None]
-        for name in bare:
-            _in_forest(name, forests[name]._load, state[name])
-        if len(bare) < len(forests):
-            model._share()
-        for name, forest in forests.items():
-            if name not in bare:
-                _in_forest(name, forest._load, state[name])
+        # forests without subsets load before the shared store exists,
+        # so learned trees in them raise as in a stand-alone forest
+        forests = sorted(zip(_FORESTS, model._forests()),
+                         key=lambda item: item[1].subsets is not None)
+        for name, forest in forests:
+            if forest.subsets is not None and model.store is None:
+                model._share()
+            _in_forest(name, forest._load, state[name])
         return model
 
 

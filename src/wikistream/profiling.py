@@ -92,20 +92,22 @@ class ContributorProfile:
 
     @classmethod
     def from_record(cls, record, line=None):
-        """The profile ``to_record`` wrote; a missing field, a value of
-        the wrong type or a non-finite number raises ValidationError
-        naming the field."""
+        """The profile ``to_record`` wrote. A missing field, a wrong type,
+        a negative or non-finite number, ``n_updates`` < 1 or
+        ``last_seen`` < ``first_seen`` raise ValidationError naming it."""
+        def fail(message, name):
+            raise ValidationError(message, field=name, line=line) from None
+
         def checked(value, kind, name):
             # bool is an int subclass: only a bool field takes a bool
             if not isinstance(value, kind) or (
                     isinstance(value, bool) and kind is not bool):
-                raise ValidationError(f"unexpected value {value!r}",
-                                      field=name, line=line)
+                fail(f"unexpected value {value!r}", name)
             return value
 
         def field(name, kind):
             if name not in record:
-                raise ValidationError("missing", field=name, line=line)
+                fail("missing", name)
             return checked(record[name], kind, name)
 
         def day(name):
@@ -113,17 +115,15 @@ class ContributorProfile:
             try:
                 return date.fromisoformat(value)
             except ValueError:
-                raise ValidationError(f"not an ISO date: {value!r}",
-                                      field=name, line=line) from None
+                fail(f"not an ISO date: {value!r}", name)
 
         def number(value, name):
             try:
                 value = float(checked(value, (int, float), name))
             except OverflowError:  # an integer beyond the float range
                 value = math.inf
-            if not math.isfinite(value):
-                raise ValidationError(f"non-finite value {value!r}",
-                                      field=name, line=line)
+            if not math.isfinite(value) or value < 0:
+                fail(f"{value!r} is not a finite value >= 0", name)
             return value
 
         def table(name, ids):
@@ -133,7 +133,11 @@ class ContributorProfile:
         profile = cls(field("contributor_id", str), field("is_bot", bool),
                       day("first_seen"))
         profile.last_seen = day("last_seen")
+        if profile.last_seen < profile.first_seen:
+            fail("before first_seen", "last_seen")
         profile.n_updates = field("n_updates", int)
+        if profile.n_updates < 1:
+            fail(f"{profile.n_updates} is below 1", "n_updates")
         profile.values[_SUMS] = table("sums", SUM_FEATURES)
         profile.values[_MEANS] = table("means", MEAN_FEATURES)
         profile._derive()

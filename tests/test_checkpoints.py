@@ -8,9 +8,11 @@ per member in each per-member list, a feature subset that is not the
 expected number of distinct input columns, naive Bayes moments of
 another shape, a tree node with statistics of another shape, a split
 feature out of range or a missing child, a learned tree without a
-feature count, a negative count, fallback, weight seen or λ, or a
+feature count, a negative count, fallback, weight seen or λ, a
 setting or scalar of the wrong type or range (``classes``,
-``n_members``, ``seed``, ``max_features``, ``use_poisson``) is rejected.
+``n_members``, ``seed``, ``max_features``, ``use_poisson``), another
+``kind``, a missing field, or a list, object or generator state where
+the checkpoint holds another value is rejected.
 """
 
 import hashlib
@@ -335,6 +337,77 @@ def test_stacking_tree_nodes_checked():
     with pytest.raises(ValidationError) as exc:
         StackingModel.from_state(state)
     assert exc.value.field == f"forest_user.members.{m}.root.class_counts"
+
+
+def learned_stacking_state():
+    model = StackingModel(seed=0)
+    model.learn(profile_vector(np.random.default_rng(0), bot=True,
+                               malign=False), 1, 0)
+    return json_round_trip(model.to_state())
+
+
+# Malformed checkpoints, as (kind, the field the error names, edit, id).
+# Each raised TypeError, AttributeError or KeyError, or loaded without an
+# error (another or no ``kind``).
+MALFORMED = [
+    ("rf", "members", lambda s: s.update(members=5), "members-int"),
+    ("rf", "rng_states", lambda s: s.update(rng_states=None),
+     "rng_states-null"),
+    ("rf", "subsets", lambda s: s.update(subsets=7), "subsets-int"),
+    ("rf", "subsets.0", lambda s: s["subsets"].__setitem__(0, 4),
+     "subset-int"),
+    ("rf", "members.3", lambda s: s["members"].__setitem__(3, 7),
+     "member-int"),
+    ("rf", "rng_states.2", lambda s: s["rng_states"].__setitem__(2, "x"),
+     "rng_state-str"),
+    ("bc", "members", lambda s: s.update(members=None), "members-null"),
+    ("bc", "rng_states", lambda s: s.update(rng_states=3), "rng_states-int"),
+    ("bc", "members.3.root", lambda s: s["members"][3].pop("root"),
+     "member-root-missing"),
+    ("bc", "members.0.kind", lambda s: s["members"][0].update(kind="nb"),
+     "member-kind-other"),
+    ("dt", "root.class_counts", lambda s: s.update(root={}), "root-empty"),
+    ("dt", "root.depth", lambda s: s["root"].pop("depth"),
+     "root-depth-missing"),
+    ("dt", "kind", lambda s: s.pop("kind"), "kind-missing"),
+    *((kind, "classes", lambda s: s.pop("classes"), "classes-missing")
+      for kind in ("nb", "dt", "rf", "bc")),
+    *((kind, "kind", lambda s: s.update(kind="stacking"), "kind-other")
+      for kind in ("nb", "dt", "rf", "bc")),
+    ("stacking", "kind", lambda s: s.update(kind="bagging_forest"),
+     "kind-other"),
+    ("stacking", "forest_user", lambda s: s.update(forest_user=3),
+     "forest-int"),
+    ("stacking", "forest_final", lambda s: s.update(forest_final=None),
+     "forest-null"),
+    ("stacking", "forest_contribution",
+     lambda s: s.pop("forest_contribution"), "forest-missing"),
+    ("stacking", "forest_user.kind",
+     lambda s: s["forest_user"].update(kind="online_boosting"),
+     "forest-kind-other"),
+]
+
+
+@pytest.mark.parametrize("kind,field,edit", [
+    pytest.param(kind, field, edit, id=f"{kind}-{name}")
+    for kind, field, edit, name in MALFORMED])
+def test_malformed_checkpoint_names_the_field(kind, field, edit):
+    if kind == "stacking":
+        state, model = learned_stacking_state(), StackingModel
+    else:
+        state, model = learned_state(kind, 40), KINDS[kind]
+    edit(state)
+    with pytest.raises(ValidationError) as exc:
+        model.from_state(state)
+    assert exc.value.field == field
+
+
+def test_boosting_checkpoint_after_a_prediction_alone_round_trips():
+    # the prediction fixes the feature count, so the member trees have it
+    model = OnlineBoosting(n_members=3, seed=1)
+    model.predict_proba(np.zeros(4))
+    state = json_round_trip(model.to_state())
+    assert OnlineBoosting.from_state(state).to_state() == state
 
 
 @pytest.mark.parametrize("kind", ["dt", "bc"])

@@ -234,6 +234,27 @@ class TestImportValidation:
             ProfileStore.import_jsonl(path)
         assert exc.value.line == 2 and exc.value.field == field
 
+    # A continued run would fold these silently: an f3 sum of -48, or
+    # n_updates of -1 after one update.
+    @pytest.mark.parametrize("field,edit", [
+        ("n_updates", lambda record: record.update(n_updates=0)),
+        ("n_updates", lambda record: record.update(n_updates=-2)),
+        ("last_seen", lambda record: record.update(last_seen="2019-12-31")),
+        ("sums.3", lambda record: record["sums"].update({"3": -48.0})),
+        ("sums.14", lambda record: record["sums"].update({"14": -1})),
+        ("means.4", lambda record: record["means"].update({"4": -0.5})),
+        ("means.15.damaging_true",
+         lambda record: record["means"].update({"15.damaging_true": -0.1})),
+    ], ids=["n_updates-0", "n_updates-negative", "last_seen-before-first",
+            "sums.3", "sums.14", "means.4", "means.15.damaging_true"])
+    def test_degenerate_record_names_line_and_field(self, tmp_path, field,
+                                                    edit):
+        path = self._export(tmp_path)
+        self._rewrite_second(path, edit)
+        with pytest.raises(ValidationError) as exc:
+            ProfileStore.import_jsonl(path)
+        assert exc.value.line == 2 and exc.value.field == field
+
     def test_malformed_json_names_line(self, tmp_path):
         path = self._export(tmp_path)
         with open(path, "a", encoding="utf-8") as handle:

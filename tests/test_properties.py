@@ -296,9 +296,15 @@ def test_stacking_is_three_forests(stream):
     event(f"stacking nodes: {len(model.store.nodes)}")
 
 
+def leaf_distribution(store, leaf):
+    """Leaf ``leaf``'s row of ``store.distributions``."""
+    return store.distributions([leaf], store.counts[[leaf]])[0]
+
+
 class ReferenceBoosting(OnlineBoosting):
-    """Online boosting whose drawn members fold one at a time, before
-    the next member draws."""
+    """Online boosting's member loop written out: each drawn member's
+    Welford step and split attempt inline, and its vote from
+    ``np.argmax`` of its leaf's distribution."""
 
     def _learn(self, x, leaves, y):
         store = self.store
@@ -322,7 +328,7 @@ class ReferenceBoosting(OnlineBoosting):
                     store.seen[leaf] = seen
                 if not store.is_leaf(leaf):
                     leaf = store.descend(leaf, x)
-            if int(np.argmax(store.distribution(leaf))) == k:
+            if int(np.argmax(leaf_distribution(store, leaf))) == k:
                 correct[m] += lam
                 lam *= (correct[m] + wrong[m]) / (2.0 * correct[m])
             else:
@@ -341,22 +347,47 @@ many_class_streams = st.tuples(st.integers(0, 2 ** 32 - 1),
 
 @settings(max_examples=15, deadline=None)
 @given(stream=many_class_streams)
-def test_deferred_boosting_is_the_member_loop(stream):
+def test_boosting_is_the_reference_member_loop(stream):
     seed, n, d, n_classes, pattern, noise = stream
     xs, ys = draw_stream(seed, n, d, n_classes, pattern, noise)
     # every class, not only the two a threshold gives
     ys = [(y + i) % n_classes if i % 3 == 0 else y
           for i, y in enumerate(ys)]
     classes = list(range(n_classes))
-    deferred = OnlineBoosting(n_members=10, classes=classes, seed=seed % 1000)
+    boosting = OnlineBoosting(n_members=10, classes=classes, seed=seed % 1000)
     reference = ReferenceBoosting(n_members=10, classes=classes,
                                   seed=seed % 1000)
     for x, y in zip(xs, ys):
-        assert deferred.predict_learn(x, y).tolist() == \
+        assert boosting.predict_learn(x, y).tolist() == \
             reference.predict_learn(x, y).tolist()
-    assert json.dumps(deferred.to_state()) == \
+    assert json.dumps(boosting.to_state()) == \
         json.dumps(reference.to_state())
-    event(f"bc nodes: {len(deferred.store.nodes)}")
+    event(f"bc nodes: {len(boosting.store.nodes)}")
+
+
+@settings(max_examples=20, deadline=None)
+@given(stream=long_streams, weights=st.lists(st.integers(1, 6), min_size=1))
+def test_member_fold_is_a_one_member_learn(stream, weights):
+    """``learn_member`` leaves the node table and tree a one-member
+    ``learn`` leaves, also across split attempts. Member 0 of three
+    takes three examples in four, at least 225 of weight >= 1, so it
+    passes the grace period; member 2 takes the rest. The integer
+    weights cycle through ``weights``."""
+    seed, n, d, n_classes, pattern, noise = stream
+    xs, ys = draw_stream(seed, n, d, n_classes, pattern, noise)
+    columns = [np.arange(d)] * 3
+    scalar, batch = (TreeStore(columns, n_classes) for _ in range(2))
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        m, w = 2 * (i % 4 == 3), weights[i % len(weights)]
+        scalar.learn_member(m, scalar.descend(m, x), x, y, w)
+        leaf = np.array([batch.descend(m, x)])
+        batch.learn(np.array([m]), leaf, x, y, np.array([float(w)]),
+                    batch.counts[leaf, y])
+    assert scalar.nodes == batch.nodes
+    for m in range(3):
+        assert json.dumps(scalar.root_state(m)) == \
+            json.dumps(batch.root_state(m))
+    event(f"splits: {sum(c >= 0 for c, *_ in scalar.nodes)}")
 
 
 @settings(max_examples=20, deadline=None)
@@ -415,18 +446,12 @@ def test_leaf_winner_is_the_argmax_of_its_distribution(rows):
     counts, fallback = rows
     store = TreeStore([[0]], len(counts))
     store.counts[0], store.fallback[0] = counts, fallback
-    expected = int(np.argmax(store.distribution(0)))
-    assert store.winner(0, 0, 0.0) == expected
-    # the winner after a fold, before it: the counts as learn adds to them
-    k, weight = len(counts) - 1, 3.0
-    folded = TreeStore([[0]], len(counts))
-    folded.counts[0], folded.fallback[0] = counts, fallback
-    folded.counts[0, k] += weight
-    assert store.winner(0, k, weight) == \
-        int(np.argmax(folded.distribution(0)))
+    distribution = leaf_distribution(store, 0)
+    expected = int(np.argmax(distribution))
+    assert store.winner(0) == expected
     if not store.counts[0].sum() > 0:
         event("fallback")
-    elif (store.distribution(0) == store.distribution(0)[expected]).sum() > 1:
+    elif (distribution == distribution[expected]).sum() > 1:
         event("tie")
 
 
