@@ -8,6 +8,7 @@ prequential evaluation.
 """
 
 from .model import (
+    AggregateBatch,
     DailyAggregate,
     EditEvent,
     ValidationError,

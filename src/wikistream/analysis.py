@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import write_rows
-from .model import FEATURE_IDS, N_FEATURES, ValidationError, feature_columns
+from .model import FEATURE_IDS, AggregateBatch, ValidationError, feature_columns
 
 DEFAULT_CORRELATION_THRESHOLD = 0.15
 DEFAULT_L1_STRENGTH = 0.01
@@ -100,18 +100,16 @@ class CorrelationReport:
 
 
 def feature_matrix(aggregates, feature_set=SET2):
-    """Stack aggregates into an (n, d) matrix in feature-set order."""
+    """The (n, d) matrix of aggregates' values in feature-set order."""
     columns = feature_columns(tuple(feature_set.feature_ids))
-    X = np.array([agg.values for agg in aggregates], dtype=float)
-    return X.reshape(-1, N_FEATURES)[:, columns]
+    return AggregateBatch.of(aggregates).values[:, columns]
 
 
 def target_vector(aggregates, target):
-    if target == "user_type":
-        return np.array([a.user_type for a in aggregates], dtype=float)
-    if target == "contribution_type":
-        return np.array([a.contribution_type for a in aggregates], dtype=float)
-    raise ValidationError(f"unknown target {target!r}", field="target")
+    """The aggregates' labels for ``target``, as floats."""
+    if target not in ("user_type", "contribution_type"):
+        raise ValidationError(f"unknown target {target!r}", field="target")
+    return getattr(AggregateBatch.of(aggregates), target).astype(float)
 
 
 def correlation_report(aggregates, target,

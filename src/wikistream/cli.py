@@ -182,9 +182,8 @@ def synthesize(input, count, seed, out):
     out_dir.mkdir(parents=True, exist_ok=True)
     ingest.write_aggregates(synthetic, out_dir / "synthetic.csv")
 
-    bots = [a for a in aggregates if a.is_bot]
     original = fabricate.quartile_stats(
-        analysis.feature_matrix(bots, analysis.SET2),
+        analysis.feature_matrix(aggregates[aggregates.is_bot], analysis.SET2),
         analysis.SET2.feature_ids)
     generated = fabricate.quartile_stats(
         np.vstack([batch.values for batch in batches]),
@@ -220,8 +219,7 @@ def profile_cmd(input, out):
     """Replay a stream into contributor profiles; export them as JSONL."""
     aggregates = _load_rows(input)
     store = profiling.ProfileStore()
-    for agg in aggregates:
-        store.update(agg)
+    store.fold(aggregates)
     store.export_jsonl(out)
     click.echo(f"wrote {out} ({len(store)} profiles)")
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import write_rows
-from .model import ValidationError
+from .model import AggregateBatch, ValidationError, sample_error
 from .profiling import ProfileStore, to_feature_vector
 
 DEFAULT_WINDOW = 1000
@@ -167,27 +167,43 @@ def _prequential(stream, store, features, step, classes, classifier,
                  targets, window):
     """The test-then-train loop shared by every model.
 
-    Per aggregate: update the profile, extract ``features``, then
-    ``step(x, agg)`` predicts and learns and returns one (true label,
-    probabilities) pair per target. Returns one report and one log per
-    target; a step's latency covers the profile update to the learning.
+    Before the first step, the stream becomes one AggregateBatch: one
+    ``ProfileStore.fold`` gives its profile rows, one
+    ``to_feature_vector`` call their ``features`` and the batch its
+    label columns for ``targets``. So a changed ``is_bot`` flag or a
+    non-finite feature, whichever row comes first, and then an
+    underivable label raise ValidationError naming the sample before any
+    step runs. Per sample, ``step(x, labels)`` predicts and learns and
+    returns one probability vector per target. Returns one report and
+    one log per target; a step's latency covers the prediction and the
+    learning, not the profile update.
     """
     _check_window(window)
     store = store if store is not None else ProfileStore()
-    logs = tuple([] for _ in targets)
     started = time.perf_counter()
-    for index, agg in enumerate(stream):
+    batch = AggregateBatch.of(stream)
+    try:
+        rows = store.fold(batch)
+    except ValidationError:
+        # a changed is_bot flag: a non-finite feature before it is first
+        to_feature_vector(store.fold(batch[:store.flag_change(batch)]),
+                          features)
+        raise
+    X = to_feature_vector(rows, features)
+    labels = zip(*(getattr(batch, target).tolist() for target in targets))
+    ids = batch.contributor_ids.tolist()
+    logs = tuple([] for _ in targets)
+    for index, (x, trues) in enumerate(zip(X, labels)):
         t0 = time.perf_counter()
-        x = to_feature_vector(store.update(agg), features)
         try:
-            outcomes = step(x, agg)
+            outcomes = step(x, trues)
         except ValidationError as exc:
-            raise ValidationError(f"sample {index}: {exc}") from exc
+            raise sample_error(index, exc) from exc
         latency = (time.perf_counter() - t0) * 1e6
-        for log, (true, probs) in zip(logs, outcomes):
+        for log, true, probs in zip(logs, trues, outcomes):
             log.append(PredictionRecord(
                 index=index,
-                contributor_id=agg.contributor_id,
+                contributor_id=ids[index],
                 true=true,
                 predicted=classes[probs.argmax()],
                 probabilities=tuple(probs.tolist()),
@@ -203,16 +219,16 @@ def _prequential(stream, store, features, step, classes, classifier,
 
 def prequential_run(stream, classifier, feature_set, target,
                     store=None, window=DEFAULT_WINDOW, classifier_name=""):
-    """Test-then-train over a time-ordered aggregate stream.
+    """Test-then-train over a time-ordered aggregate stream: an
+    AggregateBatch or an iterable of DailyAggregates.
 
     Returns (MetricsReport, prediction log).
     """
     if target not in ("user_type", "contribution_type"):
         raise ValidationError(f"unknown target {target!r}", field="target")
 
-    def step(x, agg):
-        true = getattr(agg, target)
-        return ((true, classifier.predict_learn(x, true)),)
+    def step(x, labels):
+        return (classifier.predict_learn(x, labels[0]),)
 
     (report,), (log,) = _prequential(
         stream, store, feature_set, step, classifier.classes,
@@ -228,11 +244,11 @@ def prequential_run_stacking(stream, model, store=None,
     user log); the headline metrics are the level-2 contribution ones,
     mirroring how the stacked system is scored.
     """
-    def step(x, agg):
-        y_user, y_contribution = agg.user_type, agg.contribution_type
+    def step(x, labels):
+        y_contribution, y_user = labels
         user_probs, final_probs, _joint = model.predict_learn(
             x, y_user, y_contribution)
-        return (y_contribution, final_probs), (y_user, user_probs)
+        return final_probs, user_probs
 
     reports, logs = _prequential(
         stream, store, model.features, step, [0, 1], "stacking",

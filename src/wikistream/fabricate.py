@@ -10,7 +10,6 @@ the real stream to even out the bot/human imbalance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import timedelta
 
 import numpy as np
 
@@ -20,11 +19,13 @@ from .model import (
     FEATURE_IDS,
     FEATURE_INDEX,
     PROBABILITY_GROUPS,
-    DailyAggregate,
+    AggregateBatch,
     ValidationError,
+    feature_columns,
 )
 
 KMEANS_MAX_ITER = 300
+_REVIEWS = FEATURE_INDEX["3"]
 
 
 @dataclass(frozen=True)
@@ -223,44 +224,43 @@ def generate_synthetic(stats, count, seed=0):
 
 
 def _renormalize_probability_groups(values):
-    """Rescale each probability group of a canonical row to sum to one."""
-    values = [float(v) for v in values]
+    """Rescale each probability group of canonical rows, in place, to sum
+    to one: each group's columns added left to right, and a group that
+    sums to 0 made uniform."""
     for group in PROBABILITY_GROUPS:
-        idx = [FEATURE_INDEX[fid] for fid in group]
-        total = sum(values[j] for j in idx)
-        if total > 0:
-            for j in idx:
-                values[j] /= total
-        else:
-            for j in idx:
-                values[j] = 1.0 / len(idx)
-    return values
+        columns = feature_columns(group)
+        total = values[:, columns[0]]
+        for column in columns[1:]:
+            total = total + values[:, column]
+        values[:, columns] = np.divide(
+            values[:, columns], total[:, None],
+            out=np.full((len(values), len(columns)), 1.0 / len(columns)),
+            where=(total > 0)[:, None])
 
 
 def synthetic_to_aggregates(batch, start_day, end_day, seed=0, id_offset=0):
-    """Shape raw synthetic rows into bot DailyAggregate records.
+    """Shape raw synthetic rows into an AggregateBatch of bot rows.
 
     Probability groups are renormalized to restore the sum-to-one
-    invariant, days are drawn uniformly over the real stream's span and
-    each sample becomes a fresh synthetic contributor.
+    invariant, ``f3`` is raised to at least 1, days are drawn uniformly
+    over the real stream's span and each sample becomes a fresh
+    synthetic contributor.
     """
     if batch.feature_ids != tuple(FEATURE_IDS):
         raise ValidationError("batch must cover the full canonical feature list")
     rng = np.random.default_rng(seed)
     span = (end_day - start_day).days
-    offsets = rng.integers(0, span + 1, size=len(batch.values))
-    aggregates = []
-    for i, row in enumerate(batch.values):
-        values = _renormalize_probability_groups(row)
-        values[FEATURE_INDEX["3"]] = max(1.0, values[FEATURE_INDEX["3"]])
-        aggregates.append(DailyAggregate(
-            contributor_id=f"syn-bot-{id_offset + i:06d}",
-            day=start_day + timedelta(days=int(offsets[i])),
-            is_bot=True,
-            values=tuple(values),
-            synthetic=True,
-        ))
-    return aggregates
+    n = len(batch.values)
+    offsets = rng.integers(0, span + 1, size=n)
+    values = np.array(batch.values, dtype=float)
+    _renormalize_probability_groups(values)
+    reviews = values[:, _REVIEWS]
+    values[:, _REVIEWS] = np.where(reviews > 1.0, reviews, 1.0)
+    return AggregateBatch(
+        np.array([f"syn-bot-{id_offset + i:06d}" for i in range(n)],
+                 dtype=object),
+        np.datetime64(start_day, "D") + offsets,
+        np.ones(n, dtype=bool), np.ones(n, dtype=bool), values)
 
 
 def synthesize_bot_samples(aggregates, count, seed=0, k=2):
@@ -269,8 +269,9 @@ def synthesize_bot_samples(aggregates, count, seed=0, k=2):
     The requested count is split across clusters proportionally to
     cluster sizes (largest remainder). Returns (batches, model).
     """
-    bots = [a for a in aggregates if a.is_bot]
-    if not bots:
+    batch = AggregateBatch.of(aggregates)
+    bots = batch[batch.is_bot]
+    if not len(bots):
         raise ValidationError("cannot model bot class: no bot samples")
     X = feature_matrix(bots, SET2)
     k = min(k, len(bots))
@@ -295,44 +296,44 @@ def synthesize_bot_samples(aggregates, count, seed=0, k=2):
 
 def contributor_gap(aggregates):
     """Human contributors minus bot contributors."""
-    contributors = {}
-    for agg in aggregates:
-        contributors.setdefault(agg.contributor_id, agg.is_bot)
-    n_bots = sum(1 for is_bot in contributors.values() if is_bot)
-    return len(contributors) - 2 * n_bots
+    batch = AggregateBatch.of(aggregates)
+    # reversed, the first row of each contributor is written last
+    contributors = dict(zip(batch.contributor_ids[::-1].tolist(),
+                            batch.is_bot[::-1].tolist()))
+    return len(contributors) - 2 * sum(contributors.values())
 
 
 def synthesize_bot_aggregates(aggregates, count, seed):
     """``count`` synthetic bot aggregates spread over the stream's days.
 
-    Returns (synthetic aggregates, the SyntheticBatch list they came from).
+    Returns (the synthetic AggregateBatch, the SyntheticBatch list it
+    came from).
     """
     batches, _ = synthesize_bot_samples(aggregates, count, seed=seed)
-    start_day = min(a.day for a in aggregates)
-    end_day = max(a.day for a in aggregates)
+    days = AggregateBatch.of(aggregates).days
+    start_day, end_day = days.min().item(), days.max().item()
     synthetic = []
     for b, batch in enumerate(batches):
-        synthetic.extend(synthetic_to_aggregates(
+        synthetic.append(synthetic_to_aggregates(
             batch, start_day, end_day, seed=seed + 101 + b,
-            id_offset=len(synthetic)))
-    return synthetic, batches
+            id_offset=sum(map(len, synthetic))))
+    return AggregateBatch.concat(synthetic), batches
 
 
 def balance_dataset(aggregates, seed=0, count=None):
     """Fill the bot/human contributor gap with synthetic bot samples.
 
     ``count`` defaults to (human contributors - bot contributors); a
-    non-positive count returns the input unchanged. Returns the merged,
-    re-sorted stream.
+    non-positive count returns a new AggregateBatch of the input's rows,
+    unchanged. Returns the merged AggregateBatch, re-sorted.
     """
+    batch = AggregateBatch.of(aggregates)
     if count is None:
-        count = contributor_gap(aggregates)
+        count = contributor_gap(batch)
     if count <= 0:
-        return list(aggregates)
-    synthetic, _ = synthesize_bot_aggregates(aggregates, count, seed=seed)
-    combined = list(aggregates) + synthetic
-    combined.sort(key=lambda a: (a.day, a.contributor_id))
-    return combined
+        return batch[:]
+    synthetic, _ = synthesize_bot_aggregates(batch, count, seed=seed)
+    return AggregateBatch.concat([batch, synthetic]).sorted()
 
 
 @dataclass

@@ -35,7 +35,7 @@ from .model import (
     FEATURE_COLUMNS,
     N_FEATURES,
     PROB_COLUMNS,
-    DailyAggregate,
+    AggregateBatch,
     EditEvent,
     ValidationError,
     check_finite,
@@ -306,8 +306,8 @@ def _check_bot_flags(contributor_ids, flags):
 
 
 def aggregate_daily(events):
-    """Fold events, an EventTable or a list of EditEvents, into one
-    DailyAggregate per (contributor, day).
+    """Fold events, an EventTable or a list of EditEvents, into an
+    AggregateBatch of one row per (contributor, day).
 
     Counts are summed, probabilities averaged; the link ratios divide the
     day's total links by the day's total review characters. Each sum adds
@@ -347,11 +347,12 @@ def aggregate_daily(events):
         np.divide(repeated, chars, out=np.zeros(size), where=has_chars),
         inserted, deleted])
     values[:, _N_SCALARS:] = sums[:, _N_COUNTS:] / n[:, None]
-    bot = dict(zip(table.contributor_ids, table.is_bot))
-    aggregates = [DailyAggregate(cid, day, bot[cid], tuple(row))
-                  for (cid, day), row in zip(index, values.tolist())]
-    aggregates.sort(key=lambda a: (a.day, a.contributor_id))
-    return aggregates
+    is_bot = np.empty(size, dtype=bool)
+    is_bot[group] = table.is_bot
+    return AggregateBatch(np.array([cid for cid, _ in index], dtype=object),
+                          np.array([day for _, day in index],
+                                   dtype="datetime64[D]"),
+                          is_bot, np.zeros(size, dtype=bool), values).sorted()
 
 
 @dataclass
@@ -412,20 +413,26 @@ def read_aggregates(path):
     rows is rejected.
     """
     rows, values = _read_table(path, AGGREGATE_SCHEMA)
-    _check_bot_flags([row[0] for row in rows], [row[2] for row in rows])
-    aggregates = [DailyAggregate(cid, day, is_bot, tuple(row), synthetic)
-                  for (cid, day, is_bot, synthetic), row
-                  in zip(rows, values.tolist())]
-    aggregates.sort(key=lambda a: (a.day, a.contributor_id))
-    return aggregates
+    ids, days, is_bot, synthetic = zip(*rows) if rows else ((),) * 4
+    _check_bot_flags(ids, is_bot)
+    return AggregateBatch(np.array(ids, dtype=object),
+                          np.array(days, dtype="datetime64[D]"),
+                          np.array(is_bot, dtype=bool),
+                          np.array(synthetic, dtype=bool), values).sorted()
 
 
 def write_aggregates(aggregates, path):
-    """Persist aggregates in the aggregate schema: JSON lines when the
-    suffix is ``.jsonl``, CSV otherwise."""
-    write_rows(((a.contributor_id, a.day.isoformat(), int(a.is_bot),
-                 int(a.synthetic), *map(float, a.values))
-                for a in aggregates), AGGREGATE_COLUMNS, path)
+    """Persist aggregates, an AggregateBatch or a list of
+    DailyAggregates, in the aggregate schema: JSON lines when the suffix
+    is ``.jsonl``, CSV otherwise."""
+    batch = AggregateBatch.of(aggregates)
+    write_rows(([cid, day, bot, synthetic, *values]
+                for cid, day, bot, synthetic, values in zip(
+                    batch.contributor_ids.tolist(),
+                    np.datetime_as_string(batch.days).tolist(),
+                    batch.is_bot.astype(int).tolist(),
+                    batch.synthetic.astype(int).tolist(),
+                    batch.values.tolist())), AGGREGATE_COLUMNS, path)
 
 
 def is_aggregate_file(path):

@@ -9,7 +9,7 @@ order and probability groupings) every other module relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from functools import lru_cache
 from itertools import groupby
@@ -229,9 +229,16 @@ def joint_class(user_type, contribution_type):
     return JOINT_CLASS_NAMES[(user_type, contribution_type)]
 
 
+def sample_error(index, exc):
+    """``exc``, a ValidationError, re-raised for sample ``index`` of a
+    stream."""
+    return ValidationError(f"sample {index}: {exc}")
+
+
 @dataclass(frozen=True)
 class DailyAggregate:
-    """Per-contributor-per-day aggregation of the feature catalogue.
+    """Per-contributor-per-day aggregation of the feature catalogue: one
+    row of an AggregateBatch.
 
     ``values`` holds all canonical feature columns in FEATURE_IDS order.
     """
@@ -261,6 +268,114 @@ class DailyAggregate:
     @property
     def contribution_type(self):
         return derive_contribution_type(self.value("17.ok"))
+
+
+_OK = FEATURE_INDEX["17.ok"]
+_BATCH_COLUMNS = ("contributor_ids", "days", "is_bot", "synthetic", "values")
+
+
+@dataclass(eq=False)
+class AggregateBatch:
+    """Contributor-days as columns: an (n, 31) float matrix ``values`` in
+    FEATURE_IDS order and one array each of contributor ids (object),
+    days (``datetime64[D]``), ``is_bot`` and ``synthetic`` flags.
+
+    It behaves as a list of DailyAggregate rows: ``len``, iteration, an
+    integer index (read or assigned) and ``==`` against another batch or
+    a list of rows go through the row views, built once on first use. A
+    slice, an index array or a boolean mask selects a batch.
+    """
+
+    contributor_ids: np.ndarray
+    days: np.ndarray
+    is_bot: np.ndarray
+    synthetic: np.ndarray
+    values: np.ndarray
+    _rows: list = field(default=None, repr=False)
+
+    @classmethod
+    def of(cls, aggregates):
+        """``aggregates``, a batch or an iterable of DailyAggregates, as a
+        batch; the DailyAggregates stay its row views."""
+        if isinstance(aggregates, cls):
+            return aggregates
+        rows = list(aggregates)
+        return cls(np.array([a.contributor_id for a in rows], dtype=object),
+                   np.array([a.day for a in rows], dtype="datetime64[D]"),
+                   np.array([a.is_bot for a in rows], dtype=bool),
+                   np.array([a.synthetic for a in rows], dtype=bool),
+                   np.array([a.values for a in rows], dtype=float)
+                   .reshape(len(rows), N_FEATURES), rows)
+
+    @classmethod
+    def concat(cls, batches):
+        return cls(*(np.concatenate([getattr(b, name) for b in batches])
+                     for name in _BATCH_COLUMNS))
+
+    def __len__(self):
+        return len(self.values)
+
+    def rows(self):
+        """The DailyAggregate row views, in order."""
+        if self._rows is None:
+            self._rows = [
+                DailyAggregate(cid, day, bot, tuple(values), synthetic)
+                for cid, day, bot, values, synthetic in zip(
+                    self.contributor_ids.tolist(), self.days.tolist(),
+                    self.is_bot.tolist(), self.values.tolist(),
+                    self.synthetic.tolist())]
+        return self._rows
+
+    def __iter__(self):
+        return iter(self.rows())
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return self.rows()[index]
+        return AggregateBatch(*(getattr(self, name)[index]
+                                for name in _BATCH_COLUMNS))
+
+    def __setitem__(self, index, row):
+        """Replace row ``index``, an integer, with the DailyAggregate
+        ``row``. The columns are copied first: slices share them."""
+        rows = self.rows()
+        for name, value in zip(_BATCH_COLUMNS, (
+                row.contributor_id, row.day, row.is_bot, row.synthetic,
+                row.values)):
+            column = getattr(self, name).copy()
+            column[index] = value
+            setattr(self, name, column)
+        rows[index] = row
+
+    def __eq__(self, other):
+        if isinstance(other, (AggregateBatch, list)):
+            return self.rows() == list(other)
+        return NotImplemented
+
+    def sorted(self):
+        """The rows ordered by day, then contributor id; rows equal in
+        both keep their order."""
+        order = np.argsort(self.contributor_ids, kind="stable")
+        return self[order[np.argsort(self.days[order], kind="stable")]]
+
+    @property
+    def user_type(self):
+        return self.is_bot.astype(np.int64)
+
+    @property
+    def contribution_type(self):
+        """The rows' contribution labels (``derive_contribution_type``);
+        the first row whose OK probability is outside [0, 1] raises
+        ValidationError naming it as a sample."""
+        ok = self.values[:, _OK]
+        valid = (ok >= 0.0) & (ok <= 1.0)
+        if not valid.all():
+            index = int(np.argmin(valid))
+            try:
+                derive_contribution_type(float(ok[index]))
+            except ValidationError as exc:
+                raise sample_error(index, exc) from None
+        return np.where(ok > 0.5, 0, 1)
 
 
 @lru_cache(maxsize=64)

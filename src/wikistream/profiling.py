@@ -1,10 +1,12 @@
 """
 Incremental contributor profiling.
 
-Each DailyAggregate folds into its contributor's profile: counting
+Each contributor-day folds into its contributor's profile: counting
 features accumulate as sums, quality features as running means, and the
 weekly-rate and revert-frequency features are recomputed after every
-update from the accumulated numerators.
+update from the accumulated numerators. ``ContributorProfile.update``
+folds one row; ``ProfileStore.fold`` folds a whole AggregateBatch, one
+vectorized step per update rank, through the same ``_fold``.
 """
 
 from __future__ import annotations
@@ -18,11 +20,16 @@ import numpy as np
 
 from .ingest import read_jsonl
 from .model import (
+    COUNT_FLOORS,
     FEATURE_INDEX,
     N_FEATURES,
     PROB_FEATURE_IDS,
+    PROB_TOL,
+    PROBABILITY_GROUPS,
+    AggregateBatch,
     ValidationError,
     feature_columns,
+    sample_error,
 )
 
 SUM_FEATURES = ("3", "5", "9", "11", "12", "13", "14")
@@ -34,10 +41,43 @@ _REVIEWS, _PAGES, _REVERTS, _REVIEW_RATE, _PAGE_RATE, _REVERT_FREQUENCY = (
     FEATURE_INDEX[fid] for fid in ("3", "5", "9", "7", "8", "10"))
 
 
+def _weeks(span):
+    """Calendar weeks covered by ``span`` + 1 days: an int, or an int
+    array of spans >= 0."""
+    return span // 7 + 1
+
+
 def elapsed_weeks(first_seen, last_seen):
     """Calendar weeks spanned by [first_seen, last_seen], at least 1."""
-    days = (last_seen - first_seen).days + 1
-    return max(1, math.ceil(days / 7))
+    return max(1, _weeks((last_seen - first_seen).days))
+
+
+def _fold(values, x, n, weeks):
+    """Fold aggregate rows ``x`` into profile rows ``values`` in place as
+    each profile's ``n``-th update, then derive the rates over ``weeks``:
+    one row with int ``n`` and ``weeks``, or k rows with int arrays of
+    length k. Columns are indexed through ``.T``, which serves both."""
+    columns, x = values.T, x.T
+    columns[_SUMS] += x[_SUMS]
+    means = columns[_MEANS]
+    columns[_MEANS] = means + (x[_MEANS] - means) / n
+    _derive(values, weeks)
+
+
+def _derive(values, weeks):
+    """The weekly rates (7, 8) and revert frequency (10) of profile rows
+    ``values`` from their sums, in place. Every profile covers at least
+    one review."""
+    columns = values.T
+    reviews = columns[_REVIEWS]
+    columns[_REVIEW_RATE] = reviews / weeks
+    columns[_PAGE_RATE] = columns[_PAGES] / weeks
+    columns[_REVERT_FREQUENCY] = columns[_REVERTS] / reviews
+
+
+def _flag_change(contributor_id):
+    return ValidationError(f"contributor {contributor_id!r} changes its "
+                           "is_bot flag between rows", field="is_bot")
 
 
 class ContributorProfile:
@@ -63,21 +103,8 @@ class ContributorProfile:
             self.first_seen = agg.day
         if agg.day > self.last_seen:
             self.last_seen = agg.day
-        x = np.array(agg.values, dtype=float)
-        values = self.values
-        values[_SUMS] += x[_SUMS]
-        means = values[_MEANS]
-        values[_MEANS] = means + (x[_MEANS] - means) / self.n_updates
-        self._derive()
-
-    def _derive(self):
-        values = self.values
-        weeks = elapsed_weeks(self.first_seen, self.last_seen)
-        reviews = values[_REVIEWS]
-        values[_REVIEW_RATE] = reviews / weeks
-        values[_PAGE_RATE] = values[_PAGES] / weeks
-        values[_REVERT_FREQUENCY] = (values[_REVERTS] / reviews if reviews
-                                     else 0.0)
+        _fold(self.values, np.array(agg.values, dtype=float), self.n_updates,
+              elapsed_weeks(self.first_seen, self.last_seen))
 
     def to_record(self):
         return {
@@ -93,8 +120,11 @@ class ContributorProfile:
     @classmethod
     def from_record(cls, record, line=None):
         """The profile ``to_record`` wrote. A missing field, a wrong type,
-        a negative or non-finite number, ``n_updates`` < 1 or
-        ``last_seen`` < ``first_seen`` raise ValidationError naming it."""
+        a negative or non-finite number, a review sum (``sums.3``) below
+        1, a probability mean above 1, a probability group whose means do
+        not sum to 1 within PROB_TOL (named by its first id),
+        ``n_updates`` < 1 or ``last_seen`` < ``first_seen`` raise
+        ValidationError naming it."""
         def fail(message, name):
             raise ValidationError(message, field=name, line=line) from None
 
@@ -139,8 +169,22 @@ class ContributorProfile:
         if profile.n_updates < 1:
             fail(f"{profile.n_updates} is below 1", "n_updates")
         profile.values[_SUMS] = table("sums", SUM_FEATURES)
-        profile.values[_MEANS] = table("means", MEAN_FEATURES)
-        profile._derive()
+        if profile.values[_REVIEWS] < COUNT_FLOORS["f3"]:
+            fail(f"{profile.values[_REVIEWS]!r} is below "
+                 f"{COUNT_FLOORS['f3']}: a profile covers a review", "sums.3")
+        means = dict(zip(MEAN_FEATURES, table("means", MEAN_FEATURES)))
+        for group in PROBABILITY_GROUPS:
+            for fid in group:
+                if means[fid] > 1.0:
+                    fail(f"{means[fid]!r} is not a probability in [0, 1]",
+                         f"means.{fid}")
+            total = sum(means[fid] for fid in group)
+            if abs(total - 1.0) > PROB_TOL:
+                fail(f"probability group sum {total:.8f} != 1",
+                     f"means.{group[0]}")
+        profile.values[_MEANS] = list(means.values())
+        _derive(profile.values,
+                elapsed_weeks(profile.first_seen, profile.last_seen))
         return profile
 
 
@@ -174,11 +218,104 @@ class ProfileStore:
             profile = ContributorProfile(agg.contributor_id, agg.is_bot, agg.day)
             self._profiles[agg.contributor_id] = profile
         elif profile.is_bot != agg.is_bot:
-            raise ValidationError(
-                f"contributor {agg.contributor_id!r} changes its is_bot flag "
-                "between rows", field="is_bot")
+            raise _flag_change(agg.contributor_id)
         profile.update(agg)
         return profile.values.copy()
+
+    def _index(self, batch):
+        """Per row of ``batch`` its contributor's slot; per slot, in order
+        of first appearance, the contributor id, its stored profile (None
+        for a new one), its ``is_bot`` flag (the profile's, else its first
+        row's) and its first row; and the ``flag_change`` index."""
+        slots = {}
+        codes = np.fromiter(
+            (slots.setdefault(cid, len(slots))
+             for cid in batch.contributor_ids.tolist()),
+            dtype=np.intp, count=len(batch))
+        ids = list(slots)
+        profiles = [self._profiles.get(cid) for cid in ids]
+        first = np.unique(codes, return_index=True)[1]
+        flags = batch.is_bot[first]
+        for slot, profile in enumerate(profiles):
+            if profile is not None:
+                flags[slot] = profile.is_bot
+        changed = np.flatnonzero(batch.is_bot != flags[codes])
+        change = int(changed[0]) if changed.size else None
+        return codes, ids, profiles, flags, first, change
+
+    def flag_change(self, batch):
+        """Index of the first row of ``batch`` whose ``is_bot`` flag
+        differs from its contributor's profile or first row, or None."""
+        return self._index(batch)[-1]
+
+    def fold(self, batch):
+        """Fold every row of ``batch``, an AggregateBatch or a list of
+        DailyAggregates, into its contributor's profile in stream order, as ``update`` row by row
+        would, and return the profile rows after each update: an (n, 31)
+        matrix.
+
+        Stored profiles, imported ones included, seed their contributors'
+        state. The r-th rows of all contributors are independent, so each
+        update rank folds in one vectorized ``_fold``: as many steps as
+        the most rows of one contributor. Each element takes update's
+        arithmetic, so rows and profiles match it bit for bit. Sums that
+        overflow are left to ``to_feature_vector`` to reject.
+
+        A row whose ``is_bot`` flag differs from its contributor's
+        profile or first row raises ValidationError naming it as a
+        sample (``flag_change``), before anything folds in.
+        """
+        batch = AggregateBatch.of(batch)
+        codes, ids, profiles, flags, first, change = self._index(batch)
+        if change is not None:
+            raise sample_error(change, _flag_change(ids[codes[change]]))
+        state = np.zeros((len(ids), N_FEATURES))
+        n = np.zeros(len(ids), dtype=np.int64)
+        first_seen = batch.days[first]
+        last_seen = first_seen.copy()
+        for slot, profile in enumerate(profiles):
+            if profile is not None:
+                state[slot] = profile.values
+                n[slot] = profile.n_updates
+                first_seen[slot] = profile.first_seen
+                last_seen[slot] = profile.last_seen
+
+        # rank of each row among its contributor's rows, then the rows
+        # by rank, in stream order within one rank
+        by_contributor = np.argsort(codes, kind="stable")
+        counts = np.bincount(codes, minlength=len(ids))
+        rank = np.empty(len(batch), dtype=np.intp)
+        rank[by_contributor] = (np.arange(len(batch))
+                                - np.repeat(np.cumsum(counts) - counts, counts))
+        by_rank = np.argsort(rank, kind="stable")
+        rows = np.empty((len(batch), N_FEATURES))
+        start = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for stop in np.cumsum(np.bincount(rank)).tolist():
+                at = by_rank[start:stop]
+                start = stop
+                slot = codes[at]
+                n[slot] += 1
+                days = batch.days[at]
+                first_seen[slot] = np.minimum(first_seen[slot], days)
+                last_seen[slot] = np.maximum(last_seen[slot], days)
+                values = state[slot]
+                _fold(values, batch.values[at], n[slot],
+                      _weeks((last_seen[slot] - first_seen[slot])
+                             .astype(np.int64)))
+                state[slot] = values
+                rows[at] = values
+
+        for slot, (cid, profile, is_bot, first_day, last_day) in enumerate(
+                zip(ids, profiles, flags.tolist(), first_seen.tolist(),
+                    last_seen.tolist())):
+            if profile is None:
+                profile = self._profiles[cid] = ContributorProfile(
+                    cid, is_bot, first_day)
+            profile.first_seen, profile.last_seen = first_day, last_day
+            profile.n_updates = int(n[slot])
+            profile.values = state[slot]
+        return rows
 
     def export_jsonl(self, path):
         with open(Path(path), "w", encoding="utf-8") as handle:
@@ -188,20 +325,31 @@ class ProfileStore:
 
     @classmethod
     def import_jsonl(cls, path):
+        """The store ``export_jsonl`` wrote. A record that fails
+        ``ContributorProfile.from_record``, or a second record of one
+        ``contributor_id``, raises ValidationError naming its line."""
         store = cls()
         for record, line in read_jsonl(path):
             profile = ContributorProfile.from_record(record, line=line)
+            if profile.contributor_id in store._profiles:
+                raise ValidationError(
+                    f"second record of {profile.contributor_id!r}",
+                    field="contributor_id", line=line)
             store._profiles[profile.contributor_id] = profile
         return store
 
 
 def to_feature_vector(values, feature_set):
     """A profile row's values for ``feature_set``, as a float array in the
-    set's order. Rejects unknown or duplicate ids and non-finite values."""
+    set's order, or those of every row of an (n, 31) matrix of profile
+    rows, as an (n, d) matrix. Rejects unknown or duplicate ids and
+    non-finite values; in a matrix, the first non-finite value in row
+    order raises ValidationError naming its row as a sample."""
     ids = tuple(feature_set.feature_ids)
-    x = np.asarray(values, dtype=float)[feature_columns(ids)]
+    x = np.asarray(values, dtype=float)[..., feature_columns(ids)]
     finite = np.isfinite(x)
     if not finite.all():
-        raise ValidationError(
-            f"non-finite value for {ids[int(np.argmin(finite))]}")
+        *row, column = np.unravel_index(int(np.argmin(finite)), x.shape)
+        error = ValidationError(f"non-finite value for {ids[column]}")
+        raise sample_error(int(row[0]), error) if row else error
     return x

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from datetime import date
+
 import numpy as np
 import pytest
 
@@ -12,9 +15,11 @@ from wikistream.evaluate import (
 )
 from wikistream.ingest import aggregate_daily
 from wikistream.learn import GaussianNaiveBayes, StackingModel, make_classifier
-from wikistream.model import ValidationError
+from wikistream.model import FEATURE_INDEX, ValidationError
+from wikistream.profiling import ProfileStore
 from wikistream.analysis import SET1
 from wikistream.sim import SimConfig, simulate
+from tests.test_model import make_event
 
 
 def filled_matrix(rows):
@@ -197,3 +202,74 @@ class TestOutputs:
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["accuracy"] == report.accuracy
         assert payload["n_samples"] == report.n_samples
+
+
+class CountingClassifier:
+    """A stub model that counts its steps and predicts uniformly."""
+
+    classes = [0, 1]
+
+    def __init__(self):
+        self.steps = 0
+
+    def predict_learn(self, x, y):
+        self.steps += 1
+        return np.array([0.5, 0.5])
+
+
+def bad_stream(**breaches):
+    """Four days of one human contributor, then two of another; each of
+    ``breaches`` maps a row index to "flip" (is_bot set) or "overflow"
+    (a review count whose profile sum overflows)."""
+    rows = [aggregate_daily([make_event(contributor_id=cid,
+                                        timestamp=date(2020, 1, day))])[0]
+            for cid, day in (("a", 1), ("a", 2), ("a", 3), ("a", 4),
+                             ("b", 5), ("b", 6))]
+    for index, kind in breaches.items():
+        index = int(index[1:])
+        if kind == "flip":
+            rows[index] = replace(rows[index], is_bot=True)
+        else:
+            values = list(rows[index].values)
+            values[FEATURE_INDEX["3"]] = 1e308
+            rows[index] = replace(rows[index], values=tuple(values))
+    return rows
+
+
+class TestProfileErrors:
+    @pytest.mark.parametrize("breaches,sample,text", [
+        ({"r2": "flip"}, 2, "changes its is_bot flag"),
+        ({"r4": "overflow", "r5": "overflow"}, 5, "non-finite value for 3"),
+        ({"r1": "overflow", "r2": "overflow", "r3": "flip"}, 2,
+         "non-finite value for 3"),
+        ({"r2": "flip", "r4": "overflow", "r5": "overflow"}, 2,
+         "changes its is_bot flag"),
+    ], ids=["flip", "overflow", "overflow-before-flip", "flip-first"])
+    def test_first_breach_names_its_sample_before_any_step(
+            self, breaches, sample, text):
+        model = CountingClassifier()
+        with pytest.raises(ValidationError) as exc:
+            prequential_run(bad_stream(**breaches), model, SET1, "user_type")
+        assert str(exc.value).startswith(f"sample {sample}: ")
+        assert text in str(exc.value)
+        assert model.steps == 0
+
+    def test_one_feature_call_and_no_row_update(self, monkeypatch):
+        import wikistream.evaluate as evaluate
+        calls = []
+        extract = evaluate.to_feature_vector
+
+        def counted(values, feature_set):
+            calls.append(np.shape(values))
+            return extract(values, feature_set)
+
+        def refused(self, agg):
+            raise AssertionError("per-row profile update")
+
+        monkeypatch.setattr(evaluate, "to_feature_vector", counted)
+        monkeypatch.setattr(ProfileStore, "update", refused)
+        stream = small_stream(seed=9)
+        _, log = prequential_run(stream, GaussianNaiveBayes(), SET1,
+                                 "user_type")
+        assert calls == [(len(stream), len(FEATURE_INDEX))]
+        assert len(log) == len(stream)

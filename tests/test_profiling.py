@@ -1,3 +1,4 @@
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from wikistream.analysis import SET1, SET3_TARGET1, SET3_TARGET2
 from wikistream.ingest import aggregate_daily
-from wikistream.model import FEATURE_INDEX, ValidationError
+from wikistream.model import FEATURE_INDEX, AggregateBatch, ValidationError
 from wikistream.profiling import (
     ProfileStore,
     elapsed_weeks,
@@ -241,12 +242,14 @@ class TestImportValidation:
         ("n_updates", lambda record: record.update(n_updates=-2)),
         ("last_seen", lambda record: record.update(last_seen="2019-12-31")),
         ("sums.3", lambda record: record["sums"].update({"3": -48.0})),
+        ("sums.3", lambda record: record["sums"].update({"3": 0.5})),
         ("sums.14", lambda record: record["sums"].update({"14": -1})),
         ("means.4", lambda record: record["means"].update({"4": -0.5})),
         ("means.15.damaging_true",
          lambda record: record["means"].update({"15.damaging_true": -0.1})),
     ], ids=["n_updates-0", "n_updates-negative", "last_seen-before-first",
-            "sums.3", "sums.14", "means.4", "means.15.damaging_true"])
+            "sums.3", "sums.3-below-1", "sums.14", "means.4",
+            "means.15.damaging_true"])
     def test_degenerate_record_names_line_and_field(self, tmp_path, field,
                                                     edit):
         path = self._export(tmp_path)
@@ -262,3 +265,72 @@ class TestImportValidation:
         with pytest.raises(ValidationError) as exc:
             ProfileStore.import_jsonl(path)
         assert exc.value.line == 3
+
+    def test_second_record_of_one_contributor_names_line(self, tmp_path):
+        path = self._export(tmp_path)
+        first = path.read_text(encoding="utf-8").splitlines()[0]
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(first + "\n")
+        with pytest.raises(ValidationError) as exc:
+            ProfileStore.import_jsonl(path)
+        assert (exc.value.line, exc.value.field) == (3, "contributor_id")
+        assert "'a'" in exc.value.message
+
+    # A continued run would feed the classifiers an impossible
+    # probability feature.
+    @pytest.mark.parametrize("fid,value", [
+        ("17.ok", 7.5),            # above 1
+        ("17.spam", 0.35),         # 17.* then sums to 1.25
+        ("18.stub", 0.0),          # 18.* then sums to 0.8
+    ])
+    def test_probability_mean_out_of_group_names_line_and_field(
+            self, tmp_path, fid, value):
+        path = self._export(tmp_path)
+        self._rewrite_second(
+            path, lambda record: record["means"].update({fid: value}))
+        with pytest.raises(ValidationError) as exc:
+            ProfileStore.import_jsonl(path)
+        group = fid.split(".")[0]
+        first = {"17": "17.ok", "18": "18.B"}[group]
+        expected = fid if value > 1 else first
+        assert (exc.value.line, exc.value.field) == (2, f"means.{expected}")
+
+
+class TestBulkFold:
+    def _rows(self):
+        return [day_aggregate(contributor_id=cid, timestamp=day,
+                              review_length=length, is_bot=cid == "b")
+                for cid, day, length in (
+                    ("a", date(2020, 1, 1), 10.0),
+                    ("b", date(2020, 1, 1), 20.0),
+                    ("a", date(2020, 1, 9), 30.0),
+                    ("a", date(2020, 1, 3), 40.0),
+                    ("b", date(2020, 2, 1), 50.0))]
+
+    def test_rows_and_profiles_match_row_by_row(self):
+        rows = self._rows()
+        by_row, bulk = ProfileStore(), ProfileStore()
+        expected = np.array([by_row.update(agg) for agg in rows])
+        assert bulk.fold(AggregateBatch.of(rows)).tobytes() == \
+            expected.tobytes()
+        for a, b in zip(by_row.profiles(), bulk.profiles()):
+            assert a.to_record() == b.to_record()
+            assert a.values.tobytes() == b.values.tobytes()
+
+    def test_flag_change_names_sample_and_leaves_store(self):
+        rows = self._rows()
+        rows[3] = replace(rows[3], is_bot=True)
+        store = ProfileStore()
+        assert store.flag_change(AggregateBatch.of(rows)) == 3
+        with pytest.raises(ValidationError) as exc:
+            store.fold(AggregateBatch.of(rows))
+        assert str(exc.value).startswith("sample 3: field 'is_bot'")
+        assert len(store) == 0
+
+    def test_non_finite_row_of_matrix_names_sample(self):
+        rows = np.zeros((3, len(FEATURE_INDEX)))
+        rows[2, FEATURE_INDEX["4"]] = np.inf
+        rows[1, FEATURE_INDEX["6"]] = np.nan
+        with pytest.raises(ValidationError) as exc:
+            to_feature_vector(rows, SET1)
+        assert str(exc.value) == "sample 1: non-finite value for 6"

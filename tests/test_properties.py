@@ -21,7 +21,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from wikistream.analysis import SET3_TARGET1, SET3_TARGET2
+from wikistream.analysis import FEATURE_SETS, SET3_TARGET1, SET3_TARGET2
 from wikistream.ingest import (
     AGGREGATE_COLUMNS,
     EVENT_COLUMNS,
@@ -50,12 +50,13 @@ from wikistream.model import (
     FEATURE_IDS,
     FEATURE_INDEX,
     PROBABILITY_GROUPS,
+    AggregateBatch,
     DailyAggregate,
     EditEvent,
     ValidationError,
     feature_columns,
 )
-from wikistream.profiling import ProfileStore
+from wikistream.profiling import ProfileStore, to_feature_vector
 from wikistream.sim import write_events
 
 PATTERNS = ("uniform", "constant", "ties", "wide")
@@ -626,3 +627,44 @@ def test_profile_is_independent_of_fold_order(data):
             # subnormal running means may differ in their last bits
             assert math.isclose(x, y, rel_tol=1e-9,
                                 abs_tol=sys.float_info.min), fid
+
+
+@st.composite
+def profile_streams(draw):
+    """Rows of a few contributors, each with one ``is_bot`` flag, in
+    stream order."""
+    ids = draw(st.lists(names, min_size=1, max_size=5, unique=True))
+    bots = {cid: draw(st.booleans()) for cid in ids}
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from(ids), st.dates(date(2020, 1, 1), date(2021, 12, 31)),
+        aggregate_values()), max_size=25))
+    return [DailyAggregate(cid, day, bots[cid], values)
+            for cid, day, values in rows]
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=profile_streams(), split=st.integers(0, 25))
+def test_bulk_fold_equals_row_by_row_fold(rows, split):
+    """``ProfileStore.fold`` gives the rows, feature matrices and final
+    profiles of ``update`` row by row, bit for bit, also when both
+    continue from the same exported-then-imported profiles."""
+    head, tail = rows[:split], rows[split:]
+    seed = ProfileStore()
+    for agg in head:
+        seed.update(agg)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "profiles.jsonl"
+        seed.export_jsonl(path)
+        by_row, bulk = (ProfileStore.import_jsonl(path) for _ in range(2))
+    expected = np.array([by_row.update(agg) for agg in tail])
+    folded = bulk.fold(AggregateBatch.of(tail))
+    assert folded.tobytes() == expected.tobytes()
+    for feature_set in FEATURE_SETS.values():
+        assert to_feature_vector(folded, feature_set).tobytes() == b"".join(
+            to_feature_vector(row, feature_set).tobytes() for row in expected)
+    assert [p.contributor_id for p in bulk.profiles()] == \
+        [p.contributor_id for p in by_row.profiles()]
+    for a, b in zip(by_row.profiles(), bulk.profiles()):
+        assert (a.is_bot, a.n_updates, a.first_seen, a.last_seen) == \
+            (b.is_bot, b.n_updates, b.first_seen, b.last_seen)
+        assert a.values.tobytes() == b.values.tobytes()
