@@ -10,6 +10,7 @@ stacking model that classifies user type and contribution type jointly.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .analysis import SET2, SET3_TARGET1, SET3_TARGET2
 from .model import ValidationError, feature_columns, joint_class
 
 VARIANCE_FLOOR = 1e-9
+_LEAST = np.nextafter(0.0, 1.0)
 
 # Fixed Hoeffding tree settings (Domingos & Hulten 2000). Checkpoints
 # carry them, and ``from_state`` rejects a checkpoint with other values.
@@ -36,10 +38,6 @@ _TREE_CHECKS = {"kind": "hoeffding_tree", **_TREE_SETTINGS}
 def hoeffding_bound(value_range, delta, n):
     """Confidence radius licensing a split from n observations."""
     return math.sqrt(value_range ** 2 * math.log(1.0 / delta) / (2.0 * n))
-
-
-def _normal_cdf(z):
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
 def _check_settings(state, settings, where=""):
@@ -68,12 +66,42 @@ def _check_integer(value, least, field):
                               field=field)
 
 
-def _entropy(counts):
-    total = counts.sum()
-    if total <= 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
+def _entropy(counts, total):
+    """The entropy in bits of each row of class weights ``counts`` (the
+    class axis last, contiguous) with row sums ``total``: bit for bit
+    ``-(p * log2(p)).sum()`` over the row's nonzero p = counts / total
+    alone; 0 where the total is 0."""
+    # the least positive float stands in for a total of 0, and for p = 0
+    # in the log, whose term is then 0
+    p = counts / np.maximum(total, _LEAST)[..., None]
+    terms = p * np.log2(np.maximum(p, _LEAST))
+    if counts.shape[-1] < 8:
+        # numpy adds fewer than eight values in order: zeros in place
+        # change no sum
+        return -terms.sum(axis=-1)
+    # from eight on it adds them pairwise, so each row's nonzero terms,
+    # moved to the front in order, are summed alone
+    live = counts > 0
+    n = live.sum(axis=-1)
+    terms = np.take_along_axis(
+        terms, np.argsort(~live, axis=-1, kind="stable"), axis=-1)
+    sums = np.empty(n.shape)
+    for k in np.unique(n).tolist():
+        rows = n == k
+        sums[rows] = terms[rows, :k].sum(axis=-1)
+    return -sums
+
+
+def _check_finite(row):
+    """Raise ValidationError naming the first feature of the list of
+    floats ``row`` that is not finite."""
+    # a finite sum proves every value finite; only a row with a
+    # non-finite value or an overflowing sum is scanned
+    if not math.isfinite(sum(row)):
+        bad = [i for i, v in enumerate(row) if not math.isfinite(v)]
+        if bad:
+            raise ValidationError(
+                f"non-finite value {row[bad[0]]!r} at feature {bad[0]}")
 
 
 class OnlineClassifier:
@@ -96,9 +124,13 @@ class OnlineClassifier:
         self.n_features = None
 
     def _check_arity(self, x):
+        """``x`` as a float array: a flat, non-empty vector of finite
+        features as long as the first call's, else ValidationError
+        before any state changes."""
         x = np.asarray(x, dtype=float)
-        if x.ndim != 1:
-            raise ValidationError("expected a flat feature vector")
+        if x.ndim != 1 or not len(x):
+            raise ValidationError("expected a flat, non-empty feature vector")
+        _check_finite(x.tolist())
         if self.n_features is None:
             self.n_features = x.shape[0]
         elif x.shape[0] != self.n_features:
@@ -223,23 +255,6 @@ def _feature_count(state):
     """The checkpoint's ``n_features``, which its learned trees need."""
     _check_integer(_field(state, "n_features"), 1, "n_features")
     return state["n_features"]
-
-
-def _split_gain(counts, mean, m2, feature, threshold, base_entropy):
-    """Info gain of splitting a leaf's (counts, mean, m2) at ``threshold``,
-    with each class's side counts estimated through its Gaussian CDF."""
-    total = counts.sum()
-    left = np.zeros(len(counts))
-    for k in range(len(counts)):
-        if counts[k] <= 0:
-            continue
-        var = max(m2[k, feature] / counts[k], VARIANCE_FLOOR)
-        z = (threshold - mean[k, feature]) / math.sqrt(var)
-        left[k] = counts[k] * _normal_cdf(z)
-    right = counts - left
-    nl, nr = left.sum(), right.sum()
-    weighted = (nl * _entropy(left) + nr * _entropy(right)) / total
-    return base_entropy - weighted
 
 
 def _fold(x, mean, m2, n, weight):
@@ -383,40 +398,58 @@ class TreeStore:
             self.seen[leaf] = seen
 
     def _attempt_split(self, m, node):
+        """Split leaf ``node`` of member ``m``'s tree if its best
+        candidate passes the Hoeffding test. Every candidate, one
+        threshold per (feature, class pair), is scored in one array pass
+        over the member's own ``width[m]`` features: the thresholds as a
+        (feature, pair) array, each class's weight left of them (its
+        count times its Gaussian CDF) as (feature, pair, class), and both
+        sides' entropies in one call."""
         if self.depth[node] >= HOEFFDING_MAX_DEPTH:
             return
-        counts, mean, m2 = self.counts[node], self.mean[node], self.m2[node]
-        present = [k for k in range(len(counts)) if counts[k] >= 2]
+        counts = self.counts[node]
+        present = [k for k, n in enumerate(counts.tolist()) if n >= 2]
         if len(present) < 2:
             return
-        base_entropy = _entropy(counts)
+        total = counts.sum()
+        base_entropy = _entropy(counts, total)
         if base_entropy <= 0.0:
             return
-
-        best = []  # per-feature best (gain, feature, threshold)
-        for f in range(self.width[m]):
-            gain, threshold = 0.0, None
-            for i, a in enumerate(present):
-                for b in present[i + 1:]:
-                    candidate = 0.5 * (mean[a, f] + mean[b, f])
-                    g = _split_gain(counts, mean, m2, f, candidate,
-                                    base_entropy)
-                    if g > gain:
-                        gain, threshold = g, candidate
-            if threshold is not None:
-                best.append((gain, f, threshold))
-        if not best:
-            return
-        best.sort(key=lambda item: -item[0])
-        g1, feature, threshold = best[0]
-        g2 = best[1][0] if len(best) > 1 else 0.0
-        n_total = counts.sum()
+        d = self.width[m]
+        mean = self.mean[node, :, :d]
+        a, b = np.array(list(combinations(present, 2))).T
+        thresholds = (0.5 * (mean[a] + mean[b])).T
+        # a class without weight divides by 1: its share, weight 0 times
+        # its CDF, is 0
+        n = np.where(counts > 0, counts, 1.0)[:, None]
+        sd = np.sqrt(np.maximum(self.m2[node, :, :d] / n, VARIANCE_FLOOR)).T
+        z = (thresholds[:, :, None] - mean.T[:, None]) / sd[:, None]
+        # the Gaussian CDF through math.erf, element by element: a
+        # vectorised erf may differ in the last bit
+        scaled = (z / math.sqrt(2.0)).ravel().tolist()
+        erf = np.array(list(map(math.erf, scaled))).reshape(z.shape)
+        cdf = 0.5 * (1.0 + erf)
+        sides = np.empty((2,) + z.shape)
+        np.multiply(counts, cdf, out=sides[0])
+        np.subtract(counts, sides[0], out=sides[1])
+        sums = sides.sum(axis=-1)
+        left, right = sums * _entropy(sides, sums)
+        gain = base_entropy - (left + right) / total
+        # a feature's best pair is its first highest gain above 0; the
+        # first feature of the highest wins, and the runner-up is the
+        # best of another feature, 0 without one
+        gain = np.fmax(gain, 0.0)
+        best = gain.max(axis=1).tolist()
+        g1 = max(best)
+        feature = best.index(g1)
+        g2 = sorted(best)[-2] if d > 1 else 0.0
         value_range = math.log2(max(2, len(counts)))
-        epsilon = hoeffding_bound(value_range, HOEFFDING_DELTA, n_total)
+        epsilon = hoeffding_bound(value_range, HOEFFDING_DELTA, total)
         if g1 > 1e-12 and (g1 - g2 > epsilon
                            or epsilon < HOEFFDING_TIE_THRESHOLD):
+            threshold = thresholds[feature, gain[feature].argmax()]
             children = self._split(m, node, feature, threshold)
-            self.fallback[children] = counts / n_total
+            self.fallback[children] = counts / total
 
     def _split(self, m, node, feature, threshold):
         """Turn leaf ``node`` of member ``m``'s tree into a split on its
@@ -990,10 +1023,11 @@ class StackingModel:
         if x.shape != (len(self.features),):
             raise ValidationError(
                 f"expected {len(self.features)} features, got shape {x.shape}")
+        row = x.tolist()
+        _check_finite(row)
         if self.store is None:
             self._share()
         store, size = self.store, STACKING_ENSEMBLE_SIZE
-        row = x.tolist()
         first = np.array(store.route(row, 0, 2 * size), dtype=np.intp)
         first_counts = store.counts[first]
         level_one = store.distributions(first, first_counts).reshape(

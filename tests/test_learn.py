@@ -5,11 +5,13 @@ import pytest
 
 from wikistream.analysis import SET3_TARGET1, SET3_TARGET2
 from wikistream.learn import (
+    HOEFFDING_MAX_DEPTH,
     BaggingForest,
     GaussianNaiveBayes,
     HoeffdingTree,
     OnlineBoosting,
     StackingModel,
+    TreeStore,
     hoeffding_bound,
     make_classifier,
 )
@@ -145,6 +147,102 @@ class TestHoeffdingTree:
         for x in probe:
             assert np.allclose(restored.predict_proba(x),
                                tree.predict_proba(x))
+
+
+def attempted(counts, mean, m2=0.0, depth=0):
+    """A one-member store whose root leaf, at ``depth``, holds class
+    ``counts`` and per-class ``mean`` and ``m2`` rows (one entry per
+    feature; m2 0 is the variance floor), after one split attempt."""
+    mean = np.array(mean, dtype=float)
+    store = TreeStore([np.arange(mean.shape[1])], len(counts))
+    store.counts[0], store.mean[0], store.m2[0] = counts, mean, m2
+    store.depth[0] = depth
+    store._attempt_split(0, 0)
+    return store
+
+
+# Three classes with far apart means on feature 0: the pairs (0, 1) at
+# 5 and (1, 2) at 15 each part one class from the other two, with equal
+# gains, above the Hoeffding radius of 3000 examples; (0, 2) at 10 halves
+# class 1 and gains less.
+THREE_CLASSES = [1000.0] * 3
+SPREAD = [0.0, 10.0, 20.0]
+
+
+class TestSplitTieBreaks:
+    def test_lowest_feature_wins_equal_gains(self):
+        # features 1 and 2 part the classes alike; feature 0, of unit
+        # variance, less; 2e5 examples shrink the radius below the tie
+        # threshold
+        store = attempted([1e5, 1e5], [[0.0, 0.0, 0.0], [1.0, 10.0, 10.0]],
+                          [[1e5, 0.0, 0.0]] * 2)
+        assert store.nodes[0] == (1, 5.0, 1, 2)
+
+    def test_first_class_pair_wins_within_a_feature(self):
+        store = attempted(THREE_CLASSES, [[m] for m in SPREAD])
+        assert store.nodes[0] == (0, 5.0, 1, 2)
+
+    def test_leaf_at_max_depth_never_splits(self):
+        mean = [[m] for m in SPREAD]
+        assert attempted(THREE_CLASSES, mean,
+                         depth=HOEFFDING_MAX_DEPTH).is_leaf(0)
+        store = attempted(THREE_CLASSES, mean, depth=HOEFFDING_MAX_DEPTH - 1)
+        assert not store.is_leaf(0)
+        assert store.depth[[1, 2]].tolist() == [HOEFFDING_MAX_DEPTH] * 2
+
+    def test_runner_up_is_zero_with_one_scoring_feature(self):
+        # feature 1 gives every class one mean, so only feature 0 scores;
+        # its second best pair's equal gain is not the runner-up, which
+        # would leave a gap of 0, below the radius
+        store = attempted(THREE_CLASSES, [[m, 5.0] for m in SPREAD])
+        assert store.nodes[0] == (0, 5.0, 1, 2)
+
+
+BAD_VECTORS = [([float("nan"), 2.0], "feature 0"),
+               ([1.0, float("inf")], "feature 1"),
+               ([-float("inf"), float("nan")], "feature 0"),
+               ([], "non-empty")]
+
+
+class TestFeatureVectorEdge:
+    """An empty or non-finite feature vector raises ValidationError
+    before any state changes, so the checkpoint stays loadable."""
+
+    @pytest.mark.parametrize("kind", ["nb", "dt", "rf", "bc"])
+    @pytest.mark.parametrize("learned", [False, True])
+    @pytest.mark.parametrize("x,named", BAD_VECTORS)
+    def test_rejected_before_any_change(self, kind, learned, x, named):
+        model = make_classifier(kind)
+        if learned:
+            model.learn_one([1.0, 2.0], 0)
+        before = model.to_state()
+        for step in (model.predict_proba, lambda x: model.learn_one(x, 0),
+                     lambda x: model.predict_learn(x, 0)):
+            with pytest.raises(ValidationError, match=named):
+                step(x)
+        assert model.to_state() == before
+        restored = type(model).from_state(model.to_state())
+        assert restored.to_state() == before
+
+    @pytest.mark.parametrize("learned", [False, True])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_stacking_rejects_a_non_finite_feature(self, learned, value):
+        model = StackingModel(seed=0)
+        if learned:
+            model.learn(profile_vector(), 1, 0)
+        before = model.to_state()
+        x = profile_vector()
+        x[5] = value
+        for step in (model.predict, lambda x: model.learn(x, 1, 0)):
+            with pytest.raises(ValidationError, match="feature 5"):
+                step(x)
+        assert model.to_state() == before
+        assert StackingModel.from_state(before).to_state() == before
+
+    @pytest.mark.parametrize("kind", ["nb", "dt", "rf", "bc"])
+    def test_flat_vector_required(self, kind):
+        with pytest.raises(ValidationError, match="flat"):
+            make_classifier(kind).learn_one([[1.0, 2.0]], 0)
 
 
 class TestBaggingForest:

@@ -32,9 +32,13 @@ from wikistream.ingest import (
     write_rows,
 )
 from wikistream.learn import (
+    HOEFFDING_DELTA,
     HOEFFDING_GRACE_PERIOD,
+    HOEFFDING_MAX_DEPTH,
+    HOEFFDING_TIE_THRESHOLD,
     POISSON_BLOCK,
     STACKING_ENSEMBLE_SIZE,
+    VARIANCE_FLOOR,
     BaggingForest,
     HoeffdingTree,
     OnlineBoosting,
@@ -42,6 +46,7 @@ from wikistream.learn import (
     TreeStore,
     _fold,
     _substream,
+    hoeffding_bound,
     make_classifier,
 )
 from wikistream.model import (
@@ -422,6 +427,145 @@ def test_ragged_members_are_their_own_trees(seed, n, n_classes, pattern):
         assert {column for column, *_ in ragged.nodes} <= \
             set(sum(columns, [-1]))
     event(f"ragged splits: {sum(c >= 0 for c, *_ in ragged.nodes)}")
+
+
+def reference_entropy(counts):
+    total = counts.sum()
+    if total <= 0:
+        return 0.0
+    p = counts[counts > 0] / total
+    return float(-(p * np.log2(p)).sum())
+
+
+def normal_cdf(z):
+    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+
+def reference_gain(counts, mean, m2, feature, threshold, base_entropy):
+    """Info gain of splitting a leaf at ``threshold``, each class's side
+    counts estimated through its Gaussian CDF, one class at a time."""
+    total = counts.sum()
+    left = np.zeros(len(counts))
+    for k in range(len(counts)):
+        if counts[k] <= 0:
+            continue
+        var = max(m2[k, feature] / counts[k], VARIANCE_FLOOR)
+        z = (threshold - mean[k, feature]) / math.sqrt(var)
+        left[k] = counts[k] * normal_cdf(z)
+    right = counts - left
+    nl, nr = left.sum(), right.sum()
+    weighted = (nl * reference_entropy(left)
+                + nr * reference_entropy(right)) / total
+    return base_entropy - weighted
+
+
+class ReferenceSearch(TreeStore):
+    """The split search written out: every (feature, class pair)
+    candidate scored on its own, in feature then pair order."""
+
+    def _attempt_split(self, m, node):
+        if self.depth[node] >= HOEFFDING_MAX_DEPTH:
+            return
+        counts, mean, m2 = self.counts[node], self.mean[node], self.m2[node]
+        present = [k for k in range(len(counts)) if counts[k] >= 2]
+        if len(present) < 2:
+            return
+        base_entropy = reference_entropy(counts)
+        if base_entropy <= 0.0:
+            return
+        best = []  # per-feature best (gain, feature, threshold)
+        for f in range(self.width[m]):
+            gain, threshold = 0.0, None
+            for i, a in enumerate(present):
+                for b in present[i + 1:]:
+                    candidate = 0.5 * (mean[a, f] + mean[b, f])
+                    g = reference_gain(counts, mean, m2, f, candidate,
+                                       base_entropy)
+                    if g > gain:
+                        gain, threshold = g, candidate
+            if threshold is not None:
+                best.append((gain, f, threshold))
+        if not best:
+            return
+        best.sort(key=lambda item: -item[0])
+        g1, feature, threshold = best[0]
+        g2 = best[1][0] if len(best) > 1 else 0.0
+        n_total = counts.sum()
+        value_range = math.log2(max(2, len(counts)))
+        epsilon = hoeffding_bound(value_range, HOEFFDING_DELTA, n_total)
+        if g1 > 1e-12 and (g1 - g2 > epsilon
+                           or epsilon < HOEFFDING_TIE_THRESHOLD):
+            children = self._split(m, node, feature, threshold)
+            self.fallback[children] = counts / n_total
+
+
+@st.composite
+def split_leaves(draw):
+    """A leaf of 2 to 9 classes to attempt a split at: (counts, mean, m2,
+    depth, member width), the moments as wide as a store of up to 31
+    features and the member up to as wide. Class counts are 0, below 2
+    or whole up to 1e6, mostly one value shared, so that partitions of as
+    many classes tie. The columns permute a few class layouts of means
+    and variances (m2 over the count, 0 at the variance floor), often
+    from a few levels, so that candidates tie or differ only in the
+    order their terms add in."""
+    n_classes = draw(st.integers(2, 7) | st.integers(8, 9))
+
+    def vector(entries):
+        return st.lists(entries, min_size=n_classes, max_size=n_classes)
+
+    count = (st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 1e4, 1e6])
+             | st.integers(0, 10 ** 6).map(float))
+    if draw(st.integers(0, 3)):
+        shared = draw(count)
+        counts = draw(vector(st.sampled_from([shared, shared, 0.0])))
+    else:
+        counts = draw(vector(count))
+    level = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+    layout = st.tuples(vector(level) | vector(st.floats(-100.0, 100.0)),
+                       vector(st.floats(0.0, 1.0)) | vector(level))
+    layouts = draw(st.lists(layout, min_size=1, max_size=4))
+    width = draw(st.integers(1, 31))
+    columns = []
+    for _ in range(width):
+        means, variances = draw(st.sampled_from(layouts))
+        order = draw(st.permutations(range(n_classes)))
+        columns.append([(means[k], variances[k] * counts[k]) for k in order])
+    mean, m2 = np.array(columns).transpose(2, 1, 0)
+    depth = draw(st.integers(0, HOEFFDING_MAX_DEPTH))
+    return np.array(counts), mean, m2, depth, draw(st.integers(1, width))
+
+
+@settings(max_examples=300, deadline=None)
+@given(leaf=split_leaves())
+# numpy adds the 8 entropy terms of the left sides pairwise; summed with
+# the dead class's 0 in place, feature 1 wins
+@example(leaf=(
+    np.array([1e4, 0.0] + [1e4] * 7),
+    np.array([[0.0, 1.0, 1.0, 1.0, 3.0, 2.0, 2.0, 1.0, 0.0],
+              [0.0, 1.0, 0.0, 1.0, 3.0, 2.0, 2.0, 1.0, 1.0]]).T,
+    np.array([[2.0, 0.0, 3.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0],
+              [2.0, 0.0, 2.0, 3.0, 1.0, 1.0, 2.0, 1.0, 2.0]]).T * 1e4,
+    0, 2))
+def test_split_search_is_the_scalar_reference(leaf):
+    """The array pass makes the scalar search's decision: the same node
+    tuple, children's fallbacks and depths, also on ragged members and
+    on ties, whose lowest feature and first class pair win."""
+    counts, mean, m2, depth, member_width = leaf
+    stores = []
+    for cls in (TreeStore, ReferenceSearch):
+        # member 1 is narrower than the store, or as wide
+        store = cls([np.arange(mean.shape[1]), np.arange(member_width)],
+                    len(counts))
+        store.counts[1], store.mean[1], store.m2[1] = counts, mean, m2
+        store.depth[1] = depth
+        store._attempt_split(1, 1)
+        stores.append(store)
+    array, scalar = stores
+    assert repr(array.nodes) == repr(scalar.nodes)
+    assert array.fallback.tobytes() == scalar.fallback.tobytes()
+    assert array.depth.tolist() == scalar.depth.tolist()
+    event(f"classes >= 8: {len(counts) >= 8}, split: {len(array.nodes) > 2}")
 
 
 # Class counts that tie, cancel to a zero total, or sum to another
