@@ -19,6 +19,9 @@ from .model import FEATURE_IDS, AggregateBatch, ValidationError, feature_columns
 
 DEFAULT_CORRELATION_THRESHOLD = 0.15
 DEFAULT_L1_STRENGTH = 0.01
+L1_TOL = 1e-8
+L1_MAX_ITER = 10_000
+RFE_SET_NAME = "rfe"
 
 
 @dataclass(frozen=True)
@@ -198,13 +201,12 @@ def _soft_threshold(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-def fit_l1_linear(X, y, strength=DEFAULT_L1_STRENGTH,
-                  tol=1e-8, max_iter=10_000):
+def fit_l1_linear(X, y, strength=DEFAULT_L1_STRENGTH):
     """L1-regularized logistic regression by proximal gradient descent.
 
     Expects standardized columns. Backtracking line search keeps the
     objective non-increasing; stops once the improvement drops below
-    ``tol`` or after ``max_iter`` iterations. The bias is unpenalized.
+    L1_TOL or after L1_MAX_ITER iterations. The bias is unpenalized.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -224,7 +226,7 @@ def fit_l1_linear(X, y, strength=DEFAULT_L1_STRENGTH,
     history = [objective]
     iterations = 0
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, L1_MAX_ITER + 1):
         while True:
             w_new = _soft_threshold(w - step * grad_w, step * strength)
             b_new = b - step * grad_b
@@ -244,7 +246,7 @@ def fit_l1_linear(X, y, strength=DEFAULT_L1_STRENGTH,
         if objective_new <= objective:
             objective = objective_new
         history.append(objective)
-        if 0 <= improvement < tol:
+        if 0 <= improvement < L1_TOL:
             break
 
     return LinearModel(
@@ -263,8 +265,7 @@ class EliminationResult:
     elimination_order: list  # feature ids, first removed first
 
 
-def rfe(X, y, feature_ids, target_count, step_fraction=0.05,
-        strength=DEFAULT_L1_STRENGTH, name="rfe"):
+def rfe(X, y, feature_ids, target_count, step_fraction=0.05):
     """Recursive feature elimination over the L1 linear model.
 
     Each round refits, ranks features by |weight| and drops the
@@ -285,7 +286,7 @@ def rfe(X, y, feature_ids, target_count, step_fraction=0.05,
     eliminated = []
     while len(surviving) > target_count:
         Z = standardize(X[:, surviving])
-        model = fit_l1_linear(Z, y, strength=strength)
+        model = fit_l1_linear(Z, y)
         n_drop = max(1, int(step_fraction * len(surviving)))
         n_drop = min(n_drop, len(surviving) - target_count)
         ranking = np.argsort(np.abs(model.weights), kind="stable")
@@ -294,4 +295,4 @@ def rfe(X, y, feature_ids, target_count, step_fraction=0.05,
         surviving = [idx for k, idx in enumerate(surviving) if k not in set(drop)]
 
     kept = tuple(feature_ids[j] for j in surviving)
-    return EliminationResult(FeatureSet(name, kept), eliminated)
+    return EliminationResult(FeatureSet(RFE_SET_NAME, kept), eliminated)

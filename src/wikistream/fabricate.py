@@ -16,15 +16,21 @@ import numpy as np
 from .analysis import SET2, feature_matrix
 from .ingest import write_rows
 from .model import (
+    COUNT_FLOORS,
     FEATURE_IDS,
     FEATURE_INDEX,
+    PROB_COLUMNS,
     PROBABILITY_GROUPS,
     AggregateBatch,
     ValidationError,
+    contributor_slots,
     feature_columns,
+    largest_remainder,
+    probability_group_sums,
 )
 
 KMEANS_MAX_ITER = 300
+BOT_CLUSTERS = 2  # K-means clusters modelling the bots, at most one per bot
 _REVIEWS = FEATURE_INDEX["3"]
 
 
@@ -42,9 +48,7 @@ class QuartileStats:
     n_samples: int
 
     def __post_init__(self):
-        stacked = np.vstack([self.mins, self.q1s, self.medians,
-                             self.q3s, self.maxs])
-        if np.any(np.diff(stacked, axis=0) < -1e-12):
+        if np.any(np.diff(self.boundaries(), axis=0) < -1e-12):
             raise ValidationError("quartile statistics must be monotone")
 
     def boundaries(self):
@@ -53,15 +57,19 @@ class QuartileStats:
                           self.q3s, self.maxs])
 
 
+def _matrix(samples):
+    """An (n, d) matrix or a single vector (one feature) as a matrix."""
+    X = np.asarray(samples, dtype=float)
+    return X[:, None] if X.ndim == 1 else X
+
+
 def quartile_stats(samples, feature_ids=None):
     """Quartiles by linear interpolation between closest order statistics.
 
     ``samples`` is an (n, d) matrix or a single vector (treated as one
-    feature).
+    feature); ``feature_ids`` default to the column numbers.
     """
-    X = np.asarray(samples, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = _matrix(samples)
     if X.shape[0] < 1:
         raise ValidationError("need at least one sample")
     if feature_ids is None:
@@ -110,9 +118,7 @@ def kmeans_fit(samples, k, seed=0, initial_centroids=None, feature_ids=None):
     emptied cluster is re-seeded at the sample farthest from its
     centroid.
     """
-    X = np.asarray(samples, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = _matrix(samples)
     if k < 1 or len(X) < k:
         raise ValidationError(f"need k in [1, n_samples], got k={k}, n={len(X)}")
     centroids = (np.array(initial_centroids, dtype=float)
@@ -134,8 +140,6 @@ def kmeans_fit(samples, k, seed=0, initial_centroids=None, feature_ids=None):
             break
         assignments = new_assignments
 
-    if feature_ids is None:
-        feature_ids = tuple(str(j) for j in range(X.shape[1]))
     cluster_stats = []
     for c in range(k):
         members = X[assignments == c]
@@ -157,9 +161,7 @@ def k_selection_curve(samples, k_range, seed=0):
     Each K also warm-starts from the previous solution plus the farthest
     sample, so the reported curve is non-increasing.
     """
-    X = np.asarray(samples, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = _matrix(samples)
     curve = []
     prev = None
     for k in k_range:
@@ -190,8 +192,7 @@ class SyntheticBatch:
 
 def split_across_intervals(count):
     """floor(count/4) per interval, remainder to the earliest intervals."""
-    base, remainder = divmod(count, 4)
-    return tuple(base + (1 if i < remainder else 0) for i in range(4))
+    return tuple(largest_remainder((1, 1, 1, 1), count, 0))
 
 
 def generate_synthetic(stats, count, seed=0):
@@ -223,21 +224,6 @@ def generate_synthetic(stats, count, seed=0):
     )
 
 
-def _renormalize_probability_groups(values):
-    """Rescale each probability group of canonical rows, in place, to sum
-    to one: each group's columns added left to right, and a group that
-    sums to 0 made uniform."""
-    for group in PROBABILITY_GROUPS:
-        columns = feature_columns(group)
-        total = values[:, columns[0]]
-        for column in columns[1:]:
-            total = total + values[:, column]
-        values[:, columns] = np.divide(
-            values[:, columns], total[:, None],
-            out=np.full((len(values), len(columns)), 1.0 / len(columns)),
-            where=(total > 0)[:, None])
-
-
 def synthetic_to_aggregates(batch, start_day, end_day, seed=0, id_offset=0):
     """Shape raw synthetic rows into an AggregateBatch of bot rows.
 
@@ -253,9 +239,16 @@ def synthetic_to_aggregates(batch, start_day, end_day, seed=0, id_offset=0):
     n = len(batch.values)
     offsets = rng.integers(0, span + 1, size=n)
     values = np.array(batch.values, dtype=float)
-    _renormalize_probability_groups(values)
-    reviews = values[:, _REVIEWS]
-    values[:, _REVIEWS] = np.where(reviews > 1.0, reviews, 1.0)
+    # probabilities are the last columns; a group summing to 0 turns uniform
+    totals = probability_group_sums(values[:, -len(PROB_COLUMNS):])
+    for group, total in zip(PROBABILITY_GROUPS, totals.T):
+        columns = feature_columns(group)
+        values[:, columns] = np.divide(
+            values[:, columns], total[:, None],
+            out=np.full((n, len(columns)), 1.0 / len(columns)),
+            where=(total > 0)[:, None])
+    reviews, floor = values[:, _REVIEWS], COUNT_FLOORS["f3"]
+    values[:, _REVIEWS] = np.where(reviews > floor, reviews, floor)
     return AggregateBatch(
         np.array([f"syn-bot-{id_offset + i:06d}" for i in range(n)],
                  dtype=object),
@@ -263,44 +256,39 @@ def synthetic_to_aggregates(batch, start_day, end_day, seed=0, id_offset=0):
         np.ones(n, dtype=bool), np.ones(n, dtype=bool), values)
 
 
-def synthesize_bot_samples(aggregates, count, seed=0, k=2):
-    """Model bot aggregates with K-means and generate ``count`` samples.
+def synthesize_bot_samples(aggregates, count, seed=0):
+    """Model bot aggregates with K-means (BOT_CLUSTERS clusters) and
+    generate ``count`` samples, at least 1.
 
     The requested count is split across clusters proportionally to
     cluster sizes (largest remainder). Returns (batches, model).
     """
+    if count < 1:
+        raise ValidationError(f"{count} is below 1", field="count")
     batch = AggregateBatch.of(aggregates)
     bots = batch[batch.is_bot]
     if not len(bots):
         raise ValidationError("cannot model bot class: no bot samples")
     X = feature_matrix(bots, SET2)
-    k = min(k, len(bots))
+    k = min(BOT_CLUSTERS, len(bots))
     model = kmeans_fit(X, k, seed=seed, feature_ids=SET2.feature_ids)
-
-    sizes = np.bincount(model.assignments, minlength=k)
-    raw = sizes / sizes.sum() * count
-    alloc = np.floor(raw).astype(int)
-    remainder = count - alloc.sum()
-    by_fraction = np.argsort(-(raw - alloc), kind="stable")
-    for c in by_fraction[:remainder]:
-        alloc[c] += 1
-
+    alloc = largest_remainder(np.bincount(model.assignments, minlength=k),
+                              count, 0)
     batches = []
     for c in range(k):
         if alloc[c] == 0 or model.cluster_stats[c] is None:
             continue
         batches.append(generate_synthetic(
-            model.cluster_stats[c], int(alloc[c]), seed=seed + c + 1))
+            model.cluster_stats[c], alloc[c], seed=seed + c + 1))
     return batches, model
 
 
 def contributor_gap(aggregates):
-    """Human contributors minus bot contributors."""
+    """Human minus bot contributors, each by its first row's flag."""
     batch = AggregateBatch.of(aggregates)
-    # reversed, the first row of each contributor is written last
-    contributors = dict(zip(batch.contributor_ids[::-1].tolist(),
-                            batch.is_bot[::-1].tolist()))
-    return len(contributors) - 2 * sum(contributors.values())
+    _, ids, _, flags, _, _ = contributor_slots(
+        batch.contributor_ids.tolist(), batch.is_bot, {})
+    return len(ids) - 2 * int(flags.sum())
 
 
 def synthesize_bot_aggregates(aggregates, count, seed):

@@ -40,7 +40,9 @@ from .model import (
     ValidationError,
     check_finite,
     check_rows,
+    contributor_slots,
     event_counts,
+    flag_change_error,
     joint_class,
 )
 
@@ -297,12 +299,9 @@ def parse_events(path):
 
 def _check_bot_flags(contributor_ids, flags):
     """Reject a contributor whose ``is_bot`` flag changes between rows."""
-    first = {}
-    for contributor_id, flag in zip(contributor_ids, flags):
-        if first.setdefault(contributor_id, flag) != flag:
-            raise ValidationError(
-                f"contributor {contributor_id!r} changes its is_bot "
-                "flag between rows", field="is_bot")
+    change = contributor_slots(contributor_ids, flags, {})[-1]
+    if change is not None:
+        raise flag_change_error(contributor_ids[change])
 
 
 def aggregate_daily(events):

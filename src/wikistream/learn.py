@@ -313,19 +313,9 @@ class TreeStore:
     def is_leaf(self, node):
         return self.nodes[node][0] < 0
 
-    def descend(self, node, x):
-        """The leaf input row ``x`` reaches from node ``node``; from node
-        m, the leaf it reaches in member m's tree."""
-        nodes = self.nodes
-        column, threshold, left, right = nodes[node]
-        while column >= 0:
-            node = left if x[column] <= threshold else right
-            column, threshold, left, right = nodes[node]
-        return node
-
     def route(self, row, start, stop):
-        """``descend`` from the roots of members ``start`` to ``stop``:
-        the leaf input row ``row`` reaches in each of their trees."""
+        """The leaf input row ``row`` reaches from each node ``start`` to
+        ``stop`` - 1: from nodes m to n, in members m to n - 1's trees."""
         nodes = self.nodes
         leaves = []
         for node in range(start, stop):
@@ -558,14 +548,14 @@ class HoeffdingTree(OnlineClassifier):
         x = self._check_arity(x)
         self._ensure(x.shape[0])
         store = self.store
-        store.learn_member(0, store.descend(0, x), x,
+        store.learn_member(0, store.route(x, 0, 1)[0], x,
                            self.classes.index(y), 1)
 
     def predict_proba(self, x):
         x = self._check_arity(x)
         if self.store is None:
             return np.full(len(self.classes), 1.0 / len(self.classes))
-        leaves = [self.store.descend(0, x)]
+        leaves = self.store.route(x, 0, 1)
         return self.store.distributions(leaves, self.store.counts[leaves])[0]
 
     def to_state(self):
@@ -868,7 +858,7 @@ class OnlineBoosting(_Ensemble):
             if w > 0:
                 store.learn_member(m, leaf, x, k, w)
                 if not store.is_leaf(leaf):  # the learn split it
-                    leaf = store.descend(leaf, x)
+                    leaf = store.route(x, leaf, leaf + 1)[0]
             if store.winner(leaf) == k:
                 correct[m] += lam
                 lam *= (correct[m] + wrong[m]) / (2.0 * correct[m])

@@ -128,29 +128,35 @@ def check_finite(values, names, line):
                                   line=line)
 
 
+def probability_group_sums(probs):
+    """Each group's sum, its columns added left to right, per row of the
+    (rows, 19) PROB_COLUMNS matrix ``probs``: a (rows, groups) matrix."""
+    sums = np.empty((len(probs), len(_PROB_GROUP_SLICES)))
+    for g, (_, span) in enumerate(_PROB_GROUP_SLICES):
+        total = probs[:, span.start]
+        for column in range(span.start + 1, span.stop):
+            total = total + probs[:, column]
+        sums[:, g] = total
+    return sums
+
+
 def check_rows(counts, probs, count_names, lines=None):
     """Check event or aggregate rows in bulk: every cell of the (rows, c)
     matrix ``counts``, with columns ``count_names``, and of the (rows,
     19) matrix ``probs``, in PROB_COLUMNS order, finite; each count at
     least its floor (COUNT_FLOORS, else 0); and each row of ``probs`` one
     probability vector per group: values in [0, 1] summing to 1 within
-    PROB_TOL, each group's columns added left to right, as Python's
-    ``sum`` does. Raises ValidationError with the line (``lines[i]`` of
-    row i) and field of the first breach in row order; within a row, the
-    first non-finite cell, then the counts in column order (``f3``, the
-    one floor above 0, leads the aggregate columns), then each group's
-    values and its sum."""
+    PROB_TOL (``probability_group_sums``). Raises ValidationError with
+    the line (``lines[i]`` of row i) and field of the first breach in row
+    order; within a row, the first non-finite cell, then the counts in
+    column order (``f3``, the one floor above 0, leads the aggregate
+    columns), then each group's values and its sum."""
     floors = [COUNT_FLOORS.get(name, 0) for name in count_names]
     bad_counts = ~(np.isfinite(counts) & (counts >= np.array(floors)))
     bad_probs = ~((probs >= 0.0) & (probs <= 1.0))  # NaN fails both
-    sums = []
     with np.errstate(invalid="ignore"):  # inf + -inf in a bad group
-        for _, span in _PROB_GROUP_SLICES:
-            total = probs[:, span.start]
-            for column in range(span.start + 1, span.stop):
-                total = total + probs[:, column]
-            sums.append(total)
-    bad_sums = np.abs(np.column_stack(sums) - 1.0) > PROB_TOL
+        sums = probability_group_sums(probs)
+    bad_sums = np.abs(sums - 1.0) > PROB_TOL
     bad = bad_counts.any(axis=1) | bad_probs.any(axis=1) | bad_sums.any(axis=1)
     if not bad.any():
         return
@@ -171,7 +177,7 @@ def check_rows(counts, probs, count_names, lines=None):
                                       field=name, line=line)
         if bad_sums[i, g]:
             raise ValidationError(
-                f"probability group sum {float(sums[g][i]):.8f} != 1",
+                f"probability group sum {float(sums[i, g]):.8f} != 1",
                 field=name, line=line)
 
 
@@ -227,6 +233,57 @@ def derive_user_type(is_bot):
 def joint_class(user_type, contribution_type):
     """Cross product of the two binary labels, as a readable name."""
     return JOINT_CLASS_NAMES[(user_type, contribution_type)]
+
+
+def largest_remainder(weights, total, least):
+    """``total`` split in proportion to ``weights`` as a list of int
+    shares of at least ``least``: the floors, raised to ``least``, then
+    one more to each, or one less from each above ``least``, by falling
+    remainder (ties to the first), cycling until they sum to ``total``."""
+    if total < least * len(weights):
+        raise ValidationError(f"{total} is below {least} per share")
+    raw = np.asarray(weights, dtype=float)
+    raw = raw / raw.sum() * total
+    floors = np.floor(raw)
+    shares = np.maximum(floors.astype(int), least)
+    diff = total - int(shares.sum())
+    order = np.argsort(floors - raw, kind="stable")
+    i = 0
+    while diff:
+        at = order[i % len(order)]
+        step = 1 if diff > 0 else -int(shares[at] > least)
+        shares[at] += step
+        diff -= step
+        i += 1
+    return shares.tolist()
+
+
+def contributor_slots(contributor_ids, is_bot, profiles):
+    """Rows grouped by contributor, a list of ids, under the bot-flag
+    rule: a contributor's ``is_bot`` is its profile's in ``profiles``,
+    else its first row's. Returns per row its slot; per slot (by first
+    row) the id, profile or None, flag and first row; and the first row
+    whose flag differs, or None."""
+    slots = {}
+    codes = np.fromiter((slots.setdefault(cid, len(slots))
+                         for cid in contributor_ids),
+                        dtype=np.intp, count=len(contributor_ids))
+    ids = list(slots)
+    stored = [profiles.get(cid) for cid in ids]
+    is_bot = np.asarray(is_bot, dtype=bool)
+    first = np.unique(codes, return_index=True)[1]
+    flags = is_bot[first]
+    for slot, profile in enumerate(stored):
+        if profile is not None:
+            flags[slot] = profile.is_bot
+    changed = np.flatnonzero(is_bot != flags[codes])
+    return (codes, ids, stored, flags, first,
+            int(changed[0]) if changed.size else None)
+
+
+def flag_change_error(contributor_id):
+    return ValidationError(f"contributor {contributor_id!r} changes its "
+                           "is_bot flag between rows", field="is_bot")
 
 
 def sample_error(index, exc):

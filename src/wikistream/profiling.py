@@ -28,7 +28,10 @@ from .model import (
     PROBABILITY_GROUPS,
     AggregateBatch,
     ValidationError,
+    contributor_slots,
     feature_columns,
+    flag_change_error,
+    probability_group_sums,
     sample_error,
 )
 
@@ -73,11 +76,6 @@ def _derive(values, weeks):
     columns[_REVIEW_RATE] = reviews / weeks
     columns[_PAGE_RATE] = columns[_PAGES] / weeks
     columns[_REVERT_FREQUENCY] = columns[_REVERTS] / reviews
-
-
-def _flag_change(contributor_id):
-    return ValidationError(f"contributor {contributor_id!r} changes its "
-                           "is_bot flag between rows", field="is_bot")
 
 
 class ContributorProfile:
@@ -173,14 +171,16 @@ class ContributorProfile:
             fail(f"{profile.values[_REVIEWS]!r} is below "
                  f"{COUNT_FLOORS['f3']}: a profile covers a review", "sums.3")
         means = dict(zip(MEAN_FEATURES, table("means", MEAN_FEATURES)))
-        for group in PROBABILITY_GROUPS:
+        sums = probability_group_sums(
+            np.array([[means[fid] for fid in PROB_FEATURE_IDS]]))[0].tolist()
+        for group, total in zip(PROBABILITY_GROUPS, sums):
             for fid in group:
                 if means[fid] > 1.0:
                     fail(f"{means[fid]!r} is not a probability in [0, 1]",
                          f"means.{fid}")
-            total = sum(means[fid] for fid in group)
             if abs(total - 1.0) > PROB_TOL:
-                fail(f"probability group sum {total:.8f} != 1",
+                # + 0.0: -0.0 reads 0.0, as in a sum from 0
+                fail(f"probability group sum {total + 0.0:.8f} != 1",
                      f"means.{group[0]}")
         profile.values[_MEANS] = list(means.values())
         _derive(profile.values,
@@ -218,35 +218,15 @@ class ProfileStore:
             profile = ContributorProfile(agg.contributor_id, agg.is_bot, agg.day)
             self._profiles[agg.contributor_id] = profile
         elif profile.is_bot != agg.is_bot:
-            raise _flag_change(agg.contributor_id)
+            raise flag_change_error(agg.contributor_id)
         profile.update(agg)
         return profile.values.copy()
-
-    def _index(self, batch):
-        """Per row of ``batch`` its contributor's slot; per slot, in order
-        of first appearance, the contributor id, its stored profile (None
-        for a new one), its ``is_bot`` flag (the profile's, else its first
-        row's) and its first row; and the ``flag_change`` index."""
-        slots = {}
-        codes = np.fromiter(
-            (slots.setdefault(cid, len(slots))
-             for cid in batch.contributor_ids.tolist()),
-            dtype=np.intp, count=len(batch))
-        ids = list(slots)
-        profiles = [self._profiles.get(cid) for cid in ids]
-        first = np.unique(codes, return_index=True)[1]
-        flags = batch.is_bot[first]
-        for slot, profile in enumerate(profiles):
-            if profile is not None:
-                flags[slot] = profile.is_bot
-        changed = np.flatnonzero(batch.is_bot != flags[codes])
-        change = int(changed[0]) if changed.size else None
-        return codes, ids, profiles, flags, first, change
 
     def flag_change(self, batch):
         """Index of the first row of ``batch`` whose ``is_bot`` flag
         differs from its contributor's profile or first row, or None."""
-        return self._index(batch)[-1]
+        return contributor_slots(batch.contributor_ids.tolist(),
+                                 batch.is_bot, self._profiles)[-1]
 
     def fold(self, batch):
         """Fold every row of ``batch``, an AggregateBatch or a list of
@@ -266,9 +246,10 @@ class ProfileStore:
         sample (``flag_change``), before anything folds in.
         """
         batch = AggregateBatch.of(batch)
-        codes, ids, profiles, flags, first, change = self._index(batch)
+        codes, ids, profiles, flags, first, change = contributor_slots(
+            batch.contributor_ids.tolist(), batch.is_bot, self._profiles)
         if change is not None:
-            raise sample_error(change, _flag_change(ids[codes[change]]))
+            raise sample_error(change, flag_change_error(ids[codes[change]]))
         state = np.zeros((len(ids), N_FEATURES))
         n = np.zeros(len(ids), dtype=np.int64)
         first_seen = batch.days[first]

@@ -17,9 +17,16 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import EVENT_COLUMNS, EventTable, write_rows
-from .model import EditEvent, ValidationError, event_counts
+from .model import EditEvent, ValidationError, event_counts, largest_remainder
 
 ARCHETYPE_NAMES = ("human-benign", "human-malign", "bot-benign", "bot-malign")
+
+# The calendar's first day and most days (ending on date.max), the page
+# count, and every archetype's Beta and Dirichlet score concentration.
+START_DAY = date(2020, 1, 1)
+MAX_DAYS = (date.max - START_DAY).days + 1
+N_PAGES = 200
+CONCENTRATION = 40.0
 
 
 @dataclass(frozen=True)
@@ -41,7 +48,6 @@ class BehaviorArchetype:
     item_means: tuple             # A..E
     art_means: tuple              # ok, attack, spam, vandalism
     wp10_means: tuple             # B, C, FA, GA, start, stub
-    concentration: float = 40.0
 
 
 # Benign quality scores sit well above the 0.5 OK line, malign well
@@ -104,10 +110,8 @@ class SimConfig:
 
     counts: dict                      # archetype name -> contributor count
     n_days: int = 30
-    start_day: date = date(2020, 1, 1)
     seed: int = 0
     noise: float = 0.0
-    n_pages: int = 200
     target_events: int = 0            # 0 = draw Poisson counts per contributor
     archetypes: dict = field(default_factory=lambda: dict(DEFAULT_ARCHETYPES))
 
@@ -121,6 +125,10 @@ class SimConfig:
             raise ValidationError("zero total population")
         if self.n_days < 1:
             raise ValidationError("span must be at least one day")
+        if self.n_days > MAX_DAYS:
+            raise ValidationError(f"span of {self.n_days} days ends past "
+                                  f"{date.max}: at most {MAX_DAYS}",
+                                  field="days")
         if type(self.seed) is not int or self.seed < 0:
             raise ValidationError(
                 f"seed {self.seed!r} is not a non-negative integer",
@@ -176,7 +184,7 @@ def _dirichlet(rng, alpha):
 def _contributor_events(contributor_id, archetype, n_events, config, rng):
     days = rng.integers(0, config.n_days, size=n_events)
     item_alpha, art_alpha, wp10_alpha = (
-        np.array(means) * archetype.concentration
+        np.array(means) * CONCENTRATION
         for means in (archetype.item_means, archetype.art_means,
                       archetype.wp10_means))
     events = []
@@ -192,8 +200,8 @@ def _contributor_events(contributor_id, archetype, n_events, config, rng):
         # in PROB_COLUMNS order, drawn before the page id: the order of
         # the draws fixes the generated stream
         probs = (
-            *_beta_pair(rng, archetype.damaging_mean, archetype.concentration),
-            *_beta_pair(rng, archetype.goodfaith_mean, archetype.concentration),
+            *_beta_pair(rng, archetype.damaging_mean, CONCENTRATION),
+            *_beta_pair(rng, archetype.goodfaith_mean, CONCENTRATION),
             *_dirichlet(rng, item_alpha),
             *_dirichlet(rng, art_alpha),
             *_dirichlet(rng, wp10_alpha),
@@ -201,8 +209,8 @@ def _contributor_events(contributor_id, archetype, n_events, config, rng):
         events.append(EditEvent(
             contributor_id=contributor_id,
             is_bot=archetype.is_bot,
-            page_id=f"p{rng.integers(config.n_pages):04d}",
-            timestamp=config.start_day + timedelta(days=int(day_offset)),
+            page_id=f"p{rng.integers(N_PAGES):04d}",
+            timestamp=START_DAY + timedelta(days=int(day_offset)),
             review_length=length,
             links=links,
             repeated_links=repeated,
@@ -214,33 +222,6 @@ def _contributor_events(contributor_id, archetype, n_events, config, rng):
             probs=probs,
         ))
     return events
-
-
-def _allocate_events(plan, target):
-    """Split ``target`` events across contributors, proportional to their
-    archetype rates (largest remainder), at least one event each.
-
-    ``target`` must be at least the number of contributors.
-    """
-    weights = np.array([a.edit_rate for _, a in plan], dtype=float)
-    raw = weights / weights.sum() * target
-    alloc = np.maximum(np.floor(raw).astype(int), 1)
-    # trim or top up deterministically to hit the target exactly; trimming
-    # ends because, while the total exceeds a target of at least one event
-    # per contributor, some contributor holds more than one
-    diff = target - int(alloc.sum())
-    order = np.argsort(-(raw - np.floor(raw)), kind="stable")
-    i = 0
-    while diff != 0:
-        idx = order[i % len(order)]
-        if diff > 0:
-            alloc[idx] += 1
-            diff -= 1
-        elif alloc[idx] > 1:
-            alloc[idx] -= 1
-            diff += 1
-        i += 1
-    return alloc.tolist()
 
 
 def simulate(config):
@@ -265,7 +246,9 @@ def simulate(config):
             index += 1
 
     if config.target_events:
-        allocation = _allocate_events(plan, config.target_events)
+        # in proportion to the archetype rates, at least one event each
+        allocation = largest_remainder([a.edit_rate for _, a in plan],
+                                       config.target_events, 1)
     else:
         allocation = [
             max(1, int(np.random.default_rng(

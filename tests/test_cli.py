@@ -65,6 +65,15 @@ class TestSimulateCommand:
         assert "events" in result.output
         assert not (tmp_path / "x" / "events.csv").exists()
 
+    def test_span_past_the_calendar_exits_validation(self, tmp_path):
+        result = run("simulate", "--days", 4_000_000, "--events", 1,
+                     "--human-benign", 1, "--human-malign", 0,
+                     "--bot-benign", 0, "--bot-malign", 0,
+                     "--out", tmp_path / "x")
+        assert result.exit_code == 2, result.output
+        assert "'days'" in result.output
+        assert not (tmp_path / "x" / "events.csv").exists()
+
     def test_unknown_config_key_exits_validation(self, tmp_path):
         config = tmp_path / "sim.conf"
         config.write_text("days = 3\nbogus_key = 3\n", encoding="utf-8")

@@ -9,6 +9,7 @@ from wikistream.fabricate import (
     kmeans_fit,
     quartile_stats,
     split_across_intervals,
+    synthesize_bot_aggregates,
     synthesize_bot_samples,
     synthetic_to_aggregates,
 )
@@ -217,6 +218,14 @@ class TestSynthesizeBotSamples:
         batches, model = synthesize_bot_samples(aggregates, 101, seed=0)
         assert sum(len(b.values) for b in batches) == 101
         assert model.k == 2
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_rejected(self, count):
+        aggregates = simulated_aggregates(humans=4, bots=10)
+        for synthesize in (synthesize_bot_samples, synthesize_bot_aggregates):
+            with pytest.raises(ValidationError) as exc:
+                synthesize(aggregates, count, seed=0)
+            assert exc.value.field == "count"
 
     def test_aggregate_conversion_restores_invariants(self):
         aggregates = simulated_aggregates(humans=4, bots=10)

@@ -22,6 +22,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from wikistream.analysis import FEATURE_SETS, SET3_TARGET1, SET3_TARGET2
+from wikistream.fabricate import split_across_intervals
 from wikistream.ingest import (
     AGGREGATE_COLUMNS,
     EVENT_COLUMNS,
@@ -60,6 +61,7 @@ from wikistream.model import (
     EditEvent,
     ValidationError,
     feature_columns,
+    largest_remainder,
 )
 from wikistream.profiling import ProfileStore, to_feature_vector
 from wikistream.sim import write_events
@@ -333,7 +335,7 @@ class ReferenceBoosting(OnlineBoosting):
                 else:
                     store.seen[leaf] = seen
                 if not store.is_leaf(leaf):
-                    leaf = store.descend(leaf, x)
+                    leaf = store.route(x, leaf, leaf + 1)[0]
             if int(np.argmax(leaf_distribution(store, leaf))) == k:
                 correct[m] += lam
                 lam *= (correct[m] + wrong[m]) / (2.0 * correct[m])
@@ -385,8 +387,8 @@ def test_member_fold_is_a_one_member_learn(stream, weights):
     scalar, batch = (TreeStore(columns, n_classes) for _ in range(2))
     for i, (x, y) in enumerate(zip(xs, ys)):
         m, w = 2 * (i % 4 == 3), weights[i % len(weights)]
-        scalar.learn_member(m, scalar.descend(m, x), x, y, w)
-        leaf = np.array([batch.descend(m, x)])
+        scalar.learn_member(m, scalar.route(x, m, m + 1)[0], x, y, w)
+        leaf = np.array(batch.route(x, m, m + 1))
         batch.learn(np.array([m]), leaf, x, y, np.array([float(w)]),
                     batch.counts[leaf, y])
     assert scalar.nodes == batch.nodes
@@ -812,3 +814,79 @@ def test_bulk_fold_equals_row_by_row_fold(rows, split):
         assert (a.is_bot, a.n_updates, a.first_seen, a.last_seen) == \
             (b.is_bot, b.n_updates, b.first_seen, b.last_seen)
         assert a.values.tobytes() == b.values.tobytes()
+
+
+# The three largest-remainder splits that ``largest_remainder`` replaced,
+# written out as they were: the simulator's event allocation (at least
+# one event each, ``weights`` being the archetype rates), the split of
+# synthetic bots across K-means clusters, and the four quartile
+# intervals' equal shares.
+
+def reference_allocate_events(weights, target):
+    weights = np.array(weights, dtype=float)
+    raw = weights / weights.sum() * target
+    alloc = np.maximum(np.floor(raw).astype(int), 1)
+    diff = target - int(alloc.sum())
+    order = np.argsort(-(raw - np.floor(raw)), kind="stable")
+    i = 0
+    while diff != 0:
+        idx = order[i % len(order)]
+        if diff > 0:
+            alloc[idx] += 1
+            diff -= 1
+        elif alloc[idx] > 1:
+            alloc[idx] -= 1
+            diff += 1
+        i += 1
+    return alloc.tolist()
+
+
+def reference_cluster_split(sizes, count):
+    sizes = np.array(sizes)
+    raw = sizes / sizes.sum() * count
+    alloc = np.floor(raw).astype(int)
+    remainder = count - alloc.sum()
+    by_fraction = np.argsort(-(raw - alloc), kind="stable")
+    for c in by_fraction[:remainder]:
+        alloc[c] += 1
+    return alloc.tolist()
+
+
+def reference_intervals(count):
+    base, remainder = divmod(count, 4)
+    return tuple(base + (1 if i < remainder else 0) for i in range(4))
+
+
+rates = st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=rates, extra=st.integers(0, 2000))
+def test_largest_remainder_is_the_event_allocation(weights, extra):
+    target = len(weights) + extra
+    assert largest_remainder(weights, target, 1) == \
+        reference_allocate_events(weights, target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sizes=st.lists(st.integers(0, 60), min_size=1, max_size=6).filter(any),
+       count=st.integers(1, 100_000))
+def test_largest_remainder_is_the_cluster_split(sizes, count):
+    assert largest_remainder(np.array(sizes), count, 0) == \
+        reference_cluster_split(sizes, count)
+
+
+@settings(max_examples=300, deadline=None)
+@given(count=st.integers(0, 10 ** 9))
+def test_largest_remainder_is_the_interval_split(count):
+    assert split_across_intervals(count) == reference_intervals(count)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=rates, least=st.integers(0, 3), extra=st.integers(0, 500))
+def test_largest_remainder_shares_sum_to_the_total(weights, least, extra):
+    total = least * len(weights) + extra
+    shares = largest_remainder(weights, total, least)
+    assert sum(shares) == total
+    assert min(shares) >= least
+    assert all(type(share) is int for share in shares)

@@ -46,6 +46,15 @@ class TestConfigValidation:
             SimConfig(counts={"human-benign": 1}, seed=seed)
         assert exc.value.field == "seed"
 
+    def test_span_past_the_calendar_rejected(self):
+        # 2020-01-01 plus 2 914 634 days is 9999-12-31, the last date
+        with pytest.raises(ValidationError) as exc:
+            SimConfig(counts={"human-benign": 1}, n_days=2_914_636)
+        assert exc.value.field == "days"
+        events, _ = simulate(SimConfig(counts={"human-benign": 1},
+                                       n_days=2_914_635, target_events=1))
+        assert len(events) == 1
+
     def test_event_count_of_one_per_contributor_accepted(self):
         cfg = SimConfig(counts={"human-benign": 40}, target_events=40)
         events, _ = simulate(cfg)
