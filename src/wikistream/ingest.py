@@ -248,7 +248,8 @@ class EventTable:
     """Edit events as columns: one list per text, flag and date field
     and one (events, 24) float matrix ``values`` of the count fields
     (EVENT_COUNT_FIELDS order) and then the probabilities (PROB_COLUMNS
-    order). Iterating yields EditEvents."""
+    order). Iterating yields EditEvents. Two tables are equal when
+    their columns are."""
 
     contributor_ids: list
     is_bot: list
@@ -269,6 +270,16 @@ class EventTable:
 
     def __len__(self):
         return len(self.contributor_ids)
+
+    def __eq__(self, other):
+        if not isinstance(other, EventTable):
+            return NotImplemented
+        return (self.contributor_ids == other.contributor_ids
+                and self.is_bot == other.is_bot
+                and self.page_ids == other.page_ids
+                and self.days == other.days
+                and self.was_reverted == other.was_reverted
+                and np.array_equal(self.values, other.values))
 
     def __iter__(self):
         for cid, bot, page, day, reverted, values in zip(

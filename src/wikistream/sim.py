@@ -10,14 +10,23 @@ distributions toward indistinguishability (0 = fully separable).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
 
 from .ingest import EVENT_COLUMNS, EventTable, write_rows
-from .model import EditEvent, ValidationError, event_counts, largest_remainder
+from .model import (
+    EVENT_COUNT_FIELDS,
+    PROBABILITY_GROUPS,
+    ValidationError,
+    largest_remainder,
+    probability_group_sums,
+)
 
 ARCHETYPE_NAMES = ("human-benign", "human-malign", "bot-benign", "bot-malign")
 
@@ -27,6 +36,14 @@ START_DAY = date(2020, 1, 1)
 MAX_DAYS = (date.max - START_DAY).days + 1
 N_PAGES = 200
 CONCENTRATION = 40.0
+
+# The least largest α of a Dirichlet group: numpy draws a group whose
+# largest α is smaller by stick-breaking, not as normalised gammas.
+MIN_LARGEST_ALPHA = 0.1
+
+_PAGE_IDS = [f"p{page:04d}" for page in range(N_PAGES)]
+_N_COUNTS = len(EVENT_COUNT_FIELDS)
+_GROUP_WIDTHS = [len(group) for group in PROBABILITY_GROUPS]
 
 
 @dataclass(frozen=True)
@@ -116,15 +133,19 @@ class SimConfig:
     archetypes: dict = field(default_factory=lambda: dict(DEFAULT_ARCHETYPES))
 
     def __post_init__(self):
-        unknown = set(self.counts) - set(ARCHETYPE_NAMES)
-        if unknown:
-            raise ValidationError(f"unknown archetype(s) {sorted(unknown)}")
-        if any(c < 0 for c in self.counts.values()):
-            raise ValidationError("population counts must be >= 0")
-        if sum(self.counts.values()) == 0:
-            raise ValidationError("zero total population")
+        for name, count in self.counts.items():
+            if name not in ARCHETYPE_NAMES:
+                raise ValidationError(f"unknown archetype {name!r}",
+                                      field="counts")
+            if count < 0:
+                raise ValidationError(f"count {count} of {name} is below 0",
+                                      field="counts")
+        population = sum(self.counts.values())
+        if population == 0:
+            raise ValidationError("zero total population", field="counts")
         if self.n_days < 1:
-            raise ValidationError("span must be at least one day")
+            raise ValidationError(f"span of {self.n_days} days is below one "
+                                  "day", field="days")
         if self.n_days > MAX_DAYS:
             raise ValidationError(f"span of {self.n_days} days ends past "
                                   f"{date.max}: at most {MAX_DAYS}",
@@ -134,12 +155,14 @@ class SimConfig:
                 f"seed {self.seed!r} is not a non-negative integer",
                 field="seed")
         if not 0.0 <= self.noise <= 1.0:
-            raise ValidationError("noise must be in [0, 1]")
-        population = sum(self.counts.values())
+            raise ValidationError(f"noise {self.noise!r} is not in [0, 1]",
+                                  field="noise")
         if self.target_events < 0 or 0 < self.target_events < population:
             raise ValidationError(
                 f"event count {self.target_events} must be 0 or at least "
                 f"the population of {population}", field="events")
+        for name, archetype in _noisy_archetypes(self).items():
+            _check_score_means(name, archetype)
 
 
 def _blend(mean, toward, noise):
@@ -149,8 +172,11 @@ def _blend(mean, toward, noise):
 def _blend_simplex(means, noise):
     k = len(means)
     blended = tuple(_blend(m, 1.0 / k, noise) for m in means)
-    total = sum(blended)
-    return tuple(m / total for m in blended)
+    # added left to right: since Python 3.12 the builtin sum of floats
+    # is compensated, which would change the stream
+    total = reduce(add, blended, 0.0)
+    # means that blend to a zero total are no distribution
+    return tuple(m / total if total else math.nan for m in blended)
 
 
 def _noisy_archetype(archetype, noise, pooled_log_rate):
@@ -171,107 +197,166 @@ def _noisy_archetype(archetype, noise, pooled_log_rate):
     )
 
 
-def _beta_pair(rng, mean, concentration):
-    p = rng.beta(mean * concentration, (1.0 - mean) * concentration)
-    return float(p), float(1.0 - p)
+def _gamma_shapes(archetype):
+    """The 19 gamma shapes of an event's scores, in PROB_COLUMNS order:
+    each Beta mean m as the pair (m, 1 - m), then the item, art and wp10
+    Dirichlet means, all times CONCENTRATION."""
+    return np.array([archetype.damaging_mean, 1.0 - archetype.damaging_mean,
+                     archetype.goodfaith_mean, 1.0 - archetype.goodfaith_mean,
+                     *archetype.item_means, *archetype.art_means,
+                     *archetype.wp10_means]) * CONCENTRATION
 
 
-def _dirichlet(rng, alpha):
-    draw = rng.dirichlet(alpha)
-    return (draw / draw.sum()).tolist()
+def _check_score_means(name, archetype):
+    """Reject the score means of a noise-blended archetype that numpy
+    would not draw as ``_scores`` normalises them: a Beta mean outside
+    (0, 1), or a Dirichlet group of the wrong size, with an α that is not
+    finite and >= 0, or whose largest α is below MIN_LARGEST_ALPHA."""
+    for field in ("damaging_mean", "goodfaith_mean"):
+        mean = getattr(archetype, field)
+        if not 0.0 < mean < 1.0:
+            raise ValidationError(f"mean {mean!r} is not inside (0, 1)",
+                                  field=f"archetypes.{name}.{field}")
+    for field, group in zip(("item_means", "art_means", "wp10_means"),
+                            PROBABILITY_GROUPS[2:]):
+        alpha = np.array(getattr(archetype, field), dtype=float) \
+            * CONCENTRATION
+        if len(alpha) != len(group) or not (
+                np.isfinite(alpha).all() and alpha.min() >= 0.0
+                and alpha.max() >= MIN_LARGEST_ALPHA):
+            raise ValidationError(
+                f"Dirichlet alpha {alpha.tolist()} must be {len(group)} "
+                f"finite values >= 0, the largest >= {MIN_LARGEST_ALPHA}",
+                field=f"archetypes.{name}.{field}")
 
 
-def _contributor_events(contributor_id, archetype, n_events, config, rng):
-    days = rng.integers(0, config.n_days, size=n_events)
-    item_alpha, art_alpha, wp10_alpha = (
-        np.array(means) * CONCENTRATION
-        for means in (archetype.item_means, archetype.art_means,
-                      archetype.wp10_means))
-    events = []
-    # round(v, 0) rounds half to even as np.round does, and keeps a
-    # non-finite draw a float for the event table's check to reject
-    for day_offset in sorted(days.tolist()):
-        length = max(1.0, round(rng.lognormal(
-            archetype.review_length_log_mean,
-            archetype.review_length_log_sigma), 0))
-        links = float(rng.poisson(archetype.links_rate))
-        repeated = float(rng.binomial(int(links),
-                                      archetype.repeated_link_fraction))
-        # in PROB_COLUMNS order, drawn before the page id: the order of
-        # the draws fixes the generated stream
-        probs = (
-            *_beta_pair(rng, archetype.damaging_mean, CONCENTRATION),
-            *_beta_pair(rng, archetype.goodfaith_mean, CONCENTRATION),
-            *_dirichlet(rng, item_alpha),
-            *_dirichlet(rng, art_alpha),
-            *_dirichlet(rng, wp10_alpha),
-        )
-        events.append(EditEvent(
-            contributor_id=contributor_id,
-            is_bot=archetype.is_bot,
-            page_id=f"p{rng.integers(N_PAGES):04d}",
-            timestamp=START_DAY + timedelta(days=int(day_offset)),
-            review_length=length,
-            links=links,
-            repeated_links=repeated,
-            chars_inserted=round(rng.lognormal(
-                archetype.chars_inserted_log_mean, 0.7), 0),
-            chars_deleted=round(rng.lognormal(
-                archetype.chars_deleted_log_mean, 0.7), 0),
-            was_reverted=bool(rng.random() < archetype.revert_probability),
-            probs=probs,
-        ))
-    return events
+def _scores(gammas):
+    """The (events, 19) scores, in PROB_COLUMNS order, of each event's
+    row of gammas drawn with ``_gamma_shapes``, as numpy's Generator
+    turns gammas into draws: a Beta pair is Ga / (Ga + Gb) and 1 minus
+    that; a Dirichlet group is each gamma times 1 / the group's sum (for
+    a largest α >= MIN_LARGEST_ALPHA). Each Dirichlet group is then
+    divided by its own sum once more. Every sum adds left to right
+    (``probability_group_sums``), as numpy does for these group sizes."""
+    sums = probability_group_sums(gammas)
+    scores = gammas * np.repeat(1.0 / sums, _GROUP_WIDTHS, axis=1)
+    scores /= np.repeat(probability_group_sums(scores), _GROUP_WIDTHS, axis=1)
+    beta = gammas[:, [0, 2]] / sums[:, :2]
+    scores[:, [0, 2]] = beta
+    scores[:, [1, 3]] = 1.0 - beta
+    return scores
+
+
+def _draw_events(archetype, n_events, rng, counts, gammas, pages, reverted):
+    """Draw a contributor's ``n_events`` events, one after another, onto
+    the ends of the columns: five raw counts (unrounded review length,
+    links, repeated links, unrounded characters inserted and deleted)
+    onto ``counts``, the 19 score gammas onto ``gammas``, a page number
+    onto ``pages`` and a reverted flag onto ``reverted``. The order of
+    the draws fixes the generated stream."""
+    lognormal, poisson, binomial = rng.lognormal, rng.poisson, rng.binomial
+    gamma, integers, random = rng.standard_gamma, rng.integers, rng.random
+    alpha = _gamma_shapes(archetype)
+    for _ in range(n_events):
+        length = lognormal(archetype.review_length_log_mean,
+                           archetype.review_length_log_sigma)
+        links = poisson(archetype.links_rate)
+        counts += (length, links,
+                   binomial(links, archetype.repeated_link_fraction))
+        gammas.append(gamma(alpha))
+        pages.append(integers(N_PAGES))
+        counts += (lognormal(archetype.chars_inserted_log_mean, 0.7),
+                   lognormal(archetype.chars_deleted_log_mean, 0.7))
+        reverted.append(random() < archetype.revert_probability)
+
+
+def _noisy_archetypes(config):
+    """The noise-blended archetype, the parameters the draws use, of each
+    archetype with contributors, by name in ARCHETYPE_NAMES order."""
+    names = [n for n in ARCHETYPE_NAMES if config.counts.get(n, 0) > 0]
+    pooled_log_rate = float(np.mean([np.log(config.archetypes[n].edit_rate)
+                                     for n in names]))
+    return {n: _noisy_archetype(config.archetypes[n], config.noise,
+                                pooled_log_rate) for n in names}
+
+
+def _event_table(contributor_ids, is_bot, pages, day_offsets, reverted,
+                 values):
+    """The events of the given columns, in draw order (``pages`` as page
+    numbers, ``day_offsets`` as an array of days after START_DAY), as an
+    EventTable sorted by day, then by contributor id as text (c100000
+    comes before c99999), events equal in both in draw order. Raises
+    ValidationError for an event ``EventTable.check`` rejects."""
+    rank = {cid: r for r, cid in enumerate(sorted(set(contributor_ids)))}
+    order = np.lexsort((np.fromiter(map(rank.__getitem__, contributor_ids),
+                                    dtype=np.intp, count=len(contributor_ids)),
+                        day_offsets))
+    first, inverse = np.unique(day_offsets[order], return_inverse=True)
+    dates = [START_DAY + timedelta(days=d) for d in first.tolist()]
+    take = order.tolist()
+    table = EventTable([contributor_ids[i] for i in take],
+                       [is_bot[i] for i in take],
+                       [_PAGE_IDS[pages[i]] for i in take],
+                       [dates[k] for k in inverse.tolist()],
+                       [reverted[i] for i in take], values[order])
+    table.check()
+    return table
 
 
 def simulate(config):
     """Generate a labelled event stream.
 
-    Returns (events sorted by day then contributor, labels mapping
-    contributor id -> archetype name). Deterministic given the seed.
+    Returns (an EventTable sorted by day then contributor id, labels
+    mapping contributor id -> archetype name). Deterministic given the
+    seed.
     """
-    plan = []  # (contributor_id, noisy archetype)
-    log_rates = [np.log(config.archetypes[n].edit_rate)
-                 for n in ARCHETYPE_NAMES if config.counts.get(n, 0) > 0]
-    pooled_log_rate = float(np.mean(log_rates))
-    index = 0
-    labels = {}
-    for name in ARCHETYPE_NAMES:
-        archetype = _noisy_archetype(
-            config.archetypes[name], config.noise, pooled_log_rate)
-        for _ in range(config.counts.get(name, 0)):
-            contributor_id = f"c{index:05d}"
-            plan.append((contributor_id, archetype))
-            labels[contributor_id] = name
-            index += 1
+    archetypes, labels = [], {}
+    for name, archetype in _noisy_archetypes(config).items():
+        for _ in range(config.counts[name]):
+            labels[f"c{len(labels):05d}"] = name
+            archetypes.append(archetype)
 
     if config.target_events:
         # in proportion to the archetype rates, at least one event each
-        allocation = largest_remainder([a.edit_rate for _, a in plan],
+        allocation = largest_remainder([a.edit_rate for a in archetypes],
                                        config.target_events, 1)
     else:
         allocation = [
             max(1, int(np.random.default_rng(
                 [config.seed, 7919, i]).poisson(a.edit_rate * config.n_days)))
-            for i, (_, a) in enumerate(plan)
+            for i, a in enumerate(archetypes)
         ]
 
-    events = []
-    for i, (contributor_id, archetype) in enumerate(plan):
+    ids, bots, days, counts, gammas, pages, reverted = [], [], [], [], [], [], []
+    for i, (cid, archetype) in enumerate(zip(labels, archetypes)):
+        n_events = allocation[i]
         rng = np.random.default_rng([config.seed, i])
-        events.extend(_contributor_events(
-            contributor_id, archetype, allocation[i], config, rng))
-    events.sort(key=lambda e: (e.day, e.contributor_id))
-    EventTable.from_events(events).check()
-    return events, labels
+        ids += [cid] * n_events
+        bots += [archetype.is_bot] * n_events
+        days.append(np.sort(rng.integers(0, config.n_days, size=n_events)))
+        _draw_events(archetype, n_events, rng, counts, gammas, pages,
+                     reverted)
+
+    counts = np.array(counts).reshape(-1, _N_COUNTS)
+    # rint rounds half to even as round(v, 0) does; fmax, as max(1.0, v)
+    # does, keeps a NaN draw's length 1
+    values = np.concatenate([np.fmax(1.0, np.rint(counts[:, :1])),
+                             counts[:, 1:3], np.rint(counts[:, 3:]),
+                             _scores(np.array(gammas))], axis=1)
+    return _event_table(ids, bots, pages, np.concatenate(days), reverted,
+                        values), labels
 
 
 def write_events(events, path):
-    """Write events in the event schema: JSON lines when the suffix is
-    ``.jsonl``, CSV otherwise."""
-    write_rows(((e.contributor_id, int(e.is_bot), e.page_id,
-                 e.timestamp.isoformat(), *event_counts(e),
-                 int(e.was_reverted), *e.probs) for e in events),
+    """Write events, an EventTable or a list of EditEvents, in the event
+    schema: JSON lines when the suffix is ``.jsonl``, CSV otherwise."""
+    table = events if isinstance(events, EventTable) \
+        else EventTable.from_events(events)
+    values = table.values.T.tolist()
+    write_rows(zip(table.contributor_ids, map(int, table.is_bot),
+                   table.page_ids, map(date.isoformat, table.days),
+                   *values[:_N_COUNTS], map(int, table.was_reverted),
+                   *values[_N_COUNTS:]),
                EVENT_COLUMNS, path)
 
 

@@ -74,6 +74,20 @@ class TestSimulateCommand:
         assert "'days'" in result.output
         assert not (tmp_path / "x" / "events.csv").exists()
 
+    @pytest.mark.parametrize("args,field", [
+        (("--days", 0), "days"),
+        (("--noise", 1.5), "noise"),
+        (("--human-benign", -1), "counts"),
+        (("--human-benign", 0, "--human-malign", 0, "--bot-benign", 0,
+          "--bot-malign", 0), "counts"),
+    ])
+    def test_bad_plan_exits_validation_naming_field(self, tmp_path, args,
+                                                    field):
+        result = run("simulate", *args, "--out", tmp_path / "x")
+        assert result.exit_code == 2, result.output
+        assert f"field '{field}'" in result.output
+        assert not (tmp_path / "x" / "events.csv").exists()
+
     def test_unknown_config_key_exits_validation(self, tmp_path):
         config = tmp_path / "sim.conf"
         config.write_text("days = 3\nbogus_key = 3\n", encoding="utf-8")

@@ -12,13 +12,14 @@ import json
 import math
 import sys
 import tempfile
-from datetime import date
+from dataclasses import replace
+from datetime import date, timedelta
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import event, example, given, reject, settings
 from hypothesis import strategies as st
 
 from wikistream.analysis import FEATURE_SETS, SET3_TARGET1, SET3_TARGET2
@@ -26,6 +27,7 @@ from wikistream.fabricate import split_across_intervals
 from wikistream.ingest import (
     AGGREGATE_COLUMNS,
     EVENT_COLUMNS,
+    EventTable,
     load_stream,
     parse_events,
     read_aggregates,
@@ -64,7 +66,22 @@ from wikistream.model import (
     largest_remainder,
 )
 from wikistream.profiling import ProfileStore, to_feature_vector
-from wikistream.sim import write_events
+from wikistream.sim import (
+    ARCHETYPE_NAMES,
+    CONCENTRATION,
+    DEFAULT_ARCHETYPES,
+    MAX_DAYS,
+    MIN_LARGEST_ALPHA,
+    N_PAGES,
+    START_DAY,
+    SimConfig,
+    _check_score_means,
+    _gamma_shapes,
+    _noisy_archetype,
+    _scores,
+    simulate,
+    write_events,
+)
 
 PATTERNS = ("uniform", "constant", "ties", "wide")
 
@@ -890,3 +907,165 @@ def test_largest_remainder_shares_sum_to_the_total(weights, least, extra):
     assert sum(shares) == total
     assert min(shares) >= least
     assert all(type(share) is int for share in shares)
+
+
+# The simulator as it drew its events before the fused draw: one EditEvent
+# per event, its scores from two ``rng.beta`` and three ``rng.dirichlet``
+# calls, each Dirichlet draw divided by its sum once more, and the events
+# sorted by (day, contributor id) at the end.
+
+def reference_beta_pair(rng, mean):
+    p = rng.beta(mean * CONCENTRATION, (1.0 - mean) * CONCENTRATION)
+    return float(p), float(1.0 - p)
+
+
+def reference_dirichlet(rng, means):
+    draw = rng.dirichlet(np.array(means) * CONCENTRATION)
+    return (draw / draw.sum()).tolist()
+
+
+def reference_scores(rng, archetype):
+    return (*reference_beta_pair(rng, archetype.damaging_mean),
+            *reference_beta_pair(rng, archetype.goodfaith_mean),
+            *reference_dirichlet(rng, archetype.item_means),
+            *reference_dirichlet(rng, archetype.art_means),
+            *reference_dirichlet(rng, archetype.wp10_means))
+
+
+def reference_contributor_events(contributor_id, archetype, n_events, n_days,
+                                 rng):
+    days = rng.integers(0, n_days, size=n_events)
+    events = []
+    for day_offset in sorted(days.tolist()):
+        length = max(1.0, round(rng.lognormal(
+            archetype.review_length_log_mean,
+            archetype.review_length_log_sigma), 0))
+        links = float(rng.poisson(archetype.links_rate))
+        repeated = float(rng.binomial(int(links),
+                                      archetype.repeated_link_fraction))
+        probs = reference_scores(rng, archetype)
+        events.append(EditEvent(
+            contributor_id=contributor_id,
+            is_bot=archetype.is_bot,
+            page_id=f"p{rng.integers(N_PAGES):04d}",
+            timestamp=START_DAY + timedelta(days=int(day_offset)),
+            review_length=length,
+            links=links,
+            repeated_links=repeated,
+            chars_inserted=round(rng.lognormal(
+                archetype.chars_inserted_log_mean, 0.7), 0),
+            chars_deleted=round(rng.lognormal(
+                archetype.chars_deleted_log_mean, 0.7), 0),
+            was_reverted=bool(rng.random() < archetype.revert_probability),
+            probs=probs,
+        ))
+    return events
+
+
+def reference_simulate(config):
+    plan = []
+    log_rates = [np.log(config.archetypes[n].edit_rate)
+                 for n in ARCHETYPE_NAMES if config.counts.get(n, 0) > 0]
+    pooled_log_rate = float(np.mean(log_rates))
+    labels = {}
+    for name in ARCHETYPE_NAMES:
+        archetype = _noisy_archetype(
+            config.archetypes[name], config.noise, pooled_log_rate)
+        for _ in range(config.counts.get(name, 0)):
+            contributor_id = f"c{len(labels):05d}"
+            plan.append((contributor_id, archetype))
+            labels[contributor_id] = name
+    if config.target_events:
+        allocation = largest_remainder([a.edit_rate for _, a in plan],
+                                       config.target_events, 1)
+    else:
+        allocation = [
+            max(1, int(np.random.default_rng(
+                [config.seed, 7919, i]).poisson(a.edit_rate * config.n_days)))
+            for i, (_, a) in enumerate(plan)
+        ]
+    events = []
+    for i, (contributor_id, archetype) in enumerate(plan):
+        rng = np.random.default_rng([config.seed, i])
+        events.extend(reference_contributor_events(
+            contributor_id, archetype, allocation[i], config.n_days, rng))
+    events.sort(key=lambda e: (e.day, e.contributor_id))
+    return EventTable.from_events(events), labels
+
+
+@st.composite
+def score_archetypes(draw):
+    """An archetype whose score means meet the fused draw's precondition
+    (``_check_score_means``): Beta means inside (0, 1), Dirichlet means
+    >= 0 with at least one per group reaching MIN_LARGEST_ALPHA once
+    scaled by CONCENTRATION, the boundary included."""
+    beta_means = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    groups = []
+    for size in (5, 4, 6):
+        means = draw(st.lists(st.floats(0.0, 5.0), min_size=size,
+                              max_size=size))
+        means[draw(st.integers(0, size - 1))] = draw(st.floats(
+            MIN_LARGEST_ALPHA / CONCENTRATION, 5.0))
+        groups.append(tuple(means))
+    archetype = replace(DEFAULT_ARCHETYPES["human-benign"],
+                        damaging_mean=draw(beta_means),
+                        goodfaith_mean=draw(beta_means),
+                        item_means=groups[0], art_means=groups[1],
+                        wp10_means=groups[2])
+    try:
+        _check_score_means("human-benign", archetype)
+    except ValidationError:
+        event("largest alpha rounds below the least")
+        reject()
+    return archetype
+
+
+@settings(max_examples=300, deadline=None)
+@given(archetype=score_archetypes(), seed=st.integers(0, 2 ** 64 - 1),
+       n=st.integers(1, 12))
+def test_one_gamma_draw_is_numpys_beta_and_dirichlet_draws(archetype, seed,
+                                                           n):
+    fused, reference = np.random.default_rng(seed), \
+        np.random.default_rng(seed)
+    alpha = _gamma_shapes(archetype)
+    scores = _scores(np.array([fused.standard_gamma(alpha)
+                               for _ in range(n)]))
+    expected = [list(reference_scores(reference, archetype))
+                for _ in range(n)]
+    assert scores.tolist() == expected
+    assert fused.bit_generator.state == reference.bit_generator.state
+
+
+@st.composite
+def sim_configs(draw):
+    """A small simulation plan: up to three contributors per archetype,
+    any noise, and either the rate-driven allocation over a few days or
+    an exact event count over any span."""
+    counts = {name: draw(st.integers(0, 3)) for name in ARCHETYPE_NAMES}
+    if not any(counts.values()):
+        counts[draw(st.sampled_from(ARCHETYPE_NAMES))] = 1
+    population = sum(counts.values())
+    if draw(st.booleans()):
+        target_events = population + draw(st.integers(0, 80))
+        n_days = draw(st.integers(1, MAX_DAYS))
+    else:
+        target_events, n_days = 0, draw(st.integers(1, 4))
+    return SimConfig(counts=counts, n_days=n_days,
+                     seed=draw(st.integers(0, 2 ** 32)),
+                     noise=draw(st.floats(0.0, 1.0)),
+                     target_events=target_events)
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=sim_configs())
+@example(config=SimConfig(counts={"bot-malign": 2}, n_days=MAX_DAYS,
+                          noise=1.0, target_events=5))
+def test_simulate_is_the_per_event_reference(config):
+    table, labels = simulate(config)
+    expected, expected_labels = reference_simulate(config)
+    assert labels == expected_labels
+    for column in ("contributor_ids", "is_bot", "page_ids", "days",
+                   "was_reverted"):
+        assert getattr(table, column) == getattr(expected, column), column
+    assert table.values.tolist() == expected.values.tolist()
+    assert table == expected

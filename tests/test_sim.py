@@ -1,5 +1,6 @@
 import hashlib
 from dataclasses import replace
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from wikistream.profiling import ProfileStore
 from wikistream.sim import (
     ARCHETYPE_NAMES,
     DEFAULT_ARCHETYPES,
+    START_DAY,
     SimConfig,
+    _event_table,
     simulate,
     write_simulation,
 )
@@ -59,6 +62,54 @@ class TestConfigValidation:
         cfg = SimConfig(counts={"human-benign": 40}, target_events=40)
         events, _ = simulate(cfg)
         assert len(events) == 40
+
+    @pytest.mark.parametrize("counts,named", [
+        ({"alien": 3}, "alien"),
+        ({"human-benign": 2, "bot-malign": -1}, "bot-malign"),
+        ({"human-benign": 0}, "zero total"),
+    ])
+    def test_population_errors_name_counts(self, counts, named):
+        with pytest.raises(ValidationError) as exc:
+            SimConfig(counts=counts)
+        assert exc.value.field == "counts"
+        assert named in str(exc.value)
+
+    @pytest.mark.parametrize("noise,change,field", [
+        # numpy's beta rejects a <= 0, its dirichlet alpha < 0
+        (0.0, {"damaging_mean": 0.0}, "damaging_mean"),
+        (0.0, {"goodfaith_mean": 1.0}, "goodfaith_mean"),
+        (0.5, {"damaging_mean": -1.0}, "damaging_mean"),
+        (0.0, {"damaging_mean": float("nan")}, "damaging_mean"),
+        (0.0, {"item_means": (-0.1, 0.3, 0.3, 0.3, 0.2)}, "item_means"),
+        (0.0, {"art_means": (0.5, float("inf"), 0.25, 0.25)}, "art_means"),
+        # a largest alpha below 0.1 is drawn by stick-breaking
+        (0.0, {"wp10_means": (0.002,) * 6}, "wp10_means"),
+        (0.0, {"wp10_means": (0.5, 0.5)}, "wp10_means"),
+        # these blend to a zero total
+        (0.5, {"art_means": (-1.0, 0.0, 0.0, 0.0)}, "art_means"),
+    ])
+    def test_degenerate_score_means_rejected(self, noise, change, field):
+        archetypes = dict(DEFAULT_ARCHETYPES)
+        archetypes["bot-benign"] = replace(archetypes["bot-benign"], **change)
+        with pytest.raises(ValidationError) as exc:
+            SimConfig(counts={"human-benign": 1, "bot-benign": 1},
+                      noise=noise, archetypes=archetypes)
+        assert exc.value.field == f"archetypes.bot-benign.{field}"
+
+    def test_score_means_checked_after_the_noise_blend(self):
+        # a Beta mean of 0 blends to 0.25 and a negative Dirichlet mean
+        # to a positive one; an archetype without contributors is not
+        # drawn from
+        archetypes = dict(DEFAULT_ARCHETYPES)
+        archetypes["bot-benign"] = replace(
+            archetypes["bot-benign"], damaging_mean=0.0,
+            item_means=(-0.1, 0.3, 0.3, 0.3, 0.2))
+        archetypes["bot-malign"] = replace(archetypes["bot-malign"],
+                                           damaging_mean=0.0)
+        events, _ = simulate(SimConfig(
+            counts={"bot-benign": 2, "bot-malign": 0}, n_days=2, noise=0.5,
+            archetypes=archetypes))
+        assert len(events) > 0
 
 
     @pytest.mark.parametrize("parameter,field", [
@@ -135,6 +186,22 @@ class TestSimulate:
         b, _ = simulate(SimConfig(seed=1, **base))
         assert a != b
 
+    def test_sorted_by_day_then_id_as_text(self):
+        # c100000 sorts before c99999; the day comes first, and events
+        # equal in both keep their draw order
+        ids = ["c99999", "c100000", "c99999", "c100000", "c100000"]
+        probs = [0.5, 0.5, 0.5, 0.5, *[0.2] * 5, *[0.25] * 4, *[0.125] * 4,
+                 0.25, 0.25]
+        values = np.array([[1.0, i, 0.0, 0.0, 0.0, *probs] for i in range(5)])
+        table = _event_table(ids, [False] * 5, [0, 1, 2, 3, 4],
+                             np.array([0, 0, 1, 1, 0]), [False] * 5, values)
+        assert table.contributor_ids == ["c100000", "c100000", "c99999",
+                                         "c100000", "c99999"]
+        assert table.page_ids == ["p0001", "p0004", "p0000", "p0003", "p0002"]
+        assert table.days == [START_DAY] * 3 + [START_DAY
+                                                + timedelta(days=1)] * 2
+        assert table.values[:, 1].tolist() == [1.0, 4.0, 0.0, 3.0, 2.0]
+
 
 class TestSeparability:
     def _profiles(self, noise, seed=0):
@@ -182,9 +249,7 @@ class TestOutputFiles:
         cfg = SimConfig(counts={"human-benign": 3, "bot-malign": 3},
                         n_days=4, seed=0)
         events_path, labels_path = write_simulation(cfg, tmp_path)
-        events = list(parse_events(events_path))
-        reference, _ = simulate(cfg)
-        assert events == reference
+        assert parse_events(events_path) == simulate(cfg)[0]
         text = labels_path.read_text(encoding="utf-8")
         assert text.startswith("contributor_id,archetype")
 
