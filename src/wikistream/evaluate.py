@@ -16,7 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import write_rows
-from .model import AggregateBatch, ValidationError, sample_error
+from .model import (
+    AggregateBatch,
+    ColumnarList,
+    ValidationError,
+    sample_error,
+)
 from .profiling import ProfileStore, to_feature_vector
 
 DEFAULT_WINDOW = 1000
@@ -85,6 +90,44 @@ class PredictionRecord:
     latency_us: float
 
 
+@dataclass(eq=False)
+class PredictionLog(ColumnarList):
+    """A prediction log as columns: per step its sample index, contributor
+    id, true and predicted label, an (n, classes) float matrix of class
+    probabilities and its latency in microseconds. It behaves as a list
+    of PredictionRecords (``ColumnarList``); a slice is a log."""
+
+    index: np.ndarray
+    contributor_id: np.ndarray
+    true: np.ndarray
+    predicted: np.ndarray
+    probabilities: np.ndarray
+    latency_us: np.ndarray
+
+    COLUMNS = ("index", "contributor_id", "true", "predicted",
+               "probabilities", "latency_us")
+
+    @classmethod
+    def of(cls, records):
+        """``records``, a log or an iterable of PredictionRecords, as a
+        log."""
+        if isinstance(records, cls):
+            return records
+        records = list(records)
+        width = len(records[0].probabilities) if records else 0
+        return cls(*(np.array([getattr(r, name) for r in records],
+                              dtype=object) for name in cls.COLUMNS[:4]),
+                   np.array([r.probabilities for r in records], dtype=float)
+                   .reshape(len(records), width),
+                   np.array([r.latency_us for r in records], dtype=float))
+
+    @staticmethod
+    def _row(index, contributor_id, true, predicted, probabilities,
+             latency_us):
+        return PredictionRecord(index, contributor_id, true, predicted,
+                                tuple(probabilities), latency_us)
+
+
 @dataclass
 class MetricsReport:
     """Aggregate metrics of one prequential run."""
@@ -122,29 +165,44 @@ def _check_window(window):
                               field="window")
 
 
+def _class_codes(labels, classes):
+    """Each label's position in ``classes``; a label outside them raises
+    ValidationError."""
+    match = np.asarray(labels)[:, None] == np.asarray(classes)[None, :]
+    known = match.any(axis=1)
+    if not known.all():
+        label = np.asarray(labels).tolist()[int(np.argmin(known))]
+        raise ValidationError(f"label {label!r} not in classes {classes!r}")
+    return match.argmax(axis=1)
+
+
 def metrics_from_log(log, classes, classifier="", target="",
                      window=DEFAULT_WINDOW, elapsed=0.0):
-    """Recompute the full report from a prediction log."""
+    """Recompute the full report from a prediction log, a PredictionLog
+    or a list of PredictionRecords."""
     _check_window(window)
+    log = PredictionLog.of(log)
     cm = ConfusionMatrix(classes)
-    for record in log:
-        cm.add(record.true, record.predicted)
+    k = len(cm.classes)
+    cm.counts = np.bincount(
+        _class_codes(log.true, cm.classes) * k
+        + _class_codes(log.predicted, cm.classes),
+        minlength=k * k).reshape(k, k)
     macro, micro = macro_micro(cm)
     per_class = {
         c: {"precision": cm.precision(c), "recall": cm.recall(c),
             "f": f_measure(cm, c)}
         for c in classes
     }
-    correct = [1 if r.true == r.predicted else 0 for r in log]
-    series = []
-    for end in range(window, len(correct) + 1, window):
-        series.append((end, sum(correct[end - window:end]) / window))
-    if correct:
-        tail = correct[-window:]
-        final_window = sum(tail) / len(tail)
-    else:
-        final_window = 0.0
+    # correct[i]: the correct predictions among the first i samples, an
+    # int, so a window's share divides the int a sum over it would give
     n = len(log)
+    correct = np.concatenate(
+        [[0], np.cumsum(log.true == log.predicted)]).tolist()
+    series = [(end, (correct[end] - correct[end - window]) / window)
+              for end in range(window, n + 1, window)]
+    tail = min(window, n)
+    final_window = (correct[n] - correct[n - tail]) / tail if n else 0.0
     return MetricsReport(
         classifier=classifier,
         target=target,
@@ -174,9 +232,11 @@ def _prequential(stream, store, features, step, classes, classifier,
     non-finite feature, whichever row comes first, and then an
     underivable label raise ValidationError naming the sample before any
     step runs. Per sample, ``step(x, labels)`` predicts and learns and
-    returns one probability vector per target. Returns one report and
-    one log per target; a step's latency covers the prediction and the
-    learning, not the profile update.
+    returns one probability vector per target, written to that
+    target's probability matrix; the predictions are their row-wise
+    argmax. Returns one report and one PredictionLog per target, the
+    logs sharing their index, id and latency columns; a step's latency
+    covers the prediction and the learning, not the profile update.
     """
     _check_window(window)
     store = store if store is not None else ProfileStore()
@@ -190,25 +250,24 @@ def _prequential(stream, store, features, step, classes, classifier,
                           features)
         raise
     X = to_feature_vector(rows, features)
-    labels = zip(*(getattr(batch, target).tolist() for target in targets))
-    ids = batch.contributor_ids.tolist()
-    logs = tuple([] for _ in targets)
-    for index, (x, trues) in enumerate(zip(X, labels)):
+    trues = [getattr(batch, target) for target in targets]
+    probabilities = [np.empty((len(batch), len(classes))) for _ in targets]
+    index, latency = np.arange(len(batch)), np.empty(len(batch))
+    for i, (x, labels) in enumerate(
+            zip(X, zip(*(true.tolist() for true in trues)))):
         t0 = time.perf_counter()
         try:
-            outcomes = step(x, trues)
+            outcomes = step(x, labels)
         except ValidationError as exc:
-            raise sample_error(index, exc) from exc
-        latency = (time.perf_counter() - t0) * 1e6
-        for log, true, probs in zip(logs, trues, outcomes):
-            log.append(PredictionRecord(
-                index=index,
-                contributor_id=ids[index],
-                true=true,
-                predicted=classes[probs.argmax()],
-                probabilities=tuple(probs.tolist()),
-                latency_us=latency,
-            ))
+            raise sample_error(i, exc) from exc
+        latency[i] = (time.perf_counter() - t0) * 1e6
+        for probs, outcome in zip(probabilities, outcomes):
+            probs[i] = outcome
+    logs = tuple(
+        PredictionLog(index, batch.contributor_ids, true,
+                      np.asarray(classes)[probs.argmax(axis=1)], probs,
+                      latency)
+        for true, probs in zip(trues, probabilities))
     elapsed = time.perf_counter() - started
     reports = tuple(
         metrics_from_log(log, classes, classifier=classifier, target=target,
@@ -222,7 +281,7 @@ def prequential_run(stream, classifier, feature_set, target,
     """Test-then-train over a time-ordered aggregate stream: an
     AggregateBatch or an iterable of DailyAggregates.
 
-    Returns (MetricsReport, prediction log).
+    Returns (MetricsReport, PredictionLog).
     """
     if target not in ("user_type", "contribution_type"):
         raise ValidationError(f"unknown target {target!r}", field="target")
@@ -257,10 +316,13 @@ def prequential_run_stacking(stream, model, store=None,
 
 
 def write_prediction_log(log, path):
-    """Prediction log as CSV: index, id, labels, probabilities, latency."""
-    write_rows(((r.index, r.contributor_id, r.true, r.predicted,
-                 ";".join(map(repr, r.probabilities)), f"{r.latency_us:.1f}")
-                for r in log),
+    """Prediction log, a PredictionLog or a list of PredictionRecords, as
+    CSV: index, id, labels, probabilities, latency."""
+    log = PredictionLog.of(log)
+    write_rows(((index, cid, true, predicted, ";".join(map(repr, probs)),
+                 f"{latency:.1f}")
+                for index, cid, true, predicted, probs, latency
+                in log.cells()),
                ("index", "contributor_id", "true", "predicted",
                 "probabilities", "latency_us"), path)
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import json
 from array import array
-from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from datetime import datetime
 from functools import lru_cache
@@ -33,6 +32,7 @@ import numpy as np
 from .model import (
     EVENT_COUNT_FIELDS,
     FEATURE_COLUMNS,
+    FEATURE_INDEX,
     N_FEATURES,
     PROB_COLUMNS,
     AggregateBatch,
@@ -241,6 +241,7 @@ def write_rows(rows, columns, path):
 _N_COUNTS = len(EVENT_COUNT_FIELDS)
 _N_VALUES = _N_COUNTS + len(PROB_COLUMNS)
 _N_SCALARS = N_FEATURES - len(PROB_COLUMNS)
+_F3 = FEATURE_INDEX["3"]
 
 
 @dataclass(eq=False)
@@ -267,6 +268,11 @@ class EventTable:
                    [e.was_reverted for e in events],
                    np.array([(*event_counts(e), *e.probs) for e in events],
                             dtype=float).reshape(len(events), _N_VALUES))
+
+    @classmethod
+    def of(cls, events):
+        """``events``, a table or a list of EditEvents, as a table."""
+        return events if isinstance(events, cls) else cls.from_events(events)
 
     def __len__(self):
         return len(self.contributor_ids)
@@ -326,8 +332,7 @@ def aggregate_daily(events):
     contributor whose ``is_bot`` flag changes between events is
     rejected.
     """
-    table = events if isinstance(events, EventTable) \
-        else EventTable.from_events(events)
+    table = EventTable.of(events)
     _check_bot_flags(table.contributor_ids, table.is_bot)
     index = {}
     keys = zip(table.contributor_ids, table.days)
@@ -381,35 +386,32 @@ class DatasetSummary:
 
 
 def summarize(aggregates, events=None):
-    """Summarize a stream of aggregates.
+    """Summarize a stream of aggregates, an AggregateBatch or a list of
+    DailyAggregates.
 
     A contributor's joint class is the majority over its aggregates'
-    labels, ties broken toward malign. ``n_pages`` needs the raw events
-    (aggregates only keep per-day distinct page counts) and is zero when
-    they are not supplied.
+    labels, ties broken toward malign; its bot flag is its first
+    aggregate's. ``n_pages`` needs the raw events, an EventTable or a
+    list of EditEvents (aggregates only keep per-day distinct page
+    counts), and is zero when they are not supplied.
     """
-    per_contributor = defaultdict(list)
-    for agg in aggregates:
-        per_contributor[agg.contributor_id].append(agg)
-
-    histogram = {name: 0 for name in
-                 ("human-benign", "human-malign", "bot-benign", "bot-malign")}
-    n_bots = 0
-    for members in per_contributor.values():
-        user_type = members[0].user_type
-        n_bots += user_type
-        positives = sum(1 for a in members if a.contribution_type == 0)
-        negatives = len(members) - positives
-        contribution = 0 if positives > negatives else 1
-        histogram[joint_class(user_type, contribution)] += 1
-
+    batch = AggregateBatch.of(aggregates)
+    codes, ids, _, is_bot, _, _ = contributor_slots(
+        batch.contributor_ids.tolist(), batch.is_bot, {})
+    positives = np.bincount(codes, weights=batch.contribution_type == 0,
+                            minlength=len(ids))
+    malign = positives <= np.bincount(codes, minlength=len(ids)) - positives
+    joint = np.bincount(2 * is_bot + malign, minlength=4).tolist()
+    n_bots = int(is_bot.sum())
     return DatasetSummary(
-        n_pages=len({e.page_id for e in events}) if events else 0,
-        n_contributors=len(per_contributor),
-        n_events=int(round(sum(a.value("3") for a in aggregates))),
+        n_pages=len(set(EventTable.of(events).page_ids)) if events else 0,
+        n_contributors=len(ids),
+        n_events=int(round(sum(batch.values[:, _F3].tolist()))),
         n_bots=n_bots,
-        n_humans=len(per_contributor) - n_bots,
-        joint_histogram=histogram,
+        n_humans=len(ids) - n_bots,
+        joint_histogram={joint_class(user, contribution):
+                         joint[2 * user + contribution]
+                         for user in (0, 1) for contribution in (0, 1)},
     )
 
 
@@ -436,13 +438,9 @@ def write_aggregates(aggregates, path):
     DailyAggregates, in the aggregate schema: JSON lines when the suffix
     is ``.jsonl``, CSV otherwise."""
     batch = AggregateBatch.of(aggregates)
-    write_rows(([cid, day, bot, synthetic, *values]
-                for cid, day, bot, synthetic, values in zip(
-                    batch.contributor_ids.tolist(),
-                    np.datetime_as_string(batch.days).tolist(),
-                    batch.is_bot.astype(int).tolist(),
-                    batch.synthetic.astype(int).tolist(),
-                    batch.values.tolist())), AGGREGATE_COLUMNS, path)
+    write_rows(([cid, day.isoformat(), int(bot), int(synthetic), *values]
+                for cid, day, bot, values, synthetic in batch.cells()),
+               AGGREGATE_COLUMNS, path)
 
 
 def is_aggregate_file(path):

@@ -9,7 +9,7 @@ order and probability groupings) every other module relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from functools import lru_cache
 from itertools import groupby
@@ -328,19 +328,70 @@ class DailyAggregate:
 
 
 _OK = FEATURE_INDEX["17.ok"]
-_BATCH_COLUMNS = ("contributor_ids", "days", "is_bot", "synthetic", "values")
+
+# Rows converted to Python values at a time by ``column_rows``.
+ROW_BLOCK = 1024
+
+
+def column_rows(*columns):
+    """Yield the rows of ``columns``, arrays or lists of one length, as
+    tuples of Python values (a row of a 2-D array as a list), converting
+    ROW_BLOCK rows of each column at a time (``tolist``), so that no more
+    than one block of rows is held as Python objects."""
+    for start in range(0, len(columns[0]), ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        yield from zip(*(column[block].tolist()
+                         if isinstance(column, np.ndarray) else column[block]
+                         for column in columns))
+
+
+class ColumnarList:
+    """Columns of one length that behave as a list of row objects, built
+    on demand and not kept: ``len``, iteration, an integer index and
+    ``==`` against an object of the same type or a list of rows. A
+    slice, an index array or a boolean mask selects rows as an object of
+    the same type.
+
+    A subclass names its columns in COLUMNS, in the order of the
+    arguments of its ``_row``, which builds one row from its cells.
+    """
+
+    COLUMNS = ()
+
+    def __len__(self):
+        return len(getattr(self, self.COLUMNS[0]))
+
+    def cells(self):
+        """Each row's cells as Python values, in COLUMNS order
+        (``column_rows``)."""
+        return column_rows(*(getattr(self, name) for name in self.COLUMNS))
+
+    def __iter__(self):
+        for cells in self.cells():
+            yield self._row(*cells)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            at = range(len(self))[index]  # IndexError past either end
+            return next(iter(self[at:at + 1]))
+        return type(self)(**{name: getattr(self, name)[index]
+                             for name in self.COLUMNS})
+
+    def __eq__(self, other):
+        if isinstance(other, (type(self), list)):
+            return len(self) == len(other) and all(
+                mine == theirs for mine, theirs in zip(self, other))
+        return NotImplemented
 
 
 @dataclass(eq=False)
-class AggregateBatch:
+class AggregateBatch(ColumnarList):
     """Contributor-days as columns: an (n, 31) float matrix ``values`` in
     FEATURE_IDS order and one array each of contributor ids (object),
     days (``datetime64[D]``), ``is_bot`` and ``synthetic`` flags.
 
-    It behaves as a list of DailyAggregate rows: ``len``, iteration, an
-    integer index (read or assigned) and ``==`` against another batch or
-    a list of rows go through the row views, built once on first use. A
-    slice, an index array or a boolean mask selects a batch.
+    It behaves as a list of DailyAggregate rows (``ColumnarList``), and
+    a row can be assigned by integer index.
     """
 
     contributor_ids: np.ndarray
@@ -348,12 +399,13 @@ class AggregateBatch:
     is_bot: np.ndarray
     synthetic: np.ndarray
     values: np.ndarray
-    _rows: list = field(default=None, repr=False)
+
+    COLUMNS = ("contributor_ids", "days", "is_bot", "values", "synthetic")
 
     @classmethod
     def of(cls, aggregates):
         """``aggregates``, a batch or an iterable of DailyAggregates, as a
-        batch; the DailyAggregates stay its row views."""
+        batch."""
         if isinstance(aggregates, cls):
             return aggregates
         rows = list(aggregates)
@@ -362,52 +414,27 @@ class AggregateBatch:
                    np.array([a.is_bot for a in rows], dtype=bool),
                    np.array([a.synthetic for a in rows], dtype=bool),
                    np.array([a.values for a in rows], dtype=float)
-                   .reshape(len(rows), N_FEATURES), rows)
+                   .reshape(len(rows), N_FEATURES))
 
     @classmethod
     def concat(cls, batches):
-        return cls(*(np.concatenate([getattr(b, name) for b in batches])
-                     for name in _BATCH_COLUMNS))
+        return cls(**{name: np.concatenate([getattr(b, name) for b in batches])
+                      for name in cls.COLUMNS})
 
-    def __len__(self):
-        return len(self.values)
-
-    def rows(self):
-        """The DailyAggregate row views, in order."""
-        if self._rows is None:
-            self._rows = [
-                DailyAggregate(cid, day, bot, tuple(values), synthetic)
-                for cid, day, bot, values, synthetic in zip(
-                    self.contributor_ids.tolist(), self.days.tolist(),
-                    self.is_bot.tolist(), self.values.tolist(),
-                    self.synthetic.tolist())]
-        return self._rows
-
-    def __iter__(self):
-        return iter(self.rows())
-
-    def __getitem__(self, index):
-        if isinstance(index, (int, np.integer)):
-            return self.rows()[index]
-        return AggregateBatch(*(getattr(self, name)[index]
-                                for name in _BATCH_COLUMNS))
+    @staticmethod
+    def _row(contributor_id, day, is_bot, values, synthetic):
+        return DailyAggregate(contributor_id, day, is_bot, tuple(values),
+                              synthetic)
 
     def __setitem__(self, index, row):
         """Replace row ``index``, an integer, with the DailyAggregate
         ``row``. The columns are copied first: slices share them."""
-        rows = self.rows()
-        for name, value in zip(_BATCH_COLUMNS, (
-                row.contributor_id, row.day, row.is_bot, row.synthetic,
-                row.values)):
+        for name, value in zip(self.COLUMNS, (
+                row.contributor_id, row.day, row.is_bot, row.values,
+                row.synthetic)):
             column = getattr(self, name).copy()
             column[index] = value
             setattr(self, name, column)
-        rows[index] = row
-
-    def __eq__(self, other):
-        if isinstance(other, (AggregateBatch, list)):
-            return self.rows() == list(other)
-        return NotImplemented
 
     def sorted(self):
         """The rows ordered by day, then contributor id; rows equal in

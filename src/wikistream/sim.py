@@ -24,6 +24,7 @@ from .model import (
     EVENT_COUNT_FIELDS,
     PROBABILITY_GROUPS,
     ValidationError,
+    column_rows,
     largest_remainder,
     probability_group_sums,
 )
@@ -161,6 +162,14 @@ class SimConfig:
             raise ValidationError(
                 f"event count {self.target_events} must be 0 or at least "
                 f"the population of {population}", field="events")
+        for name in ARCHETYPE_NAMES:
+            if self.counts.get(name, 0) == 0:
+                continue
+            rate = self.archetypes[name].edit_rate
+            if not (math.isfinite(rate) and rate > 0.0):
+                raise ValidationError(
+                    f"edit rate {rate!r} is not finite and > 0",
+                    field=f"archetypes.{name}.edit_rate")
         for name, archetype in _noisy_archetypes(self).items():
             _check_score_means(name, archetype)
 
@@ -350,13 +359,12 @@ def simulate(config):
 def write_events(events, path):
     """Write events, an EventTable or a list of EditEvents, in the event
     schema: JSON lines when the suffix is ``.jsonl``, CSV otherwise."""
-    table = events if isinstance(events, EventTable) \
-        else EventTable.from_events(events)
-    values = table.values.T.tolist()
-    write_rows(zip(table.contributor_ids, map(int, table.is_bot),
-                   table.page_ids, map(date.isoformat, table.days),
-                   *values[:_N_COUNTS], map(int, table.was_reverted),
-                   *values[_N_COUNTS:]),
+    table = EventTable.of(events)
+    write_rows(([cid, int(bot), page, day.isoformat(), *values[:_N_COUNTS],
+                 int(reverted), *values[_N_COUNTS:]]
+                for cid, bot, page, day, reverted, values in column_rows(
+                    table.contributor_ids, table.is_bot, table.page_ids,
+                    table.days, table.was_reverted, table.values)),
                EVENT_COLUMNS, path)
 
 

@@ -143,7 +143,8 @@ class TestPrequentialRun:
         with pytest.raises(ValidationError) as exc:
             prequential_run_stacking(rest, StackingModel(), window=window)
         assert exc.value.field == "window"
-        assert next(rest) is stream[0]
+        assert next(rest) == stream[0]
+        assert stream[0] != stream[1]
 
     def test_constant_labels_give_trivial_accuracy(self):
         cfg = SimConfig(counts={"human-benign": 6}, n_days=10, seed=0)

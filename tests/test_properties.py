@@ -1,6 +1,7 @@
 """
 Property-based tests of the classifiers' contracts, the event and
-aggregate files and the profiles.
+aggregate files, the profiles, and the row views of batches and
+prediction logs.
 
 For the classifiers, hypothesis draws the shape of a stream (arity,
 length, class count, value pattern, seed); numpy draws the values from
@@ -22,12 +23,24 @@ import pytest
 from hypothesis import event, example, given, reject, settings
 from hypothesis import strategies as st
 
-from wikistream.analysis import FEATURE_SETS, SET3_TARGET1, SET3_TARGET2
+from wikistream.analysis import FEATURE_SETS, SET1, SET3_TARGET1, SET3_TARGET2
+from wikistream.evaluate import (
+    ConfusionMatrix,
+    MetricsReport,
+    PredictionLog,
+    PredictionRecord,
+    f_measure,
+    macro_micro,
+    metrics_from_log,
+    prequential_run,
+    write_prediction_log,
+)
 from wikistream.fabricate import split_across_intervals
 from wikistream.ingest import (
     AGGREGATE_COLUMNS,
     EVENT_COLUMNS,
     EventTable,
+    aggregate_daily,
     load_stream,
     parse_events,
     read_aggregates,
@@ -35,6 +48,7 @@ from wikistream.ingest import (
     write_rows,
 )
 from wikistream.learn import (
+    GaussianNaiveBayes,
     HOEFFDING_DELTA,
     HOEFFDING_GRACE_PERIOD,
     HOEFFDING_MAX_DEPTH,
@@ -57,7 +71,9 @@ from wikistream.model import (
     EVENT_COUNT_FIELDS,
     FEATURE_IDS,
     FEATURE_INDEX,
+    N_FEATURES,
     PROBABILITY_GROUPS,
+    ROW_BLOCK,
     AggregateBatch,
     DailyAggregate,
     EditEvent,
@@ -1069,3 +1085,184 @@ def test_simulate_is_the_per_event_reference(config):
         assert getattr(table, column) == getattr(expected, column), column
     assert table.values.tolist() == expected.values.tolist()
     assert table == expected
+
+
+# Sizes at the edges of ``column_rows``' blocks; None draws a size.
+BLOCK_SIZES = [0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
+               2 * ROW_BLOCK + 1, None]
+
+
+def random_batch(n, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.random((n, N_FEATURES))
+    values[:, FEATURE_INDEX["3"]] += 1.0
+    return AggregateBatch(
+        np.array([f"c{i}" for i in rng.integers(0, 50, n).tolist()],
+                 dtype=object),
+        np.datetime64("2020-01-01") + rng.integers(0, 400, n),
+        rng.random(n) < 0.5, rng.random(n) < 0.2, values)
+
+
+def reference_rows(batch):
+    """The row views as the batch once built them on first use and kept
+    them: one list of every row."""
+    return [DailyAggregate(cid, day, bot, tuple(values), synthetic)
+            for cid, day, bot, values, synthetic in zip(
+                batch.contributor_ids.tolist(), batch.days.tolist(),
+                batch.is_bot.tolist(), batch.values.tolist(),
+                batch.synthetic.tolist())]
+
+
+def reprs(rows):
+    # repr tells a Python value from a numpy scalar equal to it
+    return [repr(row) for row in rows]
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_batch_views_are_the_kept_rows(n, data):
+    if n is None:
+        n = data.draw(st.integers(0, 3 * ROW_BLOCK))
+    batch = random_batch(n, data.draw(st.integers(0, 2 ** 32 - 1)))
+    expected = reference_rows(batch)
+    assert len(batch) == n
+    assert reprs(batch) == reprs(expected)
+    assert reprs(batch) == reprs(expected)  # a second pass builds them anew
+    assert batch == expected and batch == AggregateBatch.of(expected)
+    assert batch != 5 and not batch == expected[:-1] + [None]
+    for i in data.draw(st.lists(st.integers(-n, n - 1), max_size=12)) \
+            if n else []:
+        assert repr(batch[i]) == repr(expected[i])
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            batch[i]
+    if not n:
+        return
+    at = data.draw(st.integers(-n, n - 1))
+    row = DailyAggregate("new", date(2021, 5, 5), not expected[at].is_bot,
+                         tuple(float(v) for v in range(1, N_FEATURES + 1)),
+                         not expected[at].synthetic)
+    before = batch[:]
+    batch[at] = row
+    assert repr(batch[at]) == repr(row)
+    assert before == expected and batch != expected  # copy on write
+    expected[at] = row
+    assert reprs(batch) == reprs(expected) and batch == expected
+    assert batch[:-1] != batch
+
+
+def reference_metrics(records, classes, window, elapsed):
+    """The report as it was computed record by record from a list of
+    PredictionRecords."""
+    cm = ConfusionMatrix(classes)
+    for record in records:
+        cm.add(record.true, record.predicted)
+    macro, micro = macro_micro(cm)
+    correct = [1 if r.true == r.predicted else 0 for r in records]
+    series = [(end, sum(correct[end - window:end]) / window)
+              for end in range(window, len(correct) + 1, window)]
+    tail = correct[-window:]
+    n = len(records)
+    return MetricsReport(
+        classifier="", target="", n_samples=n, accuracy=cm.accuracy(),
+        per_class={c: {"precision": cm.precision(c), "recall": cm.recall(c),
+                       "f": f_measure(cm, c)} for c in classes},
+        macro_f=macro, micro_f=micro, confusion=cm.to_lists(),
+        window_size=window, window_series=series,
+        final_window_accuracy=sum(tail) / len(tail) if tail else 0.0,
+        elapsed_seconds=elapsed,
+        events_per_second=n / elapsed if elapsed else 0.0,
+        ms_per_event=elapsed / n * 1000.0 if n else 0.0)
+
+
+def reference_log_file(records, path):
+    """The prediction log CSV written record by record."""
+    write_rows(((r.index, r.contributor_id, r.true, r.predicted,
+                 ";".join(map(repr, r.probabilities)), f"{r.latency_us:.1f}")
+                for r in records),
+               ("index", "contributor_id", "true", "predicted",
+                "probabilities", "latency_us"), path)
+
+
+def log_bytes(write, log):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "predictions.csv"
+        write(log, path)
+        return path.read_bytes()
+
+
+def assert_log_is_records(log, records, classes, window):
+    assert len(log) == len(records)
+    assert reprs(log) == reprs(records) and log == records
+    expected = log_bytes(reference_log_file, records)
+    assert log_bytes(write_prediction_log, log) == expected
+    assert log_bytes(write_prediction_log, records) == expected
+    report = reference_metrics(records, classes, window, 1.5).to_dict()
+    for given in (log, records):
+        assert metrics_from_log(given, classes, window=window,
+                                elapsed=1.5).to_dict() == report
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_columnar_log_is_the_record_list(n, data):
+    if n is None:
+        n = data.draw(st.integers(0, 3 * ROW_BLOCK))
+    classes = list(range(data.draw(st.integers(2, 3))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    probabilities = rng.random((n, len(classes)))
+    # a skilled classifier agrees with the label most of the time
+    true = rng.integers(0, len(classes), n)
+    predicted = np.where(rng.random(n) < 0.7, true,
+                         probabilities.argmax(axis=1))
+    log = PredictionLog(np.arange(n) + 7,
+                        np.array([f"c{i}" for i in rng.integers(0, 40, n)],
+                                 dtype=object),
+                        true, predicted, probabilities,
+                        rng.exponential(150.0, n))
+    records = [PredictionRecord(*cells[:4], tuple(cells[4]), cells[5])
+               for cells in zip(log.index.tolist(),
+                                log.contributor_id.tolist(),
+                                true.tolist(), predicted.tolist(),
+                                probabilities.tolist(),
+                                log.latency_us.tolist())]
+    window = data.draw(st.integers(1, n + 5))
+    assert_log_is_records(log, records, classes, window)
+    start, stop = sorted(data.draw(st.lists(st.integers(-n - 2, n + 2),
+                                            min_size=2, max_size=2)))
+    assert_log_is_records(log[start:stop], records[start:stop], classes,
+                          window)
+    assert PredictionLog.of(records) == log
+    if n:
+        i = data.draw(st.integers(-n, n - 1))
+        assert repr(log[i]) == repr(records[i])
+
+
+def test_record_list_cells_are_kept_as_given():
+    # a column of mixed labels keeps each one's type: True stays True
+    records = [PredictionRecord(0, "a", True, 1, (0.5, 0.5), 1.0),
+               PredictionRecord(1, "b", 0, False, (0.25, 0.75), 2.25)]
+    assert log_bytes(write_prediction_log, records) == \
+        log_bytes(reference_log_file, records)
+    assert reprs(PredictionLog.of(records)) == reprs(records)
+
+
+def test_prequential_log_is_the_record_loop():
+    """A prequential run's log equals a loop that profiles, predicts,
+    learns and records one sample at a time, but for the latency."""
+    events, _ = simulate(SimConfig(counts={a: 15 for a in ARCHETYPE_NAMES},
+                                   n_days=30, seed=5))
+    stream = aggregate_daily(events)
+    _, log = prequential_run(stream, GaussianNaiveBayes(), SET1,
+                             "contribution_type")
+    model, store, records = GaussianNaiveBayes(), ProfileStore(), []
+    for index, agg in enumerate(stream):
+        x = to_feature_vector(store.update(agg), SET1)
+        probs = model.predict_learn(x, agg.contribution_type)
+        records.append(PredictionRecord(
+            index, agg.contributor_id, agg.contribution_type,
+            model.classes[probs.argmax()], tuple(probs.tolist()), 0.0))
+    assert len(stream) > ROW_BLOCK
+    assert reprs(replace(r, latency_us=0.0) for r in log) == reprs(records)

@@ -111,6 +111,19 @@ class TestConfigValidation:
             archetypes=archetypes))
         assert len(events) > 0
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    def test_edit_rate_must_be_finite_and_positive(self, rate, noise):
+        # numpy rejects a negative or NaN rate itself; at noise 0.1 a
+        # rate of 0 blends every rate to 0, one event per contributor
+        archetypes = dict(DEFAULT_ARCHETYPES)
+        archetypes["bot-benign"] = replace(archetypes["bot-benign"],
+                                           edit_rate=rate)
+        with pytest.raises(ValidationError) as exc:
+            SimConfig(counts={"human-benign": 3, "bot-benign": 2}, n_days=3,
+                      noise=noise, archetypes=archetypes)
+        assert exc.value.field == "archetypes.bot-benign.edit_rate"
+
 
     @pytest.mark.parametrize("parameter,field", [
         ("review_length_log_mean", "review_length"),
