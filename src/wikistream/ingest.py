@@ -11,9 +11,11 @@ Two on-disk schemas are supported:
 
 Each schema is one table of (column, parser) pairs. Every line-oriented
 file of the package is written by ``write_rows``. Both schemas are read
-column-wise by one row reader (CSV or JSON lines, chosen by the
-``.jsonl`` suffix): text, flag and date cells are parsed per row, float
-cells go into one float matrix whose range rules are checked in bulk.
+column-wise. A plain CSV file is read in one ``np.loadtxt`` pass; any
+other file (JSON lines, chosen by the ``.jsonl`` suffix, included), and
+one that pass fails on, by the exact row reader: text, flag and date
+cells are parsed per row, float cells go into one float matrix whose
+range rules are checked in bulk.
 """
 
 from __future__ import annotations
@@ -93,22 +95,51 @@ EVENT_COLUMNS = tuple(column for column, _ in EVENT_SCHEMA)
 AGGREGATE_COLUMNS = tuple(column for column, _ in AGGREGATE_SCHEMA)
 
 
+def _text_lines(path, newline=None):
+    """Yield the lines of the text file ``path``, read as UTF-8 with a
+    leading byte-order mark dropped. A line holding a byte that is not
+    UTF-8 raises ValidationError naming the file and the line."""
+    with open(path, newline=newline, encoding="utf-8-sig",
+              errors="surrogateescape") as handle:
+        for line, text in enumerate(handle, start=1):
+            if not text.isascii():
+                try:
+                    text.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(text[exc.start]) - 0xDC00  # the escaped byte
+                    raise ValidationError(
+                        f"{path}: byte 0x{byte:02x} is not UTF-8",
+                        line=line) from None
+            yield text
+
+
+def _csv_rows(path):
+    """Yield (cells, line number) per row of the CSV file ``path``, its
+    header first, its lines read by ``_text_lines``. A cell longer than
+    ``csv.field_size_limit()`` raises ValidationError naming its line."""
+    reader = csv.reader(_text_lines(path, newline=""))
+    try:
+        for row in reader:
+            yield row, reader.line_num
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: {exc}",
+                              line=reader.line_num) from None
+
+
 def read_jsonl(path):
     """Yield (object, line number) per non-blank line of a JSON-lines
-    file. A line that is not a JSON object raises ValidationError
-    naming it."""
-    with open(path, encoding="utf-8") as handle:
-        for line, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"invalid JSON: {exc}",
-                                      line=line) from None
-            if not isinstance(record, dict):
-                raise ValidationError("expected a JSON object", line=line)
-            yield record, line
+    file, its lines read by ``_text_lines``. A line that is not a JSON
+    object raises ValidationError naming it."""
+    for line, raw in enumerate(_text_lines(path), start=1):
+        if not raw.strip():
+            continue
+        try:
+            record = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"invalid JSON: {exc}", line=line) from None
+        if not isinstance(record, dict):
+            raise ValidationError("expected a JSON object", line=line)
+        yield record, line
 
 
 def _check_exists(path):
@@ -137,9 +168,9 @@ def _cells(path, schema):
     the ``schema`` columns, in that order, as read. A file is JSON lines
     when its suffix is ``.jsonl``, CSV with a header otherwise; each
     column's header position is found once per file. A missing or empty
-    cell, a CSV row with more cells than its header, or a JSON value of
-    the wrong type raises ValidationError naming its line."""
-    _check_exists(path)
+    cell, a CSV row with more cells than its header, a JSON value of the
+    wrong type, and what ``_text_lines`` and ``_csv_rows`` reject raise
+    ValidationError naming its line."""
     columns = [column for column, _ in schema]
     if _is_jsonl(path):
         for record, line in read_jsonl(path):
@@ -148,27 +179,26 @@ def _cells(path, schema):
             _check_json_types(schema, cells, line)
             yield cells, line
         return
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
-        width = len(header)
-        # the last of repeated header names wins; a column the header
-        # lacks reads the empty cell appended to each row
-        position = {column: i for i, column in enumerate(header)}
-        take = itemgetter(*(position.get(c, width) for c in columns))
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue
-                if len(row) > width:
-                    raise ValidationError(
-                        f"{len(row) - width} cell(s) beyond the header",
-                        line=reader.line_num)
-                row += [""] * (width - len(row))
-            row.append("")
-            cells = take(row)
-            _check_present(columns, cells, reader.line_num)
-            yield cells, reader.line_num
+    rows = _csv_rows(path)
+    header = next(rows, ([], 0))[0]
+    width = len(header)
+    # the last of repeated header names wins; a column the header lacks
+    # reads the empty cell appended to each row
+    position = {column: i for i, column in enumerate(header)}
+    take = itemgetter(*(position.get(c, width) for c in columns))
+    for row, line in rows:
+        if len(row) != width:
+            if not row:
+                continue
+            if len(row) > width:
+                raise ValidationError(
+                    f"{len(row) - width} cell(s) beyond the header",
+                    line=line)
+            row += [""] * (width - len(row))
+        row.append("")
+        cells = take(row)
+        _check_present(columns, cells, line)
+        yield cells, line
 
 
 def _reject(schema, cells, line):
@@ -188,8 +218,8 @@ def _reject(schema, cells, line):
             names.append(column)
 
 
-def _read_table(path, schema):
-    """Read and check ``path`` column-wise. Returns (rows, values): per
+def _exact_table(path, schema):
+    """Read and check ``path`` row by row. Returns (rows, values): per
     row a list of its text, flag and date cells parsed, and the (rows, k)
     matrix of its k float cells, both in schema order.
 
@@ -221,6 +251,85 @@ def _read_table(path, schema):
     if error is not None:
         raise error
     return rows, values
+
+
+def _plain_csv(path, columns):
+    """Whether ``np.loadtxt`` reads ``path`` as ``csv.reader`` does, one
+    data row per line: a CSV file (not ``.jsonl``) whose header line is
+    ``columns`` in order, with at least one line after it. A binary scan
+    in 1 MiB chunks finds no quote (csv.reader's quoting), no byte
+    0x1c-0x1f (np.loadtxt strips them around a number as whitespace,
+    float() rejects them), no blank line, no carriage return outside a
+    CRLF line end and no line longer than ``csv.field_size_limit()``."""
+    if _is_jsonl(path):
+        return False
+    header = ",".join(columns).encode()
+    limit = csv.field_size_limit() + 1  # a line's bytes, its "\n" included
+    with open(path, "rb") as handle:
+        if handle.readline(len(header) + 2) not in (header + b"\n",
+                                                    header + b"\r\n"):
+            return False
+        last, rows = -1, False  # the last "\n", relative to the chunk
+        while chunk := handle.read(1 << 20):
+            if chunk.endswith(b"\r"):  # keep a CRLF in one chunk
+                chunk += handle.read(1)
+            if any(byte in chunk for byte in b'"\x1c\x1d\x1e\x1f'):
+                return False
+            data = np.frombuffer(chunk, dtype=np.uint8)
+            ends = np.flatnonzero(data == 10)
+            crlf = (data[ends - 1] == 13) & (ends > 0)
+            lengths = np.diff(ends, prepend=last)
+            last = (ends[-1] if len(ends) else last) - len(chunk)
+            if (np.count_nonzero(data == 13) != np.count_nonzero(crlf)
+                    or (lengths - crlf <= 1).any()  # "\n" or "\r\n" alone
+                    or (lengths > limit).any() or -last > limit):
+                return False
+            rows = True
+    return rows
+
+
+def _fast_table(path, schema):
+    """``_exact_table``'s result as columns, for a ``_plain_csv`` file:
+    one ``np.loadtxt`` pass, then the schema's parsers over the text,
+    flag and date columns and ``check_rows`` over the float matrix.
+    Raises ValueError, TypeError, KeyError or OverflowError on any file
+    the exact reader rejects (and on some it accepts)."""
+    table = np.loadtxt(
+        path, dtype=[(column, float if parse is float else object)
+                     for column, parse in schema],
+        delimiter=",", skiprows=1, comments=None, encoding="utf-8", ndmin=1)
+    floats = [column for column, parse in schema if parse is float]
+    values = np.column_stack([table[column] for column in floats])
+    others = [(table[column].tolist(), parse) for column, parse in schema
+              if parse is not float]
+    del table  # before the parsers run: it holds every cell
+    if any("" in cells for cells, _ in others):  # a missing column
+        raise ValueError("empty cell")
+    columns = [cells if parse is str else list(map(parse, cells))
+               for cells, parse in others]
+    n_counts = len(floats) - len(PROB_COLUMNS)
+    check_rows(values[:, :n_counts], values[:, n_counts:], floats[:n_counts],
+               range(2, len(values) + 2))
+    return columns, values
+
+
+def _read_table(path, schema):
+    """Read and check ``path`` column-wise. Returns (columns, values): a
+    sequence per text, flag and date column of its cells parsed, and the
+    (rows, k) matrix of the k float cells, both in schema order.
+
+    A ``_plain_csv`` file is read by ``_fast_table``. Any other file, and
+    one that the fast reader fails on, is read by ``_exact_table``, which
+    raises ValidationError for the first breach in file order."""
+    _check_exists(path)
+    if _plain_csv(path, [column for column, _ in schema]):
+        try:
+            return _fast_table(path, schema)
+        except (ValueError, TypeError, KeyError, OverflowError):
+            pass  # a ValidationError or UnicodeDecodeError is a ValueError
+    rows, values = _exact_table(path, schema)
+    width = sum(parse is not float for _, parse in schema)
+    return list(zip(*rows)) or [()] * width, values
 
 
 def write_rows(rows, columns, path):
@@ -307,10 +416,11 @@ def parse_events(path):
     Raises ValidationError carrying the line number and field of the
     first breach in file order.
     """
-    rows, values = _read_table(path, EVENT_SCHEMA)
-    # a row: contributor_id, is_bot, page_id, timestamp, was_reverted
-    order = sorted(range(len(rows)), key=lambda i: (rows[i][3], rows[i][0]))
-    return EventTable(*([rows[i][j] for i in order] for j in range(5)),
+    columns, values = _read_table(path, EVENT_SCHEMA)
+    # contributor_id, is_bot, page_id, timestamp, was_reverted
+    ids, days = columns[0], columns[3]
+    order = sorted(range(len(values)), key=lambda i: (days[i], ids[i]))
+    return EventTable(*([column[i] for i in order] for column in columns),
                       values[np.array(order, dtype=np.intp)])
 
 
@@ -424,8 +534,8 @@ def read_aggregates(path):
     order is named. A contributor whose ``is_bot`` flag changes between
     rows is rejected.
     """
-    rows, values = _read_table(path, AGGREGATE_SCHEMA)
-    ids, days, is_bot, synthetic = zip(*rows) if rows else ((),) * 4
+    columns, values = _read_table(path, AGGREGATE_SCHEMA)
+    ids, days, is_bot, synthetic = columns
     _check_bot_flags(ids, is_bot)
     return AggregateBatch(np.array(ids, dtype=object),
                           np.array(days, dtype="datetime64[D]"),
@@ -451,9 +561,8 @@ def is_aggregate_file(path):
         for record, _ in read_jsonl(path):
             return "f3" in record
         return False
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        return "f3" in next(reader, []) and any(reader)
+    rows = _csv_rows(path)
+    return "f3" in next(rows, ([], 0))[0] and any(row for row, _ in rows)
 
 
 def load_stream(path):

@@ -332,6 +332,46 @@ def test_surplus_csv_cells_exit_validation(tmp_path, command, out):
     assert not (tmp_path / out).exists()
 
 
+def events_line(events, index, edit):
+    """Rewrite line ``index`` (0 is the header) of an events file, as
+    bytes."""
+    lines = events.read_bytes().split(b"\r\n")
+    lines[index] = edit(lines[index])
+    events.write_bytes(b"\r\n".join(lines))
+
+
+@pytest.mark.parametrize("command,out", STREAM_COMMANDS + [("evaluate", "eval")])
+def test_non_utf8_byte_exits_validation(tmp_path, command, out):
+    events = simulate_stream(tmp_path / "sim")
+    events_line(events, 3, lambda line: b"\xff" + line)
+    result = run(command, events, "--out", tmp_path / out)
+    assert result.exit_code == 2, result.output
+    assert f"error: line 4: {events}: byte 0xff is not UTF-8" in result.output
+    assert not (tmp_path / out).exists()
+
+
+@pytest.mark.parametrize("command,out", STREAM_COMMANDS + [("evaluate", "eval")])
+def test_cell_over_field_size_limit_exits_validation(tmp_path, command, out):
+    events = simulate_stream(tmp_path / "sim")
+    events_line(events, 2, lambda line: b"x" * 200_000 + line)
+    result = run(command, events, "--out", tmp_path / out)
+    assert result.exit_code == 2, result.output
+    assert (f"error: line 3: {events}: field larger than field limit"
+            in result.output)
+    assert not (tmp_path / out).exists()
+
+
+def test_byte_order_mark_is_read_past(tmp_path):
+    events = simulate_stream(tmp_path / "sim")
+    assert run("profile", events, "--out", tmp_path / "plain.jsonl"
+               ).exit_code == 0
+    events_line(events, 0, lambda header: b"\xef\xbb\xbf" + header)
+    result = run("profile", events, "--out", tmp_path / "bom.jsonl")
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "bom.jsonl").read_bytes() == \
+        (tmp_path / "plain.jsonl").read_bytes()
+
+
 # Every command with a --seed option, with the arguments before it.
 SEEDED_COMMANDS = [
     ("simulate",),

@@ -3,10 +3,12 @@ import json
 from dataclasses import replace
 from datetime import date
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from wikistream import ingest
 from wikistream.ingest import (
     AGGREGATE_COLUMNS,
     EVENT_COLUMNS,
@@ -25,7 +27,7 @@ from wikistream.model import (
     EditEvent,
     ValidationError,
 )
-from wikistream.sim import write_events
+from wikistream.sim import ARCHETYPE_NAMES, SimConfig, simulate, write_events
 from tests.test_model import make_event
 
 
@@ -417,3 +419,179 @@ def test_json_booleans_read_in_flag_columns(tmp_path, schema):
     rewrite_cells(path, 0, is_bot=False)
     rewrite_cells(path, 1, is_bot=False)
     assert load_stream(path) == expected
+
+
+# The benchmark's two event streams at seed 0: (counts, events).
+BENCHMARK_SHAPES = {
+    "stacking": ({name: 200 for name in ARCHETYPE_NAMES}, 20_000),
+    "balance-forests": ({"human-benign": 1000, "human-malign": 1000,
+                         "bot-benign": 25, "bot-malign": 25}, 16_000),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(BENCHMARK_SHAPES))
+def benchmark_files(request, tmp_path_factory):
+    """A benchmark shape's events file and its aggregate file."""
+    counts, n_events = BENCHMARK_SHAPES[request.param]
+    events, _ = simulate(SimConfig(counts=counts, n_days=30, seed=0,
+                                   noise=0.1, target_events=n_events))
+    out = tmp_path_factory.mktemp(request.param)
+    write_events(events, out / "events.csv")
+    write_aggregates(aggregate_daily(events), out / "stream.csv")
+    return out / "events.csv", out / "stream.csv"
+
+
+def assert_same_table(a, b):
+    """Equal tables whose float matrices hold the same bytes."""
+    assert a == b
+    assert a.values.tobytes() == b.values.tobytes()
+
+
+class TestReaderPaths:
+    def test_written_files_skip_the_exact_reader(self, benchmark_files,
+                                                 monkeypatch):
+        events, stream = benchmark_files
+        exact = (exact_outcome(parse_events, events),
+                 exact_outcome(read_aggregates, stream))
+        monkeypatch.setattr(ingest, "_exact_table", exact_reader_called)
+        assert_same_table(parse_events(events), exact[0])
+        assert_same_table(read_aggregates(stream), exact[1])
+        assert_same_table(load_stream(events), aggregate_daily(exact[0]))
+        assert_same_table(load_stream(stream), exact[1])
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("c0,", '"c,0",', 1),  # a quoted id
+        lambda text: "\ufeff" + text,  # a byte-order mark
+        lambda text: text.replace("\r\nc1", "\r\n\r\nc1"),  # a blank line
+        lambda text: text.replace("\r\nc1", "\rc1"),  # a lone CR
+        lambda text: text.replace(",100.0,", ",100.0\x1c,", 1),
+    ])
+    def test_other_files_take_the_exact_reader(self, tmp_path, monkeypatch,
+                                               edit):
+        path = tmp_path / "events.csv"
+        write_events([make_event(contributor_id=f"c{i}") for i in range(2)],
+                     path)
+        text = path.read_bytes().decode()
+        edited = edit(text)
+        assert edited != text
+        path.write_bytes(edited.encode())
+        monkeypatch.setattr(ingest, "_exact_table", exact_reader_called)
+        with pytest.raises(ExactReaderCalled):
+            parse_events(path)
+
+    @pytest.mark.parametrize("after,plain", [
+        (b"\n", True),  # a CRLF split across two 1 MiB reads
+        (b"\n\r\n", False),  # a blank line just past the split
+        (b"a\r\n", False),  # a lone CR on the last byte of a read
+    ])
+    def test_scan_reads_line_ends_across_chunks(self, tmp_path, after,
+                                                plain):
+        # 1 000-byte lines after a 577-byte one put a "\r" on the last
+        # byte of the first 1 MiB read
+        body = b"b" * 575 + b"\r\n" + (b"a" * 998 + b"\r\n") * 1047
+        body += b"a" * 998 + b"\r" + after + (b"a" * 998 + b"\r\n") * 60
+        assert body[(1 << 20) - 1:1 << 20] == b"\r"
+        path = tmp_path / "lines.csv"
+        path.write_bytes(b"a\r\n" + body)
+        assert ingest._plain_csv(path, ["a"]) is plain
+
+    def test_header_only_file_reads_empty_without_warning(self, tmp_path):
+        path = tmp_path / "events.csv"
+        write_events([], path)
+        assert len(parse_events(path)) == 0
+        path = tmp_path / "stream.csv"
+        write_aggregates([], path)
+        assert len(read_aggregates(path)) == 0
+
+    # Cells that np.loadtxt reads otherwise than the exact reader: an
+    # empty text cell ('' where the exact reader finds a missing column),
+    # a cell cut at "#" unless comments are off, "1_0" and non-ASCII
+    # digits (float() reads them), 0x1c after a number (np.loadtxt strips
+    # it, float() rejects it).
+    @pytest.mark.parametrize("cell", ["", "c#", "#", "1_0", "\u0661",
+                                      "1\x1c"])
+    @pytest.mark.parametrize("schema", ["events", "aggregates"])
+    def test_trap_cells_read_as_the_exact_reader_reads_them(
+            self, tmp_path, schema, cell):
+        read = parse_events if schema == "events" else read_aggregates
+        columns = EVENT_COLUMNS if schema == "events" else AGGREGATE_COLUMNS
+        for column in columns:
+            path = tmp_path / f"{column}.csv"
+            write_stream(path, schema)
+            rewrite_cells(path, 1, **{column: cell})
+            fast = read_outcome(read, path)
+            exact = exact_outcome(read, path)
+            assert type(fast) is type(exact), column
+            assert fast == exact, column
+
+
+def read_outcome(read, path):
+    """What ``read`` makes of ``path``: its table, or the line, field and
+    message of the ValidationError it raises."""
+    try:
+        return read(path)
+    except ValidationError as exc:
+        return exc.line, exc.field, exc.message
+
+
+def exact_outcome(read, path):
+    """``read_outcome`` with the fast CSV reader off."""
+    with mock.patch.object(ingest, "_plain_csv", return_value=False):
+        return read_outcome(read, path)
+
+
+class ExactReaderCalled(Exception):
+    pass
+
+
+def exact_reader_called(path, schema):
+    raise ExactReaderCalled(path)
+
+
+class TestTextEdges:
+    """Bytes that are not UTF-8, a leading byte-order mark and an
+    oversized cell, in either schema and file format."""
+
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, suffix):
+        path = tmp_path / f"events{suffix}"
+        write_events([make_event(contributor_id=f"c{i}") for i in range(3)],
+                     path)
+        path.write_bytes(path.read_bytes().replace(b"c1", b"c\xff", 1))
+        with pytest.raises(ValidationError) as exc:
+            load_stream(path)
+        header = 1 if suffix == ".csv" else 0
+        assert exc.value.line == 2 + header
+        assert exc.value.message == f"{path}: byte 0xff is not UTF-8"
+
+    def test_non_utf8_header_names_line_one(self, tmp_path):
+        path = tmp_path / "stream.csv"
+        write_stream(path, "aggregates")
+        path.write_bytes(b"\xe9" + path.read_bytes())
+        with pytest.raises(ValidationError) as exc:
+            load_stream(path)
+        assert exc.value.line == 1
+        assert exc.value.message == f"{path}: byte 0xe9 is not UTF-8"
+
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    @pytest.mark.parametrize("schema", ["events", "aggregates"])
+    def test_byte_order_mark_is_accepted(self, tmp_path, suffix, schema):
+        path = tmp_path / f"stream{suffix}"
+        write_stream(path, schema)
+        expected = load_stream(path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert_same_table(load_stream(path), expected)
+
+    @pytest.mark.parametrize("schema", ["events", "aggregates"])
+    def test_cell_over_the_field_size_limit_names_its_line(self, tmp_path,
+                                                           schema):
+        path = tmp_path / "stream.csv"
+        write_stream(path, schema)
+        rewrite_cells(path, 1, contributor_id="c" * csv.field_size_limit())
+        assert len(load_stream(path)) == 2  # at the limit
+        rewrite_cells(path, 1, contributor_id="c" * (csv.field_size_limit()
+                                                     + 1))
+        with pytest.raises(ValidationError) as exc:
+            load_stream(path)
+        assert exc.value.line == 3
+        assert "field larger than field limit" in exc.value.message

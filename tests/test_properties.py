@@ -17,6 +17,7 @@ from dataclasses import replace
 from datetime import date, timedelta
 from itertools import chain
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from wikistream.evaluate import (
     prequential_run,
     write_prediction_log,
 )
+from wikistream import ingest
 from wikistream.fabricate import split_across_intervals
 from wikistream.ingest import (
     AGGREGATE_COLUMNS,
@@ -98,6 +100,7 @@ from wikistream.sim import (
     simulate,
     write_events,
 )
+from tests.test_ingest import exact_outcome, read_outcome
 
 PATTERNS = ("uniform", "constant", "ties", "wide")
 
@@ -780,6 +783,83 @@ def test_first_breach_in_file_order_is_named(data, aggregates, suffix):
     assert exc.value.field == field
     if field is None:
         assert repr(column) in exc.value.message
+
+
+# Edits of one CSV cell: the text that replaces it, or None to drop it.
+NON_ASCII_DIGITS = str.maketrans("0123456789",
+                                 "".join(chr(0x660 + d) for d in range(10)))
+CELL_EDITS = [
+    lambda cell: cell[:1] + "_" + cell[1:],
+    lambda cell: f" {cell} ",
+    lambda cell: f"\t{cell}",
+    lambda cell: f'"{cell}"',
+    lambda cell: cell + '"',
+    lambda cell: cell + "#",
+    lambda cell: "#" + cell,
+    lambda cell: "",
+    lambda cell: None,
+    lambda cell: cell + ",surplus",
+    lambda cell: "nan",
+    lambda cell: "inf",
+    lambda cell: "1e400",
+    lambda cell: "-0",
+    lambda cell: cell.translate(NON_ASCII_DIGITS),
+    lambda cell: cell + "\x00\x00",
+    lambda cell: cell + "\x1c",
+]
+
+
+RARELY = st.sampled_from([False] * 9 + [True])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), aggregates=st.booleans())
+def test_fast_csv_reader_agrees_with_exact_reader(data, aggregates):
+    """A written CSV file with edited cells, lines, line ends and bytes
+    reads to the same table, float bytes included, or the same
+    ValidationError, whether the fast reader runs or only the exact
+    reader does."""
+    if aggregates:
+        rows = data.draw(aggregate_rows())
+        write, read = write_aggregates, read_aggregates
+    else:
+        rows = data.draw(st.lists(edit_events, min_size=1, max_size=8))
+        write, read = write_events, parse_events
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "stream.csv"
+        write(rows, path)
+        lines = path.read_bytes().decode().split("\r\n")[:-1]
+        for _ in range(data.draw(st.sampled_from([0, 1, 1, 1, 2]))):
+            index = data.draw(st.integers(0, len(lines) - 1))
+            cells = lines[index].split(",")
+            at = data.draw(st.integers(0, len(cells) - 1))
+            cell = data.draw(st.sampled_from(CELL_EDITS))(cells[at])
+            cells[at:at + 1] = [] if cell is None else [cell]
+            lines[index] = ",".join(cells)
+        if data.draw(RARELY):
+            lines.insert(data.draw(st.integers(1, len(lines))), "")
+        if data.draw(RARELY):
+            lines = lines[:1]  # header only
+        ends = [data.draw(st.sampled_from(["\r\n", "\n"]))] * len(lines)
+        if data.draw(RARELY):
+            ends[data.draw(st.integers(0, len(ends) - 1))] = "\r"
+        if data.draw(st.booleans()):
+            ends[-1] = ""
+        text = "".join(line + end for line, end in zip(lines, ends))
+        raw = (("\ufeff" if data.draw(RARELY) else "") + text).encode()
+        if data.draw(RARELY):
+            at = data.draw(st.integers(0, len(raw)))
+            raw = raw[:at] + b"\xff" + raw[at:]
+        path.write_bytes(raw)
+        with mock.patch.object(ingest, "_exact_table",
+                               wraps=ingest._exact_table) as exact:
+            fast = read_outcome(read, path)
+        event(f"exact reader called: {exact.called}")
+        slow = exact_outcome(read, path)
+    assert type(fast) is type(slow)
+    assert fast == slow
+    if not isinstance(slow, tuple):
+        assert fast.values.tobytes() == slow.values.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
