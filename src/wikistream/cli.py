@@ -41,13 +41,18 @@ def _guarded(fn):
 def _load_config_defaults(ctx, param, value):
     """Key-value config file; explicit flags win over file values.
 
-    A key that names no option of the command is a usage error (exit 2).
+    A key that names no option of the command, and a byte that is not
+    UTF-8 (``ingest._text_lines``), are usage errors (exit 2).
     """
     if value is None:
         return None
     options = {p.name for p in ctx.command.params} - {param.name}
     defaults = {}
-    for raw in Path(value).read_text(encoding="utf-8").splitlines():
+    try:
+        lines = list(ingest._text_lines(value))
+    except ValidationError as exc:
+        raise click.BadParameter(str(exc), ctx=ctx, param=param) from None
+    for raw in lines:
         raw = raw.strip()
         if not raw or raw.startswith("#"):
             continue
@@ -283,7 +288,7 @@ def report(metrics):
     """Render a metrics JSON file as a table row."""
     _require_input(metrics)
     try:
-        payload = json.loads(Path(metrics).read_text(encoding="utf-8"))
+        payload = json.loads("".join(ingest._text_lines(metrics)))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{metrics}: invalid JSON: {exc}",
                               field="metrics")

@@ -288,12 +288,27 @@ def _plain_csv(path, columns):
     return rows
 
 
+def coded(cells, parse=None):
+    """A column as (codes, distinct): ``distinct`` the sorted distinct
+    values of ``cells``, each parsed once by ``parse`` when it is given,
+    and ``codes`` per cell the index of its value in ``distinct``, an
+    intp array. Code order is value order, and two cells that parse to
+    one value share its code."""
+    index = dict.fromkeys(cells)
+    parsed = list(index) if parse is None else list(map(parse, index))
+    distinct = sorted(set(parsed))
+    rank = dict(zip(distinct, range(len(distinct))))
+    index = dict(zip(index, map(rank.__getitem__, parsed)))
+    return (np.fromiter(map(index.__getitem__, cells), dtype=np.intp,
+                        count=len(cells)), distinct)
+
+
 def _fast_table(path, schema):
-    """``_exact_table``'s result as columns, for a ``_plain_csv`` file:
-    one ``np.loadtxt`` pass, then the schema's parsers over the text,
-    flag and date columns and ``check_rows`` over the float matrix.
-    Raises ValueError, TypeError, KeyError or OverflowError on any file
-    the exact reader rejects (and on some it accepts)."""
+    """``_read_table``'s result for a ``_plain_csv`` file: one
+    ``np.loadtxt`` pass, then the text, flag and date columns coded with
+    their parsers run once per distinct cell, and ``check_rows`` over the
+    float matrix. Raises ValueError, TypeError, KeyError or OverflowError
+    on any file the exact reader rejects (and on some it accepts)."""
     table = np.loadtxt(
         path, dtype=[(column, float if parse is float else object)
                      for column, parse in schema],
@@ -302,11 +317,10 @@ def _fast_table(path, schema):
     values = np.column_stack([table[column] for column in floats])
     others = [(table[column].tolist(), parse) for column, parse in schema
               if parse is not float]
-    del table  # before the parsers run: it holds every cell
-    if any("" in cells for cells, _ in others):  # a missing column
+    del table  # before the coding: it holds every cell
+    columns = [coded(cells, parse) for cells, parse in others]
+    if any("" in distinct for _, distinct in columns):  # a missing column
         raise ValueError("empty cell")
-    columns = [cells if parse is str else list(map(parse, cells))
-               for cells, parse in others]
     n_counts = len(floats) - len(PROB_COLUMNS)
     check_rows(values[:, :n_counts], values[:, n_counts:], floats[:n_counts],
                range(2, len(values) + 2))
@@ -314,8 +328,8 @@ def _fast_table(path, schema):
 
 
 def _read_table(path, schema):
-    """Read and check ``path`` column-wise. Returns (columns, values): a
-    sequence per text, flag and date column of its cells parsed, and the
+    """Read and check ``path`` column-wise. Returns (columns, values): per
+    text, flag and date column its parsed cells ``coded``, and the
     (rows, k) matrix of the k float cells, both in schema order.
 
     A ``_plain_csv`` file is read by ``_fast_table``. Any other file, and
@@ -329,7 +343,14 @@ def _read_table(path, schema):
             pass  # a ValidationError or UnicodeDecodeError is a ValueError
     rows, values = _exact_table(path, schema)
     width = sum(parse is not float for _, parse in schema)
-    return list(zip(*rows)) or [()] * width, values
+    return [coded(cells) for cells in list(zip(*rows)) or [()] * width], \
+        values
+
+
+def _flags(column):
+    """A ``coded`` flag column as a bool array."""
+    codes, distinct = column
+    return np.array(distinct, dtype=bool)[codes]
 
 
 def write_rows(rows, columns, path):
@@ -353,28 +374,43 @@ _N_SCALARS = N_FEATURES - len(PROB_COLUMNS)
 _F3 = FEATURE_INDEX["3"]
 
 
+def _decoded(codes, distinct):
+    """The values of ``coded`` column (codes, distinct), as a list."""
+    return list(map(distinct.__getitem__, codes.tolist()))
+
+
 @dataclass(eq=False)
 class EventTable:
-    """Edit events as columns: one list per text, flag and date field
-    and one (events, 24) float matrix ``values`` of the count fields
-    (EVENT_COUNT_FIELDS order) and then the probabilities (PROB_COLUMNS
-    order). Iterating yields EditEvents. Two tables are equal when
-    their columns are."""
+    """Edit events as columns, in EditEvent's field order. Contributor
+    ids, pages and days are intp arrays of codes (``id_codes``,
+    ``page_codes``, ``day_codes``) into sorted tables of their distinct
+    values (``ids``, ``pages``, ``dates``), so code order is value
+    order. The flags are bool arrays, and ``values`` is the (events, 24)
+    float matrix of the count fields (EVENT_COUNT_FIELDS order) and then
+    the probabilities (PROB_COLUMNS order).
 
-    contributor_ids: list
-    is_bot: list
-    page_ids: list
-    days: list
-    was_reverted: list
+    Each field reads as a list too: ``contributor_ids``, ``is_bot``,
+    ``page_ids``, ``days`` and ``was_reverted``. Iterating yields
+    EditEvents. Two tables are equal when those lists and ``values``
+    are, whatever values their distinct tables hold."""
+
+    id_codes: np.ndarray
+    ids: list
+    bot_flags: np.ndarray
+    page_codes: np.ndarray
+    pages: list
+    day_codes: np.ndarray
+    dates: list
+    reverted_flags: np.ndarray
     values: np.ndarray
 
     @classmethod
     def from_events(cls, events):
-        return cls([e.contributor_id for e in events],
-                   [e.is_bot for e in events],
-                   [e.page_id for e in events],
-                   [e.day for e in events],
-                   [e.was_reverted for e in events],
+        return cls(*coded([e.contributor_id for e in events]),
+                   np.array([e.is_bot for e in events], dtype=bool),
+                   *coded([e.page_id for e in events]),
+                   *coded([e.day for e in events]),
+                   np.array([e.was_reverted for e in events], dtype=bool),
                    np.array([(*event_counts(e), *e.probs) for e in events],
                             dtype=float).reshape(len(events), _N_VALUES))
 
@@ -383,8 +419,28 @@ class EventTable:
         """``events``, a table or a list of EditEvents, as a table."""
         return events if isinstance(events, cls) else cls.from_events(events)
 
+    @property
+    def contributor_ids(self):
+        return _decoded(self.id_codes, self.ids)
+
+    @property
+    def is_bot(self):
+        return self.bot_flags.tolist()
+
+    @property
+    def page_ids(self):
+        return _decoded(self.page_codes, self.pages)
+
+    @property
+    def days(self):
+        return _decoded(self.day_codes, self.dates)
+
+    @property
+    def was_reverted(self):
+        return self.reverted_flags.tolist()
+
     def __len__(self):
-        return len(self.contributor_ids)
+        return len(self.id_codes)
 
     def __eq__(self, other):
         if not isinstance(other, EventTable):
@@ -417,18 +473,25 @@ def parse_events(path):
     first breach in file order.
     """
     columns, values = _read_table(path, EVENT_SCHEMA)
-    # contributor_id, is_bot, page_id, timestamp, was_reverted
-    ids, days = columns[0], columns[3]
-    order = sorted(range(len(values)), key=lambda i: (days[i], ids[i]))
-    return EventTable(*([column[i] for i in order] for column in columns),
-                      values[np.array(order, dtype=np.intp)])
+    (ids, id_table), bots, (pages, page_table), (days, dates), reverted = \
+        columns
+    order = np.lexsort((ids, days))
+    return EventTable(ids[order], id_table, _flags(bots)[order],
+                      pages[order], page_table, days[order], dates,
+                      _flags(reverted)[order], values[order])
 
 
-def _check_bot_flags(contributor_ids, flags):
-    """Reject a contributor whose ``is_bot`` flag changes between rows."""
-    change = contributor_slots(contributor_ids, flags, {})[-1]
-    if change is not None:
-        raise flag_change_error(contributor_ids[change])
+def _check_bot_flags(ids, codes, flags):
+    """Reject a contributor whose ``is_bot`` flag changes between rows,
+    naming the first row, in the given order, whose flag differs from
+    its contributor's first row's. ``codes`` index the distinct
+    ``ids``."""
+    present, first = np.unique(codes, return_index=True)
+    first_flags = np.empty(len(ids), dtype=bool)
+    first_flags[present] = flags[first]
+    changed = np.flatnonzero(flags != first_flags[codes])
+    if changed.size:
+        raise flag_change_error(ids[codes[changed[0]]])
 
 
 def aggregate_daily(events):
@@ -443,20 +506,18 @@ def aggregate_daily(events):
     rejected.
     """
     table = EventTable.of(events)
-    _check_bot_flags(table.contributor_ids, table.is_bot)
-    index = {}
-    keys = zip(table.contributor_ids, table.days)
-    group = np.fromiter((index.setdefault(key, len(index)) for key in keys),
-                        dtype=np.intp, count=len(table))
-    size = len(index)
+    _check_bot_flags(table.ids, table.id_codes, table.bot_flags)
+    # codes are in value order, so the groups come out in (day, id) order
+    n_ids, n_page_ids = len(table.ids), len(table.pages)
+    keys, first, group = np.unique(table.day_codes * n_ids + table.id_codes,
+                                   return_index=True, return_inverse=True)
+    size = len(keys)
     n = np.bincount(group, minlength=size).astype(float)
     sums = np.zeros((size, table.values.shape[1]))
     np.add.at(sums, group, table.values)
-    pages = set(zip(group.tolist(), table.page_ids))
-    n_pages = np.bincount(np.fromiter((g for g, _ in pages), dtype=np.intp,
-                                      count=len(pages)),
-                          minlength=size).astype(float)
-    n_reverts = np.bincount(group, weights=table.was_reverted,
+    pages = np.unique(group * n_page_ids + table.page_codes)
+    n_pages = np.bincount(pages // n_page_ids, minlength=size).astype(float)
+    n_reverts = np.bincount(group, weights=table.reverted_flags,
                             minlength=size)
     chars, links, repeated, inserted, deleted = sums[:, :_N_COUNTS].T
     has_chars = chars != 0
@@ -472,12 +533,11 @@ def aggregate_daily(events):
         np.divide(repeated, chars, out=np.zeros(size), where=has_chars),
         inserted, deleted])
     values[:, _N_SCALARS:] = sums[:, _N_COUNTS:] / n[:, None]
-    is_bot = np.empty(size, dtype=bool)
-    is_bot[group] = table.is_bot
-    return AggregateBatch(np.array([cid for cid, _ in index], dtype=object),
-                          np.array([day for _, day in index],
-                                   dtype="datetime64[D]"),
-                          is_bot, np.zeros(size, dtype=bool), values).sorted()
+    days, ids = np.divmod(keys, n_ids)
+    return AggregateBatch(np.array(table.ids, dtype=object)[ids],
+                          np.array(table.dates, dtype="datetime64[D]")[days],
+                          table.bot_flags[first], np.zeros(size, dtype=bool),
+                          values)
 
 
 @dataclass
@@ -514,7 +574,8 @@ def summarize(aggregates, events=None):
     joint = np.bincount(2 * is_bot + malign, minlength=4).tolist()
     n_bots = int(is_bot.sum())
     return DatasetSummary(
-        n_pages=len(set(EventTable.of(events).page_ids)) if events else 0,
+        n_pages=np.unique(EventTable.of(events).page_codes).size
+        if events else 0,
         n_contributors=len(ids),
         n_events=int(round(sum(batch.values[:, _F3].tolist()))),
         n_bots=n_bots,
@@ -535,12 +596,14 @@ def read_aggregates(path):
     rows is rejected.
     """
     columns, values = _read_table(path, AGGREGATE_SCHEMA)
-    ids, days, is_bot, synthetic = columns
-    _check_bot_flags(ids, is_bot)
-    return AggregateBatch(np.array(ids, dtype=object),
-                          np.array(days, dtype="datetime64[D]"),
-                          np.array(is_bot, dtype=bool),
-                          np.array(synthetic, dtype=bool), values).sorted()
+    (ids, id_table), (days, dates), is_bot, synthetic = columns
+    is_bot = _flags(is_bot)
+    _check_bot_flags(id_table, ids, is_bot)
+    order = np.lexsort((ids, days))  # AggregateBatch.sorted's order
+    return AggregateBatch(np.array(id_table, dtype=object)[ids[order]],
+                          np.array(dates, dtype="datetime64[D]")[days[order]],
+                          is_bot[order], _flags(synthetic)[order],
+                          values[order])
 
 
 def write_aggregates(aggregates, path):

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import EVENT_COLUMNS, EventTable, write_rows
+from .ingest import EVENT_COLUMNS, EventTable, coded, write_rows
 from .model import (
     EVENT_COUNT_FIELDS,
     PROBABILITY_GROUPS,
@@ -296,18 +296,14 @@ def _event_table(contributor_ids, is_bot, pages, day_offsets, reverted,
     EventTable sorted by day, then by contributor id as text (c100000
     comes before c99999), events equal in both in draw order. Raises
     ValidationError for an event ``EventTable.check`` rejects."""
-    rank = {cid: r for r, cid in enumerate(sorted(set(contributor_ids)))}
-    order = np.lexsort((np.fromiter(map(rank.__getitem__, contributor_ids),
-                                    dtype=np.intp, count=len(contributor_ids)),
-                        day_offsets))
-    first, inverse = np.unique(day_offsets[order], return_inverse=True)
-    dates = [START_DAY + timedelta(days=d) for d in first.tolist()]
-    take = order.tolist()
-    table = EventTable([contributor_ids[i] for i in take],
-                       [is_bot[i] for i in take],
-                       [_PAGE_IDS[pages[i]] for i in take],
-                       [dates[k] for k in inverse.tolist()],
-                       [reverted[i] for i in take], values[order])
+    id_codes, ids = coded(contributor_ids)
+    offsets, day_codes = np.unique(day_offsets, return_inverse=True)
+    order = np.lexsort((id_codes, day_codes))
+    table = EventTable(id_codes[order], ids, np.array(is_bot)[order],
+                       np.array(pages)[order], _PAGE_IDS, day_codes[order],
+                       [START_DAY + timedelta(days=d)
+                        for d in offsets.tolist()],
+                       np.array(reverted)[order], values[order])
     table.check()
     return table
 
@@ -360,11 +356,13 @@ def write_events(events, path):
     """Write events, an EventTable or a list of EditEvents, in the event
     schema: JSON lines when the suffix is ``.jsonl``, CSV otherwise."""
     table = EventTable.of(events)
-    write_rows(([cid, int(bot), page, day.isoformat(), *values[:_N_COUNTS],
-                 int(reverted), *values[_N_COUNTS:]]
+    days = [day.isoformat() for day in table.dates]
+    write_rows(([cid, bot, page, days[day], *values[:_N_COUNTS], reverted,
+                 *values[_N_COUNTS:]]
                 for cid, bot, page, day, reverted, values in column_rows(
-                    table.contributor_ids, table.is_bot, table.page_ids,
-                    table.days, table.was_reverted, table.values)),
+                    table.contributor_ids, table.bot_flags.astype(int),
+                    table.page_ids, table.day_codes,
+                    table.reverted_flags.astype(int), table.values)),
                EVENT_COLUMNS, path)
 
 

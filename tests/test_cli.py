@@ -394,3 +394,80 @@ def test_negative_seed_exits_validation(tmp_path, command):
     assert result.exit_code == 2, result.output
     assert "--seed" in result.output
     assert not (tmp_path / "out").exists()
+
+
+# The commands that take a --config file, with the arguments before it.
+CONFIG_COMMANDS = [("simulate",), ("evaluate", "STREAM")]
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS,
+                         ids=lambda command: command[0])
+def test_non_utf8_config_byte_exits_validation(tmp_path, command):
+    events = simulate_stream(tmp_path / "sim")
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"seed = 1\n\xffdays = 3\n")
+    args = [events if arg == "STREAM" else arg for arg in command]
+    result = run(*args, "--config", config, "--out", tmp_path / "out")
+    assert result.exit_code == 2, result.output
+    assert "--config" in result.output
+    assert f"line 2: {config}: byte 0xff is not UTF-8" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_byte_order_mark_is_read_past(tmp_path):
+    config = tmp_path / "sim.conf"
+    config.write_bytes(b"\xef\xbb\xbfdays = 3\nseed = 5\n")
+    result = run("simulate", "--config", config, "--out", tmp_path / "bom")
+    assert result.exit_code == 0, result.output
+    run("simulate", "--days", 3, "--seed", 5, "--out", tmp_path / "ref")
+    assert (tmp_path / "bom" / "events.csv").read_bytes() == \
+        (tmp_path / "ref" / "events.csv").read_bytes()
+
+
+def test_non_utf8_report_byte_exits_validation(tmp_path):
+    metrics = tmp_path / "metrics.json"
+    metrics.write_bytes(b'{"classifier":\n "\xff"}\n')
+    result = run("report", metrics)
+    assert result.exit_code == 2, result.output
+    assert f"error: line 2: {metrics}: byte 0xff is not UTF-8" \
+        in result.output
+
+
+def test_report_reads_past_a_byte_order_mark(tmp_path):
+    events = simulate_stream(tmp_path / "sim")
+    run("evaluate", events, "--classifier", "nb", "--out", tmp_path / "eval")
+    metrics = tmp_path / "eval" / "metrics.json"
+    plain = run("report", metrics)
+    metrics.write_bytes(b"\xef\xbb\xbf" + metrics.read_bytes())
+    result = run("report", metrics)
+    assert result.exit_code == 0, result.output
+    assert result.output == plain.output
+
+
+# Exit 3, a runtime failure: an output path under a regular file, per
+# command that writes one, and an input path that is a directory.
+@pytest.mark.parametrize("command,out", [
+    ("simulate", "sim"), ("profile", "profiles.jsonl"), ("evaluate", "eval")])
+def test_output_under_a_regular_file_exits_runtime(tmp_path, command, out):
+    events = simulate_stream(tmp_path / "sim")
+    blocker = tmp_path / "file"
+    blocker.write_text("x", encoding="utf-8")
+    stream = () if command == "simulate" else (events,)
+    result = run(command, *stream, "--out", blocker / out)
+    assert result.exit_code == 3, result.output
+    assert "Not a directory" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("command,out", STREAM_COMMANDS + [("evaluate", "eval")])
+def test_input_directory_exits_runtime(tmp_path, command, out):
+    result = run(command, tmp_path, "--out", tmp_path / out)
+    assert result.exit_code == 3, result.output
+    assert f"Is a directory: '{tmp_path}'" in result.output
+    assert not (tmp_path / out).exists()
+
+
+def test_report_on_a_directory_exits_runtime(tmp_path):
+    result = run("report", tmp_path)
+    assert result.exit_code == 3, result.output
+    assert "Is a directory" in result.output

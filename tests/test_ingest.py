@@ -27,7 +27,13 @@ from wikistream.model import (
     EditEvent,
     ValidationError,
 )
-from wikistream.sim import ARCHETYPE_NAMES, SimConfig, simulate, write_events
+from wikistream.sim import (
+    ARCHETYPE_NAMES,
+    N_PAGES,
+    SimConfig,
+    simulate,
+    write_events,
+)
 from tests.test_model import make_event
 
 
@@ -235,6 +241,14 @@ class TestSummarize:
         assert summary.n_humans == 2
         assert summary.n_contributors == 3
         assert sum(summary.joint_histogram.values()) == 3
+
+    def test_pages_counted_are_those_in_use(self):
+        # a simulated table's page table holds all N_PAGES ids
+        events, _ = simulate(SimConfig(counts={"human-benign": 2}, n_days=2,
+                                       seed=0))
+        summary = summarize(aggregate_daily(events), events)
+        assert summary.n_pages == len(set(events.page_ids)) < N_PAGES
+        assert summary.n_events == len(events)
 
     def test_empty_stream(self):
         summary = summarize([])

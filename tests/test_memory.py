@@ -2,7 +2,8 @@
 Memory guards, traced with tracemalloc: a batch is columns, and
 iterating it builds each row view on demand and keeps none; a
 prediction log is columns too, a few numbers per step; reading an
-events file holds no copy of its text.
+events file holds no copy of its text, and folding it into
+contributor-days holds codes, not strings.
 """
 
 import gc
@@ -13,7 +14,7 @@ import pytest
 
 from wikistream.analysis import SET1
 from wikistream.evaluate import prequential_run, prequential_run_stacking
-from wikistream.ingest import aggregate_daily, parse_events
+from wikistream.ingest import aggregate_daily, load_stream, parse_events
 from wikistream.learn import GaussianNaiveBayes, StackingModel
 from wikistream.model import N_FEATURES, AggregateBatch
 from wikistream.sim import ARCHETYPE_NAMES, SimConfig, simulate, write_events
@@ -88,3 +89,25 @@ def test_parsing_events_holds_no_copy_of_the_text(tmp_path):
         tracemalloc.stop()
     assert len(table) == 20_000
     assert peak < 14_000_000  # 10 % above the measured peak
+
+
+def test_loading_events_peaks_at_the_parse(tmp_path):
+    """load_stream on the same 20 000-event stream peaks at 12.7 MB
+    (Python 3.11, numpy 2.4.6), where parse_events alone does: the fold
+    into contributor-days groups integer codes. Grouping on (contributor,
+    day) and (group, page) tuples peaked at 20.3 MB."""
+    events, _ = simulate(SimConfig(counts={a: 200 for a in ARCHETYPE_NAMES},
+                                   n_days=30, seed=0, noise=0.1,
+                                   target_events=20_000))
+    path = tmp_path / "events.csv"
+    write_events(events, path)
+    del events
+    gc.collect()
+    tracemalloc.start()
+    try:
+        batch = load_stream(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(batch) == 10_695
+    assert peak < 13_950_000  # 10 % above the measured peak

@@ -40,7 +40,9 @@ from wikistream import ingest
 from wikistream.fabricate import split_across_intervals
 from wikistream.ingest import (
     AGGREGATE_COLUMNS,
+    AGGREGATE_SCHEMA,
     EVENT_COLUMNS,
+    EVENT_SCHEMA,
     EventTable,
     aggregate_daily,
     load_stream,
@@ -74,13 +76,17 @@ from wikistream.model import (
     FEATURE_IDS,
     FEATURE_INDEX,
     N_FEATURES,
+    PROB_COLUMNS,
     PROBABILITY_GROUPS,
     ROW_BLOCK,
     AggregateBatch,
     DailyAggregate,
     EditEvent,
     ValidationError,
+    contributor_slots,
+    event_counts,
     feature_columns,
+    flag_change_error,
     largest_remainder,
 )
 from wikistream.profiling import ProfileStore, to_feature_vector
@@ -860,6 +866,200 @@ def test_fast_csv_reader_agrees_with_exact_reader(data, aggregates):
     assert fast == slow
     if not isinstance(slow, tuple):
         assert fast.values.tobytes() == slow.values.tobytes()
+
+
+# The dict-and-sorted ingest that integer codes replaced: text, flag
+# and date columns held as lists of parsed values, events sorted with a
+# tuple key, contributor-days grouped with a (contributor, day) dict and
+# pages counted with a (group, page) set.
+def reference_columns(path, schema):
+    """Per text, flag and date column of ``path`` its parsed cells as a
+    list, and the float matrix, read by the exact row reader."""
+    rows, values = ingest._exact_table(path, schema)
+    width = sum(parse is not float for _, parse in schema)
+    return [list(column) for column in zip(*rows)] or [[]] * width, values
+
+
+def reference_check_bot_flags(contributor_ids, flags):
+    change = contributor_slots(contributor_ids, flags, {})[-1]
+    if change is not None:
+        raise flag_change_error(contributor_ids[change])
+
+
+def reference_parse_events(path):
+    """(contributor ids, flags, pages, days, reverted flags) as lists and
+    the float matrix, sorted by day then contributor id."""
+    columns, values = reference_columns(path, EVENT_SCHEMA)
+    ids, days = columns[0], columns[3]
+    order = sorted(range(len(values)), key=lambda i: (days[i], ids[i]))
+    return ([[column[i] for i in order] for column in columns],
+            values[np.array(order, dtype=np.intp)])
+
+
+def reference_aggregate_daily(columns, values):
+    contributor_ids, is_bot, page_ids, days, was_reverted = columns
+    reference_check_bot_flags(contributor_ids, is_bot)
+    n_counts, n_scalars = len(EVENT_COUNT_FIELDS), N_FEATURES - len(
+        PROB_COLUMNS)
+    index = {}
+    group = np.fromiter((index.setdefault(key, len(index))
+                         for key in zip(contributor_ids, days)),
+                        dtype=np.intp, count=len(contributor_ids))
+    size = len(index)
+    n = np.bincount(group, minlength=size).astype(float)
+    sums = np.zeros((size, values.shape[1]))
+    np.add.at(sums, group, values)
+    pages = set(zip(group.tolist(), page_ids))
+    n_pages = np.bincount(np.fromiter((g for g, _ in pages), dtype=np.intp,
+                                      count=len(pages)),
+                          minlength=size).astype(float)
+    n_reverts = np.bincount(group, weights=was_reverted, minlength=size)
+    chars, links, repeated, inserted, deleted = sums[:, :n_counts].T
+    has_chars = chars != 0
+    features = np.empty((size, N_FEATURES))
+    features[:, :n_scalars] = np.column_stack([
+        n, chars / n, n_pages, n / n_pages, n, n_pages, n_reverts,
+        n_reverts / n,
+        np.divide(links, chars, out=np.zeros(size), where=has_chars),
+        np.divide(repeated, chars, out=np.zeros(size), where=has_chars),
+        inserted, deleted])
+    features[:, n_scalars:] = sums[:, n_counts:] / n[:, None]
+    bots = np.empty(size, dtype=bool)
+    bots[group] = is_bot
+    return AggregateBatch(np.array([cid for cid, _ in index], dtype=object),
+                          np.array([day for _, day in index],
+                                   dtype="datetime64[D]"),
+                          bots, np.zeros(size, dtype=bool), features).sorted()
+
+
+def reference_read_aggregates(path):
+    columns, values = reference_columns(path, AGGREGATE_SCHEMA)
+    ids, days, is_bot, synthetic = columns
+    reference_check_bot_flags(ids, is_bot)
+    return AggregateBatch(np.array(ids, dtype=object),
+                          np.array(days, dtype="datetime64[D]"),
+                          np.array(is_bot, dtype=bool),
+                          np.array(synthetic, dtype=bool), values).sorted()
+
+
+def outcome(call, *args):
+    """What ``call`` makes of ``args``: its result, or the line, field
+    and message of the ValidationError it raises."""
+    try:
+        return call(*args)
+    except ValidationError as exc:
+        return exc.line, exc.field, exc.message
+
+
+def batch_columns(batch):
+    """A batch's columns as lists, its matrix as bytes; an error as is."""
+    if isinstance(batch, tuple):
+        return batch
+    return (batch.contributor_ids.tolist(), batch.days.tolist(),
+            batch.is_bot.tolist(), batch.synthetic.tolist(),
+            batch.values.tobytes())
+
+
+# Ids that sort as text, not as numbers, and ids that are not ASCII.
+CODED_IDS = ["c99999", "c100000", "c1", "é", "Ωmega", "日本", "A", "a"]
+
+
+@st.composite
+def coded_rows(draw, make):
+    """Rows built by ``make(draw, cid, flag, page, day)`` from a few ids
+    (text, numbers as text and non-ASCII), pages and days, so that rows
+    repeat a (contributor, day, page); each id keeps one bot flag, except
+    that now and then one or two rows flip theirs. Also, per row, the
+    hour of a datetime cell for its day, or None for a date cell."""
+    ids = draw(st.lists(st.sampled_from(CODED_IDS) | names, min_size=1,
+                        max_size=5, unique=True))
+    pages = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+    days = draw(st.lists(st.dates(date(2000, 1, 1), date(2099, 12, 31)),
+                         min_size=1, max_size=3, unique=True))
+    bots = {cid: draw(st.booleans()) for cid in ids}
+    rows, hours = [], []
+    for _ in range(draw(st.integers(1, 16))):
+        cid = draw(st.sampled_from(ids))
+        rows.append(make(draw, cid, bots[cid], draw(st.sampled_from(pages)),
+                         draw(st.sampled_from(days))))
+        hours.append(draw(st.none() | st.integers(0, 23)))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(rows) - 1))
+        rows[at] = replace(rows[at], is_bot=not rows[at].is_bot)
+    return rows, hours
+
+
+def stamp(day, hour):
+    """A date cell, or a datetime cell on that date."""
+    return day.isoformat() if hour is None else f"{day}T{hour:02d}:00"
+
+
+def coded_event(draw, cid, flag, page, day):
+    # a review length of at least 1, as simulated: links divided by a
+    # subnormal length overflow to inf, in either ingest
+    return replace(draw(edit_events), contributor_id=cid, is_bot=flag,
+                   page_id=page, timestamp=day,
+                   review_length=draw(st.floats(1.0, 1e9)))
+
+
+def coded_aggregate(draw, cid, flag, page, day):
+    return DailyAggregate(cid, day, flag, draw(aggregate_values()),
+                          draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), suffix=st.sampled_from([".csv", ".jsonl"]))
+@example(data=None, suffix=".csv")
+def test_coded_ingest_is_the_dict_and_sorted_reference(data, suffix):
+    """parse_events and aggregate_daily on codes give the lists, flags
+    and float bytes of the dict-and-sorted ingest, or the same
+    ValidationError, from a file and from a list of EditEvents."""
+    if data is None:  # two datetime cells of one day, c99999 by c100000
+        base = EditEvent("c99999", False, "p", date(2020, 1, 1), 1.0, 2.0,
+                         0.0, 3.0, 4.0, True, tuple(
+                             value for group in PROBABILITY_GROUPS
+                             for value in [1.0] + [0.0] * (len(group) - 1)))
+        events = [base, replace(base, contributor_id="c100000"), base,
+                  replace(base, review_length=0.1, was_reverted=False)]
+        hours = [None, 5, 5, 23]
+    else:
+        events, hours = data.draw(coded_rows(coded_event))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"events{suffix}"
+        write_rows(([e.contributor_id, int(e.is_bot), e.page_id,
+                     stamp(e.day, hour), *event_counts(e),
+                     int(e.was_reverted), *e.probs]
+                    for e, hour in zip(events, hours)), EVENT_COLUMNS, path)
+        table = parse_events(path)
+        columns, values = reference_parse_events(path)
+    for column, expected in zip(("contributor_ids", "is_bot", "page_ids",
+                                 "days", "was_reverted"), columns):
+        assert getattr(table, column) == expected, column
+    assert table.values.tobytes() == values.tobytes()
+    assert batch_columns(outcome(aggregate_daily, table)) == batch_columns(
+        outcome(reference_aggregate_daily, columns, values))
+    listed = [[getattr(e, name) for e in events] for name in (
+        "contributor_id", "is_bot", "page_id", "day", "was_reverted")]
+    assert batch_columns(outcome(aggregate_daily, events)) == batch_columns(
+        outcome(reference_aggregate_daily, listed,
+                EventTable.from_events(events).values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), suffix=st.sampled_from([".csv", ".jsonl"]))
+def test_coded_read_aggregates_is_the_dict_and_sorted_reference(data,
+                                                                suffix):
+    """read_aggregates on codes gives the dict-and-sorted reader's
+    columns and float bytes, or the same ValidationError: a changed bot
+    flag is named at its first row in file order."""
+    rows, hours = data.draw(coded_rows(coded_aggregate))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"stream{suffix}"
+        write_rows(([a.contributor_id, stamp(a.day, hour), int(a.is_bot),
+                     int(a.synthetic), *a.values]
+                    for a, hour in zip(rows, hours)), AGGREGATE_COLUMNS, path)
+        assert batch_columns(outcome(read_aggregates, path)) == \
+            batch_columns(outcome(reference_read_aggregates, path))
 
 
 @settings(max_examples=60, deadline=None)
