@@ -51,20 +51,25 @@ FEATURE_SETS = {fs.name: fs for fs in (SET1, SET2, SET3_TARGET1, SET3_TARGET2)}
 
 
 def pearson(x, y):
-    """Pearson correlation coefficient of two equal-length vectors."""
+    """Pearson correlation coefficient of two equal-length vectors. Sums
+    that overflow the float range raise ValidationError."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
         raise ValidationError("vectors must be one-dimensional and equal length")
     if x.size < 2:
         raise ValidationError("need at least two observations")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = np.sqrt(np.sum(dx * dx))
-    sy = np.sqrt(np.sum(dy * dy))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        dx = x - x.mean()
+        dy = y - y.mean()
+        sx = np.sqrt(np.sum(dx * dx))
+        sy = np.sqrt(np.sum(dy * dy))
+        dot, scale = np.sum(dx * dy), sx * sy
     if sx == 0.0 or sy == 0.0:
         raise ValidationError("correlation undefined for a constant vector")
-    return float(np.sum(dx * dy) / (sx * sy))
+    if not (np.isfinite(dot) and np.isfinite(scale)):
+        raise ValidationError("correlation overflows the float range")
+    return float(dot / scale)
 
 
 @dataclass
@@ -115,6 +120,14 @@ def target_vector(aggregates, target):
     return getattr(AggregateBatch.of(aggregates), target).astype(float)
 
 
+def _named_pearson(x, y, name):
+    """``pearson(x, y)``, a ValidationError naming field ``name``."""
+    try:
+        return pearson(x, y)
+    except ValidationError as exc:
+        raise ValidationError(exc.message, field=name) from None
+
+
 def correlation_report(aggregates, target,
                        threshold=DEFAULT_CORRELATION_THRESHOLD):
     """Correlate every feature with the chosen target.
@@ -138,7 +151,7 @@ def correlation_report(aggregates, target,
         if constant[j] or y_constant:
             undefined.append(fid)
         else:
-            correlations[fid] = pearson(X[:, j], y)
+            correlations[fid] = _named_pearson(X[:, j], y, fid)
 
     d = len(FEATURE_IDS)
     matrix = np.full((d, d), np.nan)
@@ -146,7 +159,8 @@ def correlation_report(aggregates, target,
         for j in range(i, d):
             if constant[i] or constant[j]:
                 continue
-            r = 1.0 if i == j else pearson(X[:, i], X[:, j])
+            r = 1.0 if i == j else _named_pearson(
+                X[:, i], X[:, j], f"{FEATURE_IDS[i]},{FEATURE_IDS[j]}")
             matrix[i, j] = matrix[j, i] = r
 
     return CorrelationReport(

@@ -503,7 +503,10 @@ def aggregate_daily(events):
     the day's events one by one in input order (``np.add.at``), as a
     Python loop would. Output sorted by day then contributor id. A
     contributor whose ``is_bot`` flag changes between events is
-    rejected.
+    rejected, and so is a contributor-day whose sums overflow or whose
+    links divide by too few review characters: the first non-finite
+    value raises ValidationError naming its contributor, day and
+    aggregate column.
     """
     table = EventTable.of(events)
     _check_bot_flags(table.ids, table.id_codes, table.bot_flags)
@@ -514,7 +517,8 @@ def aggregate_daily(events):
     size = len(keys)
     n = np.bincount(group, minlength=size).astype(float)
     sums = np.zeros((size, table.values.shape[1]))
-    np.add.at(sums, group, table.values)
+    with np.errstate(over="ignore"):  # checked below
+        np.add.at(sums, group, table.values)
     pages = np.unique(group * n_page_ids + table.page_codes)
     n_pages = np.bincount(pages // n_page_ids, minlength=size).astype(float)
     n_reverts = np.bincount(group, weights=table.reverted_flags,
@@ -526,14 +530,22 @@ def aggregate_daily(events):
     # after them. One calendar day spans a single week, so the weekly
     # rates (7, 8) coincide with the day's counts.
     values = np.empty((size, N_FEATURES))
-    values[:, :_N_SCALARS] = np.column_stack([
-        n, chars / n, n_pages, n / n_pages, n, n_pages, n_reverts,
-        n_reverts / n,
-        np.divide(links, chars, out=np.zeros(size), where=has_chars),
-        np.divide(repeated, chars, out=np.zeros(size), where=has_chars),
-        inserted, deleted])
-    values[:, _N_SCALARS:] = sums[:, _N_COUNTS:] / n[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values[:, :_N_SCALARS] = np.column_stack([
+            n, chars / n, n_pages, n / n_pages, n, n_pages, n_reverts,
+            n_reverts / n,
+            np.divide(links, chars, out=np.zeros(size), where=has_chars),
+            np.divide(repeated, chars, out=np.zeros(size), where=has_chars),
+            inserted, deleted])
+        values[:, _N_SCALARS:] = sums[:, _N_COUNTS:] / n[:, None]
     days, ids = np.divmod(keys, n_ids)
+    finite = np.isfinite(values)
+    if not finite.all():
+        row, column = divmod(int(np.argmin(finite)), N_FEATURES)
+        raise ValidationError(
+            f"contributor {table.ids[ids[row]]!r} on "
+            f"{table.dates[days[row]].isoformat()}: non-finite value "
+            f"{float(values[row, column])!r}", field=FEATURE_COLUMNS[column])
     return AggregateBatch(np.array(table.ids, dtype=object)[ids],
                           np.array(table.dates, dtype="datetime64[D]")[days],
                           table.bot_flags[first], np.zeros(size, dtype=bool),

@@ -331,7 +331,7 @@ class TreeStore:
         rows of ``self.counts``: its normalised class counts, or its
         fallback while it has none."""
         total = counts.sum(axis=1, keepdims=True)
-        out = self.fallback[leaves]
+        out = self.fallback.take(leaves, axis=0)
         np.divide(counts, total, out=out, where=total > 0)
         return out
 
@@ -353,19 +353,28 @@ class TreeStore:
         return probs.index(max(probs))
 
     def learn(self, members, leaves, x, k, weights, counts):
-        """Fold input row ``x`` into one leaf per member of the index
-        array ``members``, with the members' positive ``weights``; ``k``
-        is the class, one for all or an index array with one per member,
-        and ``counts`` are the leaves' class-k counts before the fold. A
-        leaf that has seen a grace period's weight since its last
-        attempt tries to split, in member order."""
-        at = (leaves, k)
+        """Fold input row ``x``, an array, into one leaf per member of the
+        index array ``members``, with the members' positive ``weights``;
+        ``k`` is the class, one for all or an index array with one per
+        member, and ``counts`` are the leaves' class-k counts before the
+        fold. A leaf that has seen a grace period's weight since its last
+        attempt tries to split, in member order.
+
+        Each (leaf, class) pair is one flat slot, ``leaf * n_classes +
+        k``, of the counts and of the moments' (node * class, feature)
+        views: one ``take`` gathers the members' rows, where a (leaf,
+        class) index would cost three times as much. ``_grow`` replaces
+        the arrays, so the views are derived on each call."""
+        slot = leaves * self.counts.shape[1] + k
         n = counts + weights
-        self.counts[at] = n
-        self.mean[at], self.m2[at] = _fold(
-            x[self.columns[members]], self.mean[at], self.m2[at],
+        self.counts.reshape(-1)[slot] = n
+        width = self.mean.shape[2]
+        mean, m2 = self.mean.reshape(-1, width), self.m2.reshape(-1, width)
+        mean[slot], m2[slot] = _fold(
+            x.take(self.columns.take(members, axis=0)),
+            mean.take(slot, axis=0), m2.take(slot, axis=0),
             n[:, None], weights[:, None])
-        seen = self.seen[leaves] + weights
+        seen = self.seen.take(leaves) + weights
         due = seen >= HOEFFDING_GRACE_PERIOD
         if due.any():
             seen[due] = 0.0
@@ -772,7 +781,7 @@ class BaggingForest(_Ensemble):
         vote and the learn."""
         x, leaves = super()._route(x)
         leaves = np.array(leaves, dtype=np.intp)
-        return x, leaves, self.store.counts[leaves]
+        return x, leaves, self.store.counts.take(leaves, axis=0)
 
     def _vote(self, leaves, counts):
         return (self.store.distributions(leaves, counts).sum(axis=0)
@@ -781,8 +790,9 @@ class BaggingForest(_Ensemble):
     def _learn(self, x, leaves, counts, y):
         k = self.classes.index(y)
         weights = self._weights()
-        hit = np.flatnonzero(weights > 0)
-        self.store.learn(hit, leaves[hit], x, k, weights[hit], counts[hit, k])
+        hit = weights.nonzero()[0]  # Poisson weights are >= 0
+        self.store.learn(hit, leaves.take(hit), x, k, weights.take(hit),
+                         counts[:, k].take(hit))
 
     def to_state(self):
         return self._state("bagging_forest", {
@@ -834,7 +844,10 @@ class OnlineBoosting(_Ensemble):
     members' mistakes and lowered on their successes, concentrating
     later members on the hard examples. Lambda changes per member and
     per example, so the draws are scalar. Each member in turn draws,
-    folds (``TreeStore.learn_member``) and votes after its fold.
+    folds (``TreeStore.learn_member``) and votes after its fold. The
+    ensemble's vote finds each member's winner (its leaf's first most
+    likely class) once per example, and a member that draws 0 votes with
+    it: only its own fold changes its leaf.
     """
 
     def __init__(self, n_members=10, classes=(0, 1), seed=0):
@@ -847,19 +860,30 @@ class OnlineBoosting(_Ensemble):
             self.store = TreeStore([np.arange(d)] * self.n_members,
                                    len(self.classes))
 
-    def _learn(self, x, leaves, y):
+    def _route(self, x):
+        """``x`` checked, the leaf it reaches in each member's tree, and
+        each leaf's winner."""
+        x, leaves = super()._route(x)
+        store = self.store
+        winners = store.distributions(
+            leaves, store.counts.take(leaves, axis=0)).argmax(axis=1)
+        return x, leaves, winners.tolist()
+
+    def _learn(self, x, leaves, winners, y):
         store = self.store
         k = self.classes.index(y)
         correct = self.lambda_correct.tolist()
         wrong = self.lambda_wrong.tolist()
         lam = 1.0
-        for m, (rng, leaf) in enumerate(zip(self._rngs, leaves)):
+        for m, (rng, leaf, winner) in enumerate(
+                zip(self._rngs, leaves, winners)):
             w = rng.poisson(lam)
             if w > 0:
                 store.learn_member(m, leaf, x, k, w)
                 if not store.is_leaf(leaf):  # the learn split it
                     leaf = store.route(x, leaf, leaf + 1)[0]
-            if store.winner(leaf) == k:
+                winner = store.winner(leaf)
+            if winner == k:
                 correct[m] += lam
                 lam *= (correct[m] + wrong[m]) / (2.0 * correct[m])
             else:
@@ -880,13 +904,10 @@ class OnlineBoosting(_Ensemble):
             weights.append(max(0.0, math.log((1.0 - error) / error)))
         return weights
 
-    def _vote(self, leaves):
+    def _vote(self, leaves, winners):
         weights = self._member_weights()
         if not any(weights):  # none is negative
             return np.full(len(self.classes), 1.0 / len(self.classes))
-        store = self.store
-        winners = store.distributions(leaves, store.counts[leaves]).argmax(
-            axis=1)
         # bincount adds the weights in member order, as a loop would
         votes = np.bincount(winners, weights=weights,
                             minlength=len(self.classes))
@@ -927,6 +948,13 @@ _FINAL_COLUMNS = np.concatenate((
 _FORESTS = {"forest_user": _USER_COLUMNS,
             "forest_contribution": _CONTRIBUTION_COLUMNS,
             "forest_final": _FINAL_COLUMNS}
+# The class index each of the 45 members learns, by the (user,
+# contribution) class indices: level 1a learns the user class, level 1b
+# and level 2 the contribution class.
+_MEMBER_CLASSES = [
+    [np.repeat([user, contribution, contribution], STACKING_ENSEMBLE_SIZE)
+     for contribution in (0, 1)]
+    for user in (0, 1)]
 
 
 def _stacking_settings():
@@ -1019,13 +1047,13 @@ class StackingModel:
             self._share()
         store, size = self.store, STACKING_ENSEMBLE_SIZE
         first = np.array(store.route(row, 0, 2 * size), dtype=np.intp)
-        first_counts = store.counts[first]
+        first_counts = store.counts.take(first, axis=0)
         level_one = store.distributions(first, first_counts).reshape(
             2, size, -1).sum(axis=1) / size
         user_probs = level_one[0]
         row += level_one[:, 1].tolist()
         final = np.array(store.route(row, 2 * size, 3 * size), dtype=np.intp)
-        final_counts = store.counts[final]
+        final_counts = store.counts.take(final, axis=0)
         final_probs = store.distributions(final, final_counts).sum(
             axis=0) / size
         if labels is not None:
@@ -1039,15 +1067,17 @@ class StackingModel:
         """Fold ``row`` into the 45 members' ``leaves``, whose class
         ``counts`` were gathered before the fold: level 1a learns the
         user label, level 1b and level 2 the contribution label."""
-        forests = self._forests()
-        k = np.array([forest.classes.index(y) for forest, y in zip(
-            forests, (y_user, y_contribution, y_contribution))]).repeat(
-                STACKING_ENSEMBLE_SIZE)
-        weights = np.concatenate([forest._weights() for forest in forests])
-        hit = np.flatnonzero(weights > 0)
-        k = k[hit]
-        self.store.learn(hit, leaves[hit], np.array(row), k, weights[hit],
-                         counts[hit, k])
+        # the labels' class indices, as each forest reads them: a bool or
+        # numpy label maps to its index, an unknown one raises
+        k = _MEMBER_CLASSES[self.forest_user.classes.index(y_user)][
+            self.forest_contribution.classes.index(y_contribution)]
+        weights = np.concatenate(
+            [forest._weights() for forest in self._forests()])
+        hit = weights.nonzero()[0]  # Poisson weights are >= 0
+        k = k.take(hit)
+        self.store.learn(hit, leaves.take(hit), np.array(row), k,
+                         weights.take(hit), counts.reshape(-1).take(
+                             hit * counts.shape[1] + k))
 
     def predict(self, x):
         """Returns (user probs, final contribution probs, joint class name)."""

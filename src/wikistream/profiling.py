@@ -40,6 +40,10 @@ MEAN_FEATURES = ("4", "6") + PROB_FEATURE_IDS
 
 _SUMS = feature_columns(SUM_FEATURES)
 _MEANS = feature_columns(MEAN_FEATURES)
+# The columns a profile record holds, and their record fields.
+_RECORDED = np.concatenate((_SUMS, _MEANS))
+_RECORD_FIELDS = ([f"sums.{fid}" for fid in SUM_FEATURES]
+                  + [f"means.{fid}" for fid in MEAN_FEATURES])
 _REVIEWS, _PAGES, _REVERTS, _REVIEW_RATE, _PAGE_RATE, _REVERT_FREQUENCY = (
     FEATURE_INDEX[fid] for fid in ("3", "5", "9", "7", "8", "10"))
 
@@ -299,8 +303,23 @@ class ProfileStore:
         return rows
 
     def export_jsonl(self, path):
+        """Write one ``to_record`` line per profile, in contributor id
+        order. A profile holding a sum or mean that is not finite (a sum
+        can overflow) raises ValidationError naming its contributor and
+        field (``sums.3``), as ``from_record`` would, before the file is
+        opened."""
+        ids = sorted(self._profiles)
+        if ids:
+            values = np.array([self._profiles[cid].values for cid in ids])
+            finite = np.isfinite(values[:, _RECORDED])
+            if not finite.all():
+                row, column = divmod(int(np.argmin(finite)), len(_RECORDED))
+                raise ValidationError(
+                    f"profile of {ids[row]!r}: non-finite value "
+                    f"{float(values[row, _RECORDED[column]])!r}",
+                    field=_RECORD_FIELDS[column])
         with open(Path(path), "w", encoding="utf-8") as handle:
-            for contributor_id in sorted(self._profiles):
+            for contributor_id in ids:
                 record = self._profiles[contributor_id].to_record()
                 handle.write(json.dumps(record) + "\n")
 

@@ -66,6 +66,12 @@ class TestPearson:
         with pytest.raises(ValidationError):
             pearson([1, 2], [1, 2, 3])
 
+    def test_overflow_rejected(self):
+        # finite values whose squared deviations pass the float range
+        with np.errstate(all="raise"):
+            with pytest.raises(ValidationError, match="overflows"):
+                pearson([1.5e308, -1.5e308, 0.0], [1, 2, 3])
+
 
 class TestCorrelationReport:
     def _aggregates(self, n=40, seed=0):

@@ -1,17 +1,22 @@
 import hashlib
 import json
+import os
+from datetime import date
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from wikistream.cli import main
-from wikistream.ingest import load_stream, write_aggregates
+from wikistream.ingest import aggregate_daily, load_stream, write_aggregates
+from wikistream.model import FEATURE_INDEX
+from wikistream.sim import write_events
 from tests.test_ingest import (
     INVALID_AGGREGATE_COLUMNS,
     append_surplus_cells,
     rewrite_cells,
 )
+from tests.test_model import make_event
 
 
 def run(*args):
@@ -471,3 +476,68 @@ def test_report_on_a_directory_exits_runtime(tmp_path):
     result = run("report", tmp_path)
     assert result.exit_code == 3, result.output
     assert "Is a directory" in result.output
+
+
+# An output directory that cannot be written. Root writes anywhere, so
+# the test runs only as another user.
+@pytest.mark.skipif(os.geteuid() == 0,
+                    reason="root can write to a read-only directory")
+@pytest.mark.parametrize("command,out", [
+    ("simulate", "sim"), ("profile", "profiles.jsonl"), ("evaluate", "eval")])
+def test_unwritable_output_directory_exits_runtime(tmp_path, command, out):
+    events = simulate_stream(tmp_path / "sim")
+    locked = tmp_path / "locked"
+    locked.mkdir(mode=0o500)
+    stream = () if command == "simulate" else (events,)
+    try:
+        result = run(command, *stream, "--out", locked / out)
+    finally:
+        locked.chmod(0o700)
+    assert result.exit_code == 3, result.output
+    assert "Permission denied" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+# A contributor-day whose links divide by too few review characters
+# (three events of review length 1e-320 with 5 links each).
+@pytest.mark.parametrize("command,out", STREAM_COMMANDS + [("evaluate", "eval")])
+def test_overflowing_link_ratio_exits_validation(tmp_path, command, out):
+    events = tmp_path / "events.csv"
+    write_events([make_event(contributor_id="c9", review_length=1e-320,
+                             links=5.0)] * 3
+                 + [make_event(contributor_id=f"c{i}") for i in range(3)],
+                 events)
+    result = run(command, events, "--out", tmp_path / out)
+    assert result.exit_code == 2, result.output
+    assert "field 'f11': contributor 'c9' on 2020-01-01: non-finite " \
+        "value inf" in result.output
+    assert not (tmp_path / out).exists()
+
+
+def overflowing_profile_stream(tmp_path):
+    """An aggregate file whose rows are valid, but whose contributor
+    'b' holds two review counts of 1.5e308: its profile sum overflows."""
+    rows = aggregate_daily([
+        make_event(contributor_id=cid, is_bot=bot, timestamp=day)
+        for cid, bot, day in (("a", False, date(2020, 1, 1)),
+                              ("b", False, date(2020, 1, 1)),
+                              ("b", False, date(2020, 1, 2)),
+                              ("c", True, date(2020, 1, 2)))])
+    rows.values[rows.contributor_ids == "b", FEATURE_INDEX["3"]] = 1.5e308
+    path = tmp_path / "stream.csv"
+    write_aggregates(rows, path)
+    return path
+
+
+@pytest.mark.parametrize("command,out,message", [
+    ("profile", "profiles.jsonl",
+     "field 'sums.3': profile of 'b': non-finite value inf"),
+    ("evaluate", "eval", "non-finite value for 3"),
+    ("analyze", "analysis",
+     "field '3': correlation overflows the float range")])
+def test_overflowing_profile_sum_exits_validation(tmp_path, command, out,
+                                                  message):
+    result = run(command, overflowing_profile_stream(tmp_path),
+                 "--out", tmp_path / out)
+    assert result.exit_code == 2, result.output
+    assert message in result.output

@@ -209,6 +209,32 @@ class TestAggregateDaily:
                        == (agg.contributor_id, agg.day)]
             assert agg.values == left_to_right_fold(members)
 
+    def test_ratio_overflow_names_contributor_day_and_column(self):
+        # 15 links over 3e-320 review characters: the ratio overflows
+        events = [make_event(contributor_id="c1", review_length=1e-320,
+                             links=5.0) for _ in range(3)]
+        events.append(make_event(contributor_id="c0"))
+        with pytest.raises(ValidationError) as exc:
+            aggregate_daily(events)
+        assert exc.value.field == "f11"
+        assert exc.value.message == \
+            "contributor 'c1' on 2020-01-01: non-finite value inf"
+
+    def test_sum_overflow_is_rejected(self):
+        events = [make_event(timestamp=date(2020, 1, 2)),
+                  *(make_event(chars_inserted=1e308) for _ in range(2))]
+        with pytest.raises(ValidationError) as exc:
+            aggregate_daily(events)
+        assert exc.value.field == "f13"
+        assert "on 2020-01-01:" in exc.value.message
+
+    def test_overflow_in_an_events_file_exits_through_load(self, tmp_path):
+        path = tmp_path / "events.csv"
+        write_events([make_event(review_length=1e-320, links=5.0)] * 3,
+                     path)
+        with pytest.raises(ValidationError, match="non-finite value inf"):
+            load_stream(path)
+
 
 def left_to_right_fold(members):
     """A contributor-day's feature values, each sum a plain Python fold

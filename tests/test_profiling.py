@@ -185,6 +185,22 @@ class TestPersistence:
         assert np.array_equal(restored.update(follow_up),
                               store.update(follow_up))
 
+    def test_overflowing_sum_is_not_exported(self, tmp_path):
+        # two finite review counts whose sum overflows
+        rows = AggregateBatch.of([
+            day_aggregate(contributor_id=cid, timestamp=day)
+            for cid, day in (("a", date(2020, 1, 1)), ("b", date(2020, 1, 1)),
+                             ("b", date(2020, 1, 2)))])
+        rows.values[1:, FEATURE_INDEX["3"]] = 1.5e308
+        store = ProfileStore()
+        store.fold(rows)
+        path = tmp_path / "profiles.jsonl"
+        with pytest.raises(ValidationError) as exc:
+            store.export_jsonl(path)
+        assert exc.value.field == "sums.3"
+        assert exc.value.message == "profile of 'b': non-finite value inf"
+        assert not path.exists()
+
 
 class TestImportValidation:
     def _export(self, tmp_path):

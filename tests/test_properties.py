@@ -87,6 +87,7 @@ from wikistream.model import (
     event_counts,
     feature_columns,
     flag_change_error,
+    joint_class,
     largest_remainder,
 )
 from wikistream.profiling import ProfileStore, to_feature_vector
@@ -356,7 +357,7 @@ class ReferenceBoosting(OnlineBoosting):
     Welford step and split attempt inline, and its vote from
     ``np.argmax`` of its leaf's distribution."""
 
-    def _learn(self, x, leaves, y):
+    def _learn(self, x, leaves, winners, y):
         store = self.store
         k = self.classes.index(y)
         correct = self.lambda_correct.tolist()
@@ -413,6 +414,165 @@ def test_boosting_is_the_reference_member_loop(stream):
     assert json.dumps(boosting.to_state()) == \
         json.dumps(reference.to_state())
     event(f"bc nodes: {len(boosting.store.nodes)}")
+
+
+class TupleIndexedStore(TreeStore):
+    """The tree store's leaf gathers and scatters by (leaf, class) index
+    tuples, as they were before flat slots."""
+
+    def distributions(self, leaves, counts):
+        total = counts.sum(axis=1, keepdims=True)
+        out = self.fallback[leaves]
+        np.divide(counts, total, out=out, where=total > 0)
+        return out
+
+    def learn(self, members, leaves, x, k, weights, counts):
+        at = (leaves, k)
+        n = counts + weights
+        self.counts[at] = n
+        self.mean[at], self.m2[at] = _fold(
+            x[self.columns[members]], self.mean[at], self.m2[at],
+            n[:, None], weights[:, None])
+        seen = self.seen[leaves] + weights
+        due = seen >= HOEFFDING_GRACE_PERIOD
+        if due.any():
+            seen[due] = 0.0
+            for m, leaf in zip(members[due].tolist(), leaves[due].tolist()):
+                self._attempt_split(m, leaf)
+        self.seen[leaves] = seen
+
+
+def store_arrays(store):
+    return [getattr(store, name).tobytes() for name in (
+        "counts", "mean", "m2", "seen", "fallback", "depth")]
+
+
+# few members on an informative column: they split, and the splits
+# outgrow the node table
+GROWING_STREAM = (3, 700, 2, 2, "uniform", 0.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(stream=long_streams, per_member=st.booleans())
+@example(stream=GROWING_STREAM, per_member=False)
+def test_flat_slot_learn_is_the_tuple_indexed_learn(stream, per_member):
+    """``TreeStore.learn`` leaves every node array as the tuple-indexed
+    learn leaves it, also across splits that grow the node table; the
+    class is one for all or one per member."""
+    seed, n, d, n_classes, pattern, noise = stream
+    xs, ys = draw_stream(seed, n, d, n_classes, pattern, noise)
+    rng = np.random.default_rng(seed)
+    n_members = 1 + seed % 4
+    columns = [rng.permutation(d)[:1 + m % d] for m in range(n_members)]
+    flat, tuples = (cls(columns, n_classes)
+                    for cls in (TreeStore, TupleIndexedStore))
+    grown = 0
+    for x, y in zip(xs, ys):
+        weights = rng.poisson(1.0, n_members).astype(float)
+        hit = weights.nonzero()[0]
+        k = ((y + hit) % n_classes if per_member else y)
+        capacity = len(flat.counts)
+        for store in (flat, tuples):
+            leaves = np.array(store.route(x.tolist(), 0, n_members))[hit]
+            store.learn(hit, leaves, x, k, weights[hit],
+                        store.counts[leaves, k])
+        grown += len(flat.counts) > capacity
+        assert flat.nodes == tuples.nodes
+    assert store_arrays(flat) == store_arrays(tuples)
+    if (stream, per_member) == (GROWING_STREAM, False):
+        assert grown >= 2
+    event(f"node table grown: {grown > 0}")
+
+
+class ReferenceStacking(StackingModel):
+    """The stacking step as it was before flat slots: leaf counts gathered
+    and the members' classes, weights and counts picked by index tuples
+    and masks, in a ``TupleIndexedStore``."""
+
+    def _share(self):
+        super()._share()
+        self.store.__class__ = TupleIndexedStore
+
+    def _run(self, x, labels=None):
+        x = np.asarray(x, dtype=float)
+        row = x.tolist()
+        if self.store is None:
+            self._share()
+        store, size = self.store, STACKING_ENSEMBLE_SIZE
+        first = np.array(store.route(row, 0, 2 * size), dtype=np.intp)
+        first_counts = store.counts[first]
+        level_one = store.distributions(first, first_counts).reshape(
+            2, size, -1).sum(axis=1) / size
+        user_probs = level_one[0]
+        row += level_one[:, 1].tolist()
+        final = np.array(store.route(row, 2 * size, 3 * size), dtype=np.intp)
+        final_counts = store.counts[final]
+        final_probs = store.distributions(final, final_counts).sum(
+            axis=0) / size
+        if labels is not None:
+            self._learn(row, np.concatenate((first, final)),
+                        np.concatenate((first_counts, final_counts)), *labels)
+        return (user_probs, final_probs,
+                joint_class(int(user_probs.argmax()),
+                            int(final_probs.argmax())))
+
+    def _learn(self, row, leaves, counts, y_user, y_contribution):
+        forests = self._forests()
+        k = np.array([forest.classes.index(y) for forest, y in zip(
+            forests, (y_user, y_contribution, y_contribution))]).repeat(
+                STACKING_ENSEMBLE_SIZE)
+        weights = np.concatenate([forest._weights() for forest in forests])
+        hit = np.flatnonzero(weights > 0)
+        k = k[hit]
+        self.store.learn(hit, leaves[hit], np.array(row), k, weights[hit],
+                         counts[hit, k])
+
+
+LABEL_TYPES = st.sampled_from([int, bool, np.int64])
+# a stream on which each level's first tree splits
+SPLITTING_STREAM = (0, 800, 1, 2, "uniform", 0.0)
+# long, informative two-class streams, on which the levels split
+stacking_streams = st.tuples(st.integers(0, 2 ** 32 - 1),
+                             st.integers(500, 800), st.just(1), st.just(2),
+                             st.sampled_from(["uniform", "ties", "wide"]),
+                             st.sampled_from([0.0, 0.1]))
+
+
+@settings(max_examples=8, deadline=None)
+@given(stream=stacking_streams, types=st.tuples(LABEL_TYPES, LABEL_TYPES),
+       restore=st.integers(0, 800))
+@example(stream=SPLITTING_STREAM, types=(bool, np.int64), restore=400)
+def test_stacking_is_the_tuple_indexed_reference(stream, types, restore):
+    """The stacking model returns the reference's outputs and writes its
+    checkpoint, byte for byte, with int, bool or numpy labels. It is
+    restored from its checkpoint at step ``restore`` (mod n) and
+    continues as the uninterrupted reference."""
+    seed, n, _, _, pattern, noise = stream
+    seed %= 1000
+    xs, ys = draw_stream(seed, n, len(FEATURE_IDS), 2, pattern, noise)
+    xs = np.roll(xs, 25, axis=1)  # so that every level can split
+    # the user label follows the contribution label, a tenth flipped
+    flips = np.random.default_rng(seed).random(n) < 0.1
+    users = [int(y != flip) for y, flip in zip(ys, flips.tolist())]
+    user_type, contribution_type = types
+    model, reference = StackingModel(seed=seed), ReferenceStacking(seed=seed)
+    for i, (x, y_user, y_contribution) in enumerate(zip(xs, users, ys)):
+        if i == restore % n:
+            model = StackingModel.from_state(
+                json.loads(json.dumps(model.to_state())))
+        labels = user_type(y_user), contribution_type(y_contribution)
+        got = model.predict_learn(x, *labels)
+        expected = reference.predict_learn(x, *labels)
+        assert (got[0].tolist(), got[1].tolist(), got[2]) == \
+            (expected[0].tolist(), expected[1].tolist(), expected[2])
+    assert json.dumps(model.to_state()) == json.dumps(reference.to_state())
+    # the split levels: 0 for level 1a, 1 for 1b, 2 for level 2
+    levels = {node // STACKING_ENSEMBLE_SIZE for node, (column, *_)
+              in enumerate(model.store.nodes[:3 * STACKING_ENSEMBLE_SIZE])
+              if column >= 0}
+    if stream == SPLITTING_STREAM:
+        assert levels == {0, 1, 2}
+    event(f"levels split: {sorted(levels)}")
 
 
 @settings(max_examples=20, deadline=None)
