@@ -173,11 +173,20 @@ def correlation_report(aggregates, target,
     )
 
 
-def standardize(X):
-    """Zero-mean unit-variance columns; constant columns map to zero."""
+def standardize(X, feature_ids=None):
+    """Zero-mean unit-variance columns; constant columns map to zero. A
+    column whose mean or spread leaves the float range raises
+    ValidationError naming its id in ``feature_ids`` (else its index)."""
     X = np.asarray(X, dtype=float)
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        std = X.std(axis=0)
+    broken = ~(np.isfinite(mean) & np.isfinite(std))
+    if broken.any():
+        column = int(np.argmax(broken))
+        raise ValidationError(
+            "scale overflows the float range",
+            field=str(column if feature_ids is None else feature_ids[column]))
     std_safe = np.where(std == 0.0, 1.0, std)
     Z = (X - mean) / std_safe
     Z[:, std == 0.0] = 0.0
@@ -299,7 +308,7 @@ def rfe(X, y, feature_ids, target_count, step_fraction=0.05):
     surviving = list(range(X.shape[1]))
     eliminated = []
     while len(surviving) > target_count:
-        Z = standardize(X[:, surviving])
+        Z = standardize(X[:, surviving], [feature_ids[j] for j in surviving])
         model = fit_l1_linear(Z, y)
         n_drop = max(1, int(step_fraction * len(surviving)))
         n_drop = min(n_drop, len(surviving) - target_count)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import write_rows
+from .ingest import write_table
 from .model import (
     AggregateBatch,
     ColumnarList,
@@ -319,12 +319,11 @@ def write_prediction_log(log, path):
     """Prediction log, a PredictionLog or a list of PredictionRecords, as
     CSV: index, id, labels, probabilities, latency."""
     log = PredictionLog.of(log)
-    write_rows(((index, cid, true, predicted, ";".join(map(repr, probs)),
-                 f"{latency:.1f}")
-                for index, cid, true, predicted, probs, latency
-                in log.cells()),
-               ("index", "contributor_id", "true", "predicted",
-                "probabilities", "latency_us"), path)
+    write_table([log.index, log.contributor_id, log.true, log.predicted,
+                 [";".join(map(repr, probs))
+                  for probs in log.probabilities.tolist()],
+                 [f"{latency:.1f}" for latency in log.latency_us.tolist()]],
+                PredictionLog.COLUMNS, path)
 
 
 def _metric(metrics, *path, kind=(int, float)):

@@ -10,7 +10,7 @@ Two on-disk schemas are supported:
   provenance column.
 
 Each schema is one table of (column, parser) pairs. Every line-oriented
-file of the package is written by ``write_rows``. Both schemas are read
+file of the package is written by ``write_table``. Both schemas are read
 column-wise. A plain CSV file is read in one ``np.loadtxt`` pass; any
 other file (JSON lines, chosen by the ``.jsonl`` suffix, included), and
 one that pass fails on, by the exact row reader: text, flag and date
@@ -26,8 +26,10 @@ from array import array
 from dataclasses import asdict, dataclass, field
 from datetime import datetime
 from functools import lru_cache
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,6 +39,7 @@ from .model import (
     FEATURE_INDEX,
     N_FEATURES,
     PROB_COLUMNS,
+    ROW_BLOCK,
     AggregateBatch,
     EditEvent,
     ValidationError,
@@ -353,19 +356,113 @@ def _flags(column):
     return np.array(distinct, dtype=bool)[codes]
 
 
-def write_rows(rows, columns, path):
-    """Write ``rows``, sequences of cells in ``columns`` order, to
-    ``path``: one JSON object per line when its suffix is ``.jsonl``,
-    CSV under a header row otherwise. Cells are written as they are:
-    str, int (0/1 for a flag) or float (written as its repr)."""
+class _CsvCells:
+    """Renders a list of cells as the texts ``csv.writer`` writes for
+    them in a row of ``width`` cells under ``dialect``. Cells that are
+    all ints and floats are their reprs, as csv formats them. Any other
+    cell is rendered by a writer of that dialect, a str once per file;
+    other types are not kept, since equal values may differ in text
+    (``-0.0`` and ``0.0``). The dialect decides the quoting (Python 3.11
+    does not quote a lone ``\\r`` under a ``\\n`` line end), and csv
+    quotes an empty cell only alone in its row, so a cell is rendered
+    beside an empty second cell when the row has one."""
+
+    def __init__(self, dialect, width):
+        self._lines = []
+        self._writer = csv.writer(SimpleNamespace(write=self._lines.append),
+                                  dialect)
+        self._pad = (repeat(""),) if width > 1 else ()
+        self._trim = itemgetter(slice(None, -len(
+            dialect.delimiter * len(self._pad) + dialect.lineterminator)))
+        self._texts = {}
+
+    def _render(self, cells):
+        self._writer.writerows(zip(cells, *self._pad))
+        texts = list(map(self._trim, self._lines))
+        self._lines.clear()
+        return texts
+
+    def __call__(self, cells):
+        kinds = set(map(type, cells))
+        if kinds <= {int, float}:
+            return list(map(repr, cells))
+        if kinds != {str}:
+            return self._render(cells)
+        new = list(set(cells).difference(self._texts))
+        self._texts.update(zip(new, self._render(new)))
+        return list(map(self._texts.__getitem__, cells))
+
+
+def _length(column):
+    return len(column[0] if isinstance(column, tuple) else column)
+
+
+def _block_cells(columns, block, render=None):
+    """The cells of the rows in ``block``, a slice, of ``write_table``'s
+    ``columns``: one list per file column, of Python values, or of text
+    when ``render`` (a ``_CsvCells``) is given and each coded column's
+    ``distinct`` holds its rendered values."""
+    cells = []
+    for column in columns:
+        if isinstance(column, tuple):
+            codes, distinct = column
+            cells.append(list(map(distinct.__getitem__,
+                                  codes[block].tolist())))
+        elif isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+            part = column[block]
+            values = part.T.tolist() if part.ndim == 2 else [part.tolist()]
+            cells.extend(values if render is None
+                         else [list(map(repr, value)) for value in values])
+        else:
+            part = column[block]
+            values = part.tolist() if isinstance(part, np.ndarray) else part
+            cells.append(values if render is None else render(values))
+    return cells
+
+
+def write_table(columns, header, path):
+    """Write the table of ``columns``, each of one length, under
+    ``header`` to ``path``: one JSON object per line when its suffix is
+    ``.jsonl``, CSV otherwise, in the bytes that ``json.dumps`` or
+    ``csv.writer`` gives its rows. A column is one of
+
+    - a bool, int or float array, one file column per column of a 2-D
+      array, each cell written as its Python value's repr;
+    - a tuple (codes, distinct), as ``coded`` gives: per row the value
+      ``distinct[code]``, each distinct value rendered once;
+    - any other sequence of cells: str, int, float or any value
+      ``csv.writer`` writes.
+
+    Rows are converted ROW_BLOCK at a time; a CSV block is each column's
+    cells as text, joined by the dialect's delimiter and line end."""
+    n = _length(columns[0])
+    blocks = (slice(start, start + ROW_BLOCK)
+              for start in range(0, n, ROW_BLOCK))
     with open(path, "w", newline="", encoding="utf-8") as handle:
         if _is_jsonl(path):
-            handle.writelines(json.dumps(dict(zip(columns, row))) + "\n"
-                              for row in rows)
-        else:
-            writer = csv.writer(handle)
-            writer.writerow(columns)
-            writer.writerows(rows)
+            for block in blocks:
+                handle.writelines(json.dumps(dict(zip(header, row))) + "\n"
+                                  for row in zip(*_block_cells(columns, block)))
+            return
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        render = _CsvCells(writer.dialect, len(header))
+        columns = [(column[0], render(list(column[1])))
+                   if isinstance(column, tuple) else column
+                   for column in columns]
+        delimiter = writer.dialect.delimiter
+        terminator = writer.dialect.lineterminator
+        for block in blocks:
+            handle.write(terminator.join(map(
+                delimiter.join, zip(*_block_cells(columns, block, render)))))
+            handle.write(terminator)
+
+
+def write_rows(rows, columns, path):
+    """Write ``rows``, sequences of cells in ``columns`` order, to
+    ``path`` (``write_table``, its columns the rows' cells)."""
+    cells = [list(column) for column in zip(*rows)]
+    write_table(cells or [[]] * len(columns), columns, path)
 
 
 _N_COUNTS = len(EVENT_COUNT_FIELDS)
@@ -623,9 +720,11 @@ def write_aggregates(aggregates, path):
     DailyAggregates, in the aggregate schema: JSON lines when the suffix
     is ``.jsonl``, CSV otherwise."""
     batch = AggregateBatch.of(aggregates)
-    write_rows(([cid, day.isoformat(), int(bot), int(synthetic), *values]
-                for cid, day, bot, values, synthetic in batch.cells()),
-               AGGREGATE_COLUMNS, path)
+    dates, days = np.unique(batch.days, return_inverse=True)
+    write_table([batch.contributor_ids,
+                 (days, [day.isoformat() for day in dates.tolist()]),
+                 batch.is_bot.astype(int), batch.synthetic.astype(int),
+                 batch.values], AGGREGATE_COLUMNS, path)
 
 
 def is_aggregate_file(path):

@@ -361,13 +361,9 @@ class ColumnarList:
     def __len__(self):
         return len(getattr(self, self.COLUMNS[0]))
 
-    def cells(self):
-        """Each row's cells as Python values, in COLUMNS order
-        (``column_rows``)."""
-        return column_rows(*(getattr(self, name) for name in self.COLUMNS))
-
     def __iter__(self):
-        for cells in self.cells():
+        for cells in column_rows(*(getattr(self, name)
+                                   for name in self.COLUMNS)):
             yield self._row(*cells)
 
     def __getitem__(self, index):

@@ -19,12 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import EVENT_COLUMNS, EventTable, coded, write_rows
+from .ingest import EVENT_COLUMNS, EventTable, coded, write_rows, write_table
 from .model import (
     EVENT_COUNT_FIELDS,
     PROBABILITY_GROUPS,
     ValidationError,
-    column_rows,
     largest_remainder,
     probability_group_sums,
 )
@@ -356,14 +355,11 @@ def write_events(events, path):
     """Write events, an EventTable or a list of EditEvents, in the event
     schema: JSON lines when the suffix is ``.jsonl``, CSV otherwise."""
     table = EventTable.of(events)
-    days = [day.isoformat() for day in table.dates]
-    write_rows(([cid, bot, page, days[day], *values[:_N_COUNTS], reverted,
-                 *values[_N_COUNTS:]]
-                for cid, bot, page, day, reverted, values in column_rows(
-                    table.contributor_ids, table.bot_flags.astype(int),
-                    table.page_ids, table.day_codes,
-                    table.reverted_flags.astype(int), table.values)),
-               EVENT_COLUMNS, path)
+    write_table([(table.id_codes, table.ids), table.bot_flags.astype(int),
+                 (table.page_codes, table.pages),
+                 (table.day_codes, [day.isoformat() for day in table.dates]),
+                 table.values[:, :_N_COUNTS], table.reverted_flags.astype(int),
+                 table.values[:, _N_COUNTS:]], EVENT_COLUMNS, path)
 
 
 def write_labels(labels, path):

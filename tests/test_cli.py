@@ -541,3 +541,13 @@ def test_overflowing_profile_sum_exits_validation(tmp_path, command, out,
                  "--out", tmp_path / out)
     assert result.exit_code == 2, result.output
     assert message in result.output
+
+
+def test_select_names_the_feature_whose_scale_overflows(tmp_path):
+    # pytest turns a RuntimeWarning into an error: none may be raised
+    result = run("select", overflowing_profile_stream(tmp_path),
+                 "--count", 5, "--out", tmp_path / "selected.json")
+    assert result.exit_code == 2, result.output
+    assert "field '3': scale overflows the float range" in result.output
+    assert isinstance(result.exception, SystemExit)
+    assert not (tmp_path / "selected.json").exists()

@@ -3,7 +3,8 @@ Memory guards, traced with tracemalloc: a batch is columns, and
 iterating it builds each row view on demand and keeps none; a
 prediction log is columns too, a few numbers per step; reading an
 events file holds no copy of its text, and folding it into
-contributor-days holds codes, not strings.
+contributor-days holds codes, not strings; writing events and
+contributor-days holds one block of rows as text, not the file.
 """
 
 import gc
@@ -14,9 +15,10 @@ import pytest
 
 from wikistream.analysis import SET1
 from wikistream.evaluate import prequential_run, prequential_run_stacking
-from wikistream.ingest import aggregate_daily, load_stream, parse_events
+from wikistream.ingest import (aggregate_daily, load_stream, parse_events,
+                               write_aggregates)
 from wikistream.learn import GaussianNaiveBayes, StackingModel
-from wikistream.model import N_FEATURES, AggregateBatch
+from wikistream.model import N_FEATURES, ROW_BLOCK, AggregateBatch
 from wikistream.sim import ARCHETYPE_NAMES, SimConfig, simulate, write_events
 
 
@@ -111,3 +113,31 @@ def test_loading_events_peaks_at_the_parse(tmp_path):
         tracemalloc.stop()
     assert len(batch) == 10_695
     assert peak < 13_950_000  # 10 % above the measured peak
+
+
+# 10 % above the measured peaks
+@pytest.mark.parametrize("write,size,bound", [
+    (write_events, 8_549_559, 3_920_000),
+    (write_aggregates, 5_045_719, 4_420_000)])
+def test_writing_holds_one_block_not_the_file(tmp_path, write, size, bound):
+    """On the 20 000-event acceptance stream, write_events peaks at 3.56
+    MB and write_aggregates at 4.02 MB (Python 3.11, numpy 2.4.6): one
+    ROW_BLOCK of rows as cell strings, their lines and the block's text.
+    The files are 8.5 and 5.0 MB, so holding either as one string breaks
+    the bound."""
+    events, _ = simulate(SimConfig(counts={a: 200 for a in ARCHETYPE_NAMES},
+                                   n_days=30, seed=0, noise=0.1,
+                                   target_events=20_000))
+    table = events if write is write_events else aggregate_daily(events)
+    del events
+    path = tmp_path / "out.csv"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        write(table, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size == size
+    assert len(table) > 10 * ROW_BLOCK
+    assert peak < bound < size

@@ -1706,3 +1706,58 @@ def test_prequential_log_is_the_record_loop():
             model.classes[probs.argmax()], tuple(probs.tolist()), 0.0))
     assert len(stream) > ROW_BLOCK
     assert reprs(replace(r, latency_us=0.0) for r in log) == reprs(records)
+
+
+def reference_write_rows(rows, columns, path):
+    """``write_rows`` as the row loop of ``csv.writer`` and
+    ``json.dumps`` wrote it before the columnar writer."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        if Path(path).suffix == ".jsonl":
+            handle.writelines(json.dumps(dict(zip(columns, row))) + "\n"
+                              for row in rows)
+        else:
+            writer = csv.writer(handle)
+            writer.writerow(columns)
+            writer.writerows(rows)
+
+
+# Text that csv quotes, or that a cache or a renderer on another dialect
+# gets wrong: a lone "\r" is not quoted under a "\n" line end.
+WRITER_TEXTS = st.one_of(
+    st.sampled_from(["", ",", '"', "\r", "\n", "\r\n", "a\rb", " x", "x ",
+                     " ", "é", "\x1c", "1", "1.0", "True", 'say "hi", ok']),
+    st.text(alphabet=st.sampled_from('ab ,"\r\n\x1cé;'), max_size=6))
+WRITER_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-5, 1e16, float(2**53 + 2),
+                     1.7976931348623157e308, 1.0, math.inf, -math.inf]),
+    st.floats(allow_nan=False))
+# 1, 1.0 and True are equal keys to a dict, but csv writes each its own
+# way; so do np.float64(-0.0) and np.float64(0.0)
+WRITER_CELLS = st.one_of(
+    WRITER_TEXTS, WRITER_FLOATS, st.integers(-2**70, 2**70),
+    st.sampled_from([True, False, 1, 0, 1.0]),
+    WRITER_FLOATS.map(np.float64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(width=st.integers(1, 4), kinds=st.data(), n=st.integers(0, 6))
+@example(width=1, kinds=None, n=0)
+def test_write_rows_is_the_csv_writer_row_loop(width, kinds, n):
+    """``write_rows`` gives the bytes of the csv.writer row loop and of
+    ``json.dumps`` per row, for text that csv quotes, numbers that a
+    cache keyed by value would merge, and a lone empty cell."""
+    columns = [f"c{i}" for i in range(width)]
+    if kinds is None:  # one column of one empty cell: csv writes '""'
+        rows = [[""]]
+    else:
+        strategies = [kinds.draw(st.sampled_from([WRITER_TEXTS, WRITER_FLOATS,
+                                                  WRITER_CELLS]))
+                      for _ in range(width)]
+        rows = [[kinds.draw(strategy) for strategy in strategies]
+                for _ in range(n)]
+    with tempfile.TemporaryDirectory() as tmp:
+        for suffix in (".csv", ".jsonl"):
+            mine, theirs = Path(tmp, "mine" + suffix), Path(tmp, "ref" + suffix)
+            write_rows(iter(rows), columns, mine)
+            reference_write_rows(rows, columns, theirs)
+            assert mine.read_bytes() == theirs.read_bytes(), suffix
