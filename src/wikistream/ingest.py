@@ -393,10 +393,6 @@ class _CsvCells:
         return list(map(self._texts.__getitem__, cells))
 
 
-def _length(column):
-    return len(column[0] if isinstance(column, tuple) else column)
-
-
 def _block_cells(columns, block, render=None):
     """The cells of the rows in ``block``, a slice, of ``write_table``'s
     ``columns``: one list per file column, of Python values, or of text
@@ -435,7 +431,8 @@ def write_table(columns, header, path):
 
     Rows are converted ROW_BLOCK at a time; a CSV block is each column's
     cells as text, joined by the dialect's delimiter and line end."""
-    n = _length(columns[0])
+    first = columns[0]
+    n = len(first[0] if isinstance(first, tuple) else first)
     blocks = (slice(start, start + ROW_BLOCK)
               for start in range(0, n, ROW_BLOCK))
     with open(path, "w", newline="", encoding="utf-8") as handle:
